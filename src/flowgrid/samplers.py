@@ -30,8 +30,14 @@ Monte-Carlo tests compare against.
 
 Noise addressing: the initial state comes from the ``(seed, INIT_NOISE)``
 substream and step i consumes one (n, d) block from ``(seed, STEP_NOISE, i)``,
-row j belonging to trajectory j.  Samplers never share or mutate state across
-trajectories, so results are independent of any parallel execution order.
+row j belonging to trajectory j.  The stochastic samplers read their blocks
+from a :class:`~flowgrid.rng.StepNoise`, which draws block i+1 on a worker
+thread while step i computes (when blocks are large enough and a core is
+free); a block depends only on its address, so the values are the same as
+drawing it inline.  A block is valid only until the next block is read, so each step
+consumes its block before asking for the next.  Samplers never share or
+mutate state across trajectories, so results are independent of any
+parallel execution order.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ import numpy as np
 
 from .batch import BatchMeta, SampleBatch
 from .errors import DomainError, NonFiniteState
-from .rng import INIT_NOISE, STEP_NOISE, substream
+from .rng import INIT_NOISE, StepNoise, substream
 from .schedules import (
     DdpmSchedule,
     TimeGrid,
@@ -378,16 +384,23 @@ def _whitened_chain(
     else:
         z = np.asarray(init, dtype=np.float64) / sigma[0]
     frames = [sigma[0] * z] if record else None
-    for i in range(times.size - 1):
-        t_i = float(times[i])
-        inner = z + (eta[i] * sigma[i]) * oracle.score(t_i, sigma[i] * z)
-        if psi is not None:
-            xi = substream(seed, STEP_NOISE, i).standard_normal(z.shape)
-            inner = inner + math.sqrt(psi[i]) * xi
-        z = growth[i] * inner
-        _ensure_finite(z, sampler, float(times[i + 1]))
-        if frames is not None:
-            frames.append(sigma[i + 1] * z)
+    steps = times.size - 1
+    with StepNoise(seed, z.shape, steps if psi is not None else 0) as noise:
+        for i in range(steps):
+            t_i = float(times[i])
+            # growth·(z + c·s + √ψ·ξ) in place, pairing the operands as that
+            # expression does so every bit is kept; the score is not written
+            inner = (eta[i] * sigma[i]) * oracle.score(t_i, sigma[i] * z)
+            inner += z
+            if psi is not None:
+                xi = noise.block(i)
+                xi *= math.sqrt(psi[i])
+                inner += xi
+            inner *= growth[i]
+            z = inner
+            _ensure_finite(z, sampler, float(times[i + 1]))
+            if frames is not None:
+                frames.append(sigma[i + 1] * z)
     return sigma[-1] * z, frames
 
 
@@ -469,19 +482,29 @@ def langevin_rf(
         )
     y = substream(seed, INIT_NOISE).standard_normal((n, oracle.dim))
     frames = [y] if record_trajectories else None
-    for i in range(times.size - 1):
-        t_i = float(times[i])
-        step = float(times[i + 1]) - t_i
-        if gamma_scale == 0.0:
-            y = y + step * oracle.velocity(t_i, y)
-        else:
-            gamma = gamma_scale * (1.0 - t_i) / t_i
-            drift = oracle.velocity(t_i, y) + gamma * oracle.score(t_i, y)
-            xi = substream(seed, STEP_NOISE, i).standard_normal(y.shape)
-            y = y + step * drift + math.sqrt(2.0 * step * gamma) * xi
-        _ensure_finite(y, "langevin", float(times[i + 1]))
-        if frames is not None:
-            frames.append(y)
+    steps = times.size - 1
+    with StepNoise(seed, y.shape, steps if gamma_scale > 0.0 else 0) as noise:
+        for i in range(steps):
+            t_i = float(times[i])
+            step = float(times[i + 1]) - t_i
+            if gamma_scale == 0.0:
+                y = y + step * oracle.velocity(t_i, y)
+            else:
+                gamma = gamma_scale * (1.0 - t_i) / t_i
+                # y + step·(v + γ·s) + √(2·step·γ)·ξ in place, same pairings;
+                # y itself is not written, as a recorded frame may hold it
+                v = oracle.velocity(t_i, y)
+                drift = gamma * oracle.score(t_i, y)
+                drift += v
+                drift *= step
+                drift += y
+                xi = noise.block(i)
+                xi *= math.sqrt(2.0 * step * gamma)
+                drift += xi
+                y = drift
+            _ensure_finite(y, "langevin", float(times[i + 1]))
+            if frames is not None:
+                frames.append(y)
     meta = BatchMeta(
         sampler=f"langevin(gamma_scale={gamma_scale:.6g})",
         grid=grid_label,
@@ -536,21 +559,28 @@ def ddpm_sample(
     frames = [sigma[0] * y] if record_trajectories else None
     frame_times = [float(times[0])]
     last_tau = 0 if final_step else 1
-    for tau in range(n_chain, last_tau, -1):
-        i = n_chain - tau
-        scale = float(sigma[i])
-        s_hat = scale * oracle.score(float(times[i]), scale * y)
-        xi = substream(seed, STEP_NOISE, i).standard_normal(y.shape)
-        nu = math.sqrt(betas[tau] * signal_gap[tau - 1] / (1.0 - omegas[tau]))
-        y = (y + betas[tau] * s_hat + nu * xi) / math.sqrt(alphas[tau])
-        if tau >= 2:
-            t_next, scale_next = float(times[i + 1]), float(sigma[i + 1])
-        else:  # the closing step lands on the target end, x = y exactly
-            t_next, scale_next = 1.0, 1.0
-        _ensure_finite(y, "ddpm", t_next)
-        if frames is not None:
-            frames.append(scale_next * y)
-            frame_times.append(t_next)
+    with StepNoise(seed, y.shape, n_chain - last_tau) as noise:
+        for tau in range(n_chain, last_tau, -1):
+            i = n_chain - tau
+            scale = float(sigma[i])
+            # (y + β·ŝ + ν·ξ)/√α in place, pairing the operands as written
+            update = scale * oracle.score(float(times[i]), scale * y)
+            update *= betas[tau]
+            update += y
+            nu = math.sqrt(betas[tau] * signal_gap[tau - 1] / (1.0 - omegas[tau]))
+            xi = noise.block(i)
+            xi *= nu
+            update += xi
+            update /= math.sqrt(alphas[tau])
+            y = update
+            if tau >= 2:
+                t_next, scale_next = float(times[i + 1]), float(sigma[i + 1])
+            else:  # the closing step lands on the target end, x = y exactly
+                t_next, scale_next = 1.0, 1.0
+            _ensure_finite(y, "ddpm", t_next)
+            if frames is not None:
+                frames.append(scale_next * y)
+                frame_times.append(t_next)
     meta = BatchMeta(
         sampler="ddpm",
         grid=ddpm_induced_rf_grid(schedule).describe(),

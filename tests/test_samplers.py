@@ -8,14 +8,20 @@ distributional claims are checked against the closed-form push-forward with
 """
 
 import math
+import os
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flowgrid.rng
 from flowgrid.errors import DomainError, NonFiniteState
-from flowgrid.rng import INIT_NOISE, substream
+from flowgrid.rng import INIT_NOISE, STEP_NOISE, StepNoise, substream
 from flowgrid.samplers import (
     ddim_rf,
     ddim_step_sizes,
@@ -33,6 +39,7 @@ from flowgrid.schedules import (
     build_uniform_grid,
     build_ushaped_grid,
     ddpm_induced_rf_grid,
+    time_from_mix_weight,
 )
 from flowgrid.targets import ExactOracle, Target
 
@@ -487,6 +494,239 @@ class TestDdpmSample:
     def test_nonfinite_state_aborts(self):
         with pytest.raises(NonFiniteState, match="ddpm"):
             ddpm_sample(_ExplodingOracle(2), build_ddpm_schedule(30), 4, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# step noise drawn ahead on a worker thread
+#
+# The reference loops below draw each step's block inline, as the samplers
+# did before their blocks came from a StepNoise; the samplers must match
+# them bit for bit.  Blocks of 2**14 values or more go through the worker
+# thread (here whatever the core count), smaller ones are drawn on the
+# caller's thread: tests cover both.
+
+
+def _reference_stoc_rf(oracle, grid, n, seed):
+    times = grid.integration_times()
+    coeffs = stoc_rf_coefficients(times)
+    sigma = np.sqrt(interpolation_scale2(times))
+    growth = (times[1:] * sigma[:-1]) / (times[:-1] * sigma[1:])
+    z = substream(seed, INIT_NOISE).standard_normal((n, oracle.dim))
+    frames = [sigma[0] * z]
+    for i in range(times.size - 1):
+        t_i = float(times[i])
+        inner = z + (coeffs.eta[i] * sigma[i]) * oracle.score(t_i, sigma[i] * z)
+        xi = substream(seed, STEP_NOISE, i).standard_normal(z.shape)
+        inner = inner + math.sqrt(coeffs.psi[i]) * xi
+        z = growth[i] * inner
+        frames.append(sigma[i + 1] * z)
+    return sigma[-1] * z, np.stack(frames)
+
+
+def _reference_ddpm(oracle, schedule, n, seed, final_step):
+    alphas, omegas, betas = schedule.alphas, schedule.omegas, schedule.betas
+    n_chain = schedule.n_steps
+    signal_gap = alphas[1:] - omegas[1:]
+    rev_omegas = omegas[:0:-1]
+    times = time_from_mix_weight(rev_omegas)
+    sigma = times / np.sqrt(rev_omegas)
+    y = substream(seed, INIT_NOISE).standard_normal((n, oracle.dim))
+    frames = [sigma[0] * y]
+    for tau in range(n_chain, 0 if final_step else 1, -1):
+        i = n_chain - tau
+        scale = float(sigma[i])
+        s_hat = scale * oracle.score(float(times[i]), scale * y)
+        xi = substream(seed, STEP_NOISE, i).standard_normal(y.shape)
+        nu = math.sqrt(betas[tau] * signal_gap[tau - 1] / (1.0 - omegas[tau]))
+        y = (y + betas[tau] * s_hat + nu * xi) / math.sqrt(alphas[tau])
+        scale_next = float(sigma[i + 1]) if tau >= 2 else 1.0
+        frames.append(scale_next * y)
+    return scale_next * y, np.stack(frames)
+
+
+def _reference_langevin(oracle, grid, n, seed):
+    times = grid.integration_times()
+    y = substream(seed, INIT_NOISE).standard_normal((n, oracle.dim))
+    frames = [y]
+    for i in range(times.size - 1):
+        t_i = float(times[i])
+        step = float(times[i + 1]) - t_i
+        gamma = (1.0 - t_i) / t_i
+        drift = oracle.velocity(t_i, y) + gamma * oracle.score(t_i, y)
+        xi = substream(seed, STEP_NOISE, i).standard_normal(y.shape)
+        y = y + step * drift + math.sqrt(2.0 * step * gamma) * xi
+        frames.append(y)
+    return y, np.stack(frames)
+
+
+_SCHEDULE = build_ddpm_schedule(40)
+_GRID = ddpm_induced_rf_grid(_SCHEDULE)
+
+
+def _run_stochastic(name, oracle, n, seed):
+    if name == "stoc-rf":
+        return stoc_rf(oracle, _GRID, n, seed, record_trajectories=True)
+    if name == "ddpm":
+        return ddpm_sample(oracle, _SCHEDULE, n, seed, record_trajectories=True)
+    if name == "ddpm-final":
+        return ddpm_sample(
+            oracle, _SCHEDULE, n, seed, final_step=True, record_trajectories=True
+        )
+    return langevin_rf(oracle, _GRID, n, seed, record_trajectories=True)
+
+
+def _live_threads_settle(expected, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while threading.active_count() != expected and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return threading.active_count()
+
+
+class _InfAtCall:
+    """Zero fields until call ``k`` of ``score``, which returns inf."""
+
+    def __init__(self, dim, k):
+        self._dim, self._k, self.calls = dim, k, 0
+
+    @property
+    def dim(self):
+        return self._dim
+
+    def velocity(self, t, x):
+        return np.zeros_like(x)
+
+    def score(self, t, x):
+        self.calls += 1
+        return np.full_like(x, np.inf) if self.calls == self._k else np.zeros_like(x)
+
+
+STOCHASTIC = ("stoc-rf", "ddpm", "ddpm-final", "langevin")
+
+
+_D1 = Target.gaussian(np.array([1.5]), np.array([0.3]))
+_D5_MIXTURE = Target(
+    weights=np.array([0.4, 0.6]),
+    means=np.array([[2.0, -1.0, 0.0, 1.0, 3.0], [-2.0, 1.0, 0.5, 0.0, 3.0]]),
+    variances=np.array([[1.0, 0.5, 2.0, 0.0, 0.0], [0.3, 1.0, 1.0, 0.7, 0.0]]),
+)
+_WORKER_N = 4096  # with d = 4, a 2**14-value block: drawn on the worker
+
+
+class TestStepNoisePrefetch:
+    @pytest.fixture(autouse=True)
+    def _worker_on_any_core_count(self, monkeypatch):
+        monkeypatch.setattr(
+            flowgrid.rng,
+            "_prefetch_pays",
+            lambda values: values >= flowgrid.rng._PREFETCH_MIN_VALUES,
+        )
+
+    @pytest.mark.parametrize(
+        "target, n",
+        [(_D1, 37), (_D1, 20000), (_D5_MIXTURE, 3500)],
+        ids=["d1-caller", "d1-worker", "d5-mixture-worker"],
+    )
+    @pytest.mark.parametrize("name", STOCHASTIC)
+    def test_bitwise_equal_to_inline_draws(self, name, target, n):
+        oracle = ExactOracle(target)
+        seed = 11
+        if name == "stoc-rf":
+            data, frames = _reference_stoc_rf(oracle, _GRID, n, seed)
+        elif name.startswith("ddpm"):
+            data, frames = _reference_ddpm(
+                oracle, _SCHEDULE, n, seed, final_step=name == "ddpm-final"
+            )
+        else:
+            data, frames = _reference_langevin(oracle, _GRID, n, seed)
+        batch = _run_stochastic(name, oracle, n, seed)
+        assert np.array_equal(batch.data, data)
+        assert np.array_equal(batch.trajectory, frames)
+
+    @pytest.mark.parametrize(
+        "shape, workers", [((6, 3), 0), ((_WORKER_N, 4), 1)], ids=["caller", "worker"]
+    )
+    def test_blocks_match_inline_draws_and_are_read_in_order(self, shape, workers):
+        before = threading.active_count()
+        with StepNoise(5, shape, 3) as noise:
+            assert threading.active_count() == before + workers
+            with pytest.raises(ValueError, match="block 1"):
+                noise.block(1)
+            for i in range(3):
+                expected = substream(5, STEP_NOISE, i).standard_normal(shape)
+                assert np.array_equal(noise.block(i), expected)
+            with pytest.raises(ValueError, match="block 3"):
+                noise.block(3)
+        assert _live_threads_settle(before) == before
+
+    def test_worker_needs_a_large_block_and_a_free_core(self, monkeypatch):
+        monkeypatch.undo()
+        pays = flowgrid.rng._prefetch_pays
+        big = flowgrid.rng._PREFETCH_MIN_VALUES
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        assert pays(big)
+        assert not pays(big - 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert not pays(big)
+
+    def test_no_steps_starts_no_thread(self):
+        before = threading.active_count()
+        with StepNoise(5, (_WORKER_N, 4), 0) as noise:
+            assert threading.active_count() == before
+            with pytest.raises(ValueError):
+                noise.block(0)
+
+    @pytest.mark.parametrize("name", STOCHASTIC)
+    def test_nonfinite_state_stops_the_worker(self, name):
+        before = threading.active_count()
+        with pytest.raises(NonFiniteState):
+            _run_stochastic(name, _InfAtCall(4, k=5), _WORKER_N, 0)
+        assert _live_threads_settle(before) == before
+
+    @pytest.mark.parametrize("name", STOCHASTIC)
+    def test_failed_draw_raises_from_the_sampler(self, name, monkeypatch):
+        real = flowgrid.rng.substream
+
+        def failing(seed, *path):
+            if path == (STEP_NOISE, 7):
+                raise RuntimeError("draw failed")
+            return real(seed, *path)
+
+        monkeypatch.setattr(flowgrid.rng, "substream", failing)
+        oracle = ExactOracle(Target.gaussian(np.zeros(4), np.ones(4)))
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="draw failed"):
+            _run_stochastic(name, oracle, _WORKER_N, 0)
+        assert _live_threads_settle(before) == before
+
+    def test_unread_failed_draw_raises_on_exit(self, monkeypatch):
+        def failing(seed, *path):
+            raise RuntimeError("draw failed")
+
+        monkeypatch.setattr(flowgrid.rng, "substream", failing)
+        with pytest.raises(RuntimeError, match="draw failed"):
+            with StepNoise(0, (_WORKER_N, 4), 2):
+                pass
+
+    def test_concurrent_calls_match_serial_runs(self):
+        oracle = ExactOracle(Target.low_rank(4, 3))
+        jobs = [("stoc-rf", 0), ("ddpm", 1), ("stoc-rf", 2), ("ddpm-final", 3)]
+        serial = [_run_stochastic(name, oracle, _WORKER_N, seed) for name, seed in jobs]
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [
+                    pool.submit(_run_stochastic, name, oracle, _WORKER_N, seed)
+                    for name, seed in jobs
+                ]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(results, serial):
+            assert np.array_equal(got.data, want.data)
+            assert np.array_equal(got.trajectory, want.trajectory)
+        assert _live_threads_settle(before) == before
 
 
 # ---------------------------------------------------------------------------
