@@ -16,6 +16,7 @@ import argparse
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 
@@ -61,6 +62,7 @@ def _global_flags(parser: argparse.ArgumentParser, *, suppress: bool) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for the whole command line, on every call."""
     parser = argparse.ArgumentParser(
         prog="flowgrid",
         description="Time-grid schedules, exact-oracle samplers, and TV diagnostics.",
@@ -247,10 +249,19 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+@cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses, built on first use rather than at import.
+
+    Parsing leaves the parser unchanged (each call fills a fresh namespace
+    and no action has a mutable default), so one instance serves every call.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed the usage message
         return int(exc.code or 0)
     try:

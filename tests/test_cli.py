@@ -1,10 +1,14 @@
 """CLI tests: every subcommand exercised in process through ``main(argv)``."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from flowgrid.checks import CheckRecord
-from flowgrid.cli import main
+from flowgrid.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -363,3 +367,38 @@ class TestUsageErrors:
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
         assert run(capsys, "sample", "--help")[0] == 0
+
+
+class TestParserReuse:
+    """``main`` reuses one parser; no flag of one call may leak into the next."""
+
+    @staticmethod
+    def fresh_run(capsys, *argv):
+        args = build_parser().parse_args(list(argv))
+        code = args.handler(args)
+        return code, capsys.readouterr().out
+
+    @pytest.mark.parametrize("after_subcommand", [False, True])
+    def test_seed_and_out_do_not_carry_over(self, capsys, tmp_path, after_subcommand):
+        flags = ["--seed", "7", "--out", str(tmp_path / "seed7.csv")]
+        command = ["check", "--suite", "grid"]
+        argv = command + flags if after_subcommand else flags + command
+        assert run(capsys, *argv)[:2] == (0, "")
+        code, out, _ = run(capsys, *command)
+        assert (code, out) == self.fresh_run(capsys, "--seed", "0", *command)
+        assert out != (tmp_path / "seed7.csv").read_text()
+
+    def test_main_keeps_one_parser_and_build_parser_makes_new_ones(self):
+        import flowgrid.cli as cli
+
+        assert cli._shared_parser() is cli._shared_parser()
+        assert build_parser() is not build_parser()
+        assert build_parser() is not cli._shared_parser()
+
+    def test_parser_is_not_built_at_import(self):
+        code = (
+            "import flowgrid.cli as cli; "
+            "assert cli._shared_parser.cache_info().currsize == 0"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)

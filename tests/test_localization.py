@@ -20,6 +20,7 @@ from flowgrid.localization import (
     ProcessKind,
     TimeChange,
     TimeChangeKind,
+    _moment_stats,
     check_marginal_equivalence,
     covariance_checks,
     covariance_ode_residual,
@@ -365,6 +366,58 @@ class TestMarginalEquivalence:
             check_marginal_equivalence(target, [1.0], 1, seed=0)
         with pytest.raises(DomainError):
             check_marginal_equivalence(target, [-1.0], 100, seed=0)
+
+
+def _old_moment_stats(x):
+    """Reference moments with ``**`` powers: one ``pow`` per element for the fourth."""
+    mean = x.mean(axis=0)
+    centered = x - mean
+    var = np.sum(centered**2, axis=0) / (x.shape[0] - 1)
+    fourth = np.mean(centered**4, axis=0)
+    return mean, var, fourth
+
+
+def _heavy_tailed(n, d, seed):
+    rng = np.random.default_rng(seed)
+    return 1.5 + 3.0 * rng.standard_t(5, size=(n, d))
+
+
+def _exact_fourth(x):
+    wide = x.astype(np.longdouble)
+    centered = wide - wide.mean(axis=0)
+    return np.mean(centered**4, axis=0)
+
+
+class TestMomentStats:
+    @pytest.mark.parametrize("shape", [(20000, 10), (2000, 10), (7, 3), (2, 1)])
+    def test_mean_and_variance_bitwise_unchanged(self, shape):
+        x = _heavy_tailed(*shape, seed=4)
+        mean, var, _ = _moment_stats(x)
+        old_mean, old_var, _ = _old_moment_stats(x)
+        assert np.array_equal(mean, old_mean)
+        assert np.array_equal(var, old_var)
+
+    # At the suite's n = 20000 the row-by-row accumulation of an axis-0 mean,
+    # not the per-element product, sets the error: both forms reach 1.2e-14.
+    @pytest.mark.parametrize("n, tolerance", [(2000, 1e-14), (20000, 5e-14)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fourth_moment_matches_extended_precision(self, n, tolerance, seed):
+        x = _heavy_tailed(n, 10, seed)
+        exact = _exact_fourth(x)
+        rel = np.abs((_moment_stats(x)[2] - exact) / exact)
+        assert np.max(rel) <= tolerance
+
+    @pytest.mark.parametrize("n", [2000, 20000])
+    def test_fourth_moment_no_less_accurate_than_pow(self, n):
+        # (c*c)*(c*c) rounds three times where pow rounds once, so per column
+        # it can lose a few ulps to the old form; it must lose no more.
+        eps = np.finfo(np.float64).eps
+        for seed in range(5):
+            x = _heavy_tailed(n, 10, seed)
+            exact = _exact_fourth(x)
+            new = np.abs((_moment_stats(x)[2] - exact) / exact)
+            old = np.abs((_old_moment_stats(x)[2] - exact) / exact)
+            assert np.all(new <= old + 4 * eps)
 
 
 # --- covariance evolution -----------------------------------------------------
