@@ -266,9 +266,6 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except ParseError as exc:
-        print(f"flowgrid: {exc}", file=sys.stderr)
-        return 2
     except FlowgridError as exc:
         print(f"flowgrid: {exc}", file=sys.stderr)
         return 2

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -38,7 +39,7 @@ from scipy.special import roots_hermitenorm
 
 from .checks import CheckRecord
 from .errors import DomainError, NonFiniteState, NoRootError
-from .rng import INIT_NOISE, STEP_NOISE, child_seed, substream
+from .rng import INIT_NOISE, StepNoise, _pool_workers, child_seed, substream
 from .schedules import time_from_mix_weight
 from .targets import Target, posterior_moments, sample_target
 
@@ -315,22 +316,19 @@ def _strictly_increasing(clock: np.ndarray, what: str) -> None:
         raise DomainError(f"{what} must be strictly increasing")
 
 
-def _brownian_at(clocks: np.ndarray, n: int, d: int, seed: int) -> np.ndarray:
-    """Values of one Brownian path at the given strictly increasing clocks.
+def _brownian_at(clocks: np.ndarray, noise: StepNoise, out: np.ndarray) -> None:
+    """Write one Brownian path's values at strictly increasing clocks to ``out[k]``.
 
-    Increment k comes from the (seed, STEP_NOISE, k) stream, so a path is
-    reproducible and extends consistently: the value at a later clock is the
-    earlier value plus an independent increment.
+    Increment k is ``noise.block(k)``, the (seed, STEP_NOISE, k) stream, so a
+    path is reproducible and extends consistently: the value at a later
+    clock is the earlier value plus an independent increment.
     """
-    gaps = np.diff(clocks, prepend=0.0)
-    out = np.empty((clocks.size, n, d))
-    level = np.zeros((n, d))
-    for k, gap in enumerate(gaps):
-        level = level + math.sqrt(gap) * substream(seed, STEP_NOISE, k).standard_normal(
-            (n, d)
-        )
-        out[k] = level
-    return out
+    previous = None
+    for k, gap in enumerate(np.diff(clocks, prepend=0.0)):
+        level = np.multiply(noise.block(k), math.sqrt(gap), out=out[k])
+        if previous is not None:
+            level += previous
+        previous = level
 
 
 def simulate_forward(
@@ -349,29 +347,35 @@ def simulate_forward(
     their Brownian past.  ``clock`` must be strictly increasing in the
     process's own time: s > 0 for ``SL``, t ∈ (0, 1) for ``RF_LINEAR``
     (whose internal Brownian clock (1−t)²/t² runs *backwards* in t), τ > 0
-    for ``DDPM_FORWARD``.  The signal draw X₁ uses the (seed, INIT_NOISE)
-    stream and Brownian increments use (seed, STEP_NOISE, k).
+    for ``DDPM_FORWARD``.
+
+    The signal draw X₁ uses the (seed, INIT_NOISE) stream.  Brownian
+    increment k is block k of a :class:`~flowgrid.rng.StepNoise`, i.e. the
+    (seed, STEP_NOISE, k) stream; when the blocks are large enough and a
+    core is free, block 0 fills on a worker thread while X₁ fills on the
+    caller's, and each later block while the previous one is used.  The
+    values do not depend on which thread drew them.
     """
     kind = ProcessKind(kind)
     clock = np.asarray(clock, dtype=np.float64)
     _strictly_increasing(clock, "clock points")
     if not np.all(np.isfinite(clock)):
         raise DomainError("clock points must be finite")
-    x1 = sample_target(target, n, seed).data
-    d = target.dim
+    if n < 1:
+        raise DomainError("need at least one sample")
 
+    # Each kind's states are a per-point affine map of X₁ and the Brownian
+    # value at a derived clock: ``scale`` times (X₁ + B) for RF and DDPM.
     if kind is ProcessKind.SL:
         if clock[0] <= 0.0:
             raise DomainError("observation clock s must be positive")
-        noise = _brownian_at(clock, n, d, seed)
-        states = clock[:, None, None] * x1[None] + noise
+        brownian_clock = clock
     elif kind is ProcessKind.RF_LINEAR:
         if clock[0] <= 0.0 or clock[-1] >= 1.0:
             raise DomainError("flow times must lie in (0, 1)")
-        back_clock = ((1.0 - clock) / clock) ** 2  # strictly decreasing in t
-        noise_sorted = _brownian_at(back_clock[::-1], n, d, seed)
-        noise = noise_sorted[::-1]
-        states = clock[:, None, None] * (x1[None] + noise)
+        # strictly decreasing in t, so the path is built from the last point
+        brownian_clock = (((1.0 - clock) / clock) ** 2)[::-1]
+        scale = clock
     elif kind is ProcessKind.DDPM_FORWARD:
         if clock[0] <= 0.0:
             raise DomainError("noising clock tau must be positive")
@@ -380,12 +384,26 @@ def simulate_forward(
         else:
             accumulated = np.array([_accumulated_rate(beta, float(v)) for v in clock])
         omega = np.exp(-2.0 * accumulated)
-        grown = (1.0 - omega) / omega
-        _strictly_increasing(grown, "accumulated noise clock (check the beta profile)")
-        noise = _brownian_at(grown, n, d, seed)
-        states = np.sqrt(omega)[:, None, None] * (x1[None] + noise)
+        brownian_clock = (1.0 - omega) / omega
+        _strictly_increasing(
+            brownian_clock, "accumulated noise clock (check the beta profile)"
+        )
+        scale = np.sqrt(omega)
     else:  # pragma: no cover - enum is closed
         raise DomainError(f"unknown process kind {kind!r}")
+
+    states = np.empty((clock.size, n, target.dim))
+    levels = states[::-1] if kind is ProcessKind.RF_LINEAR else states
+    with StepNoise(seed, states.shape[1:], clock.size) as noise:
+        x1 = sample_target(target, n, seed).data
+        _brownian_at(brownian_clock, noise, levels)
+    if kind is ProcessKind.SL:
+        for s, state in zip(clock, states):
+            state += s * x1
+    else:
+        for c, state in zip(scale, states):
+            state += x1
+            state *= c
 
     if not np.all(np.isfinite(states)):
         raise NonFiniteState(f"forward process {kind} produced non-finite states")
@@ -448,29 +466,50 @@ def check_marginal_equivalence(
     ``equivalence`` suite, seeds 80, 167, 181, 186, 192, 247, 260 and 266 of
     seeds 0–299 each fail exactly one record, about 3 % of seeds.  A failure
     at that rate is chance, not a defect.
+
+    The 3·len(s_points) simulations are independent jobs, each seeded by
+    ``child_seed(seed, i, k)`` for clock point i and process k.  When their
+    (n, d) noise blocks are large enough and a core is free (the rule of
+    :class:`~flowgrid.rng.StepNoise`), they run on a pool of at most one
+    thread per usable core, which is joined before this function returns;
+    otherwise they run on the caller's thread.  Either way every record is
+    the same, bit for bit.
     """
     if n < 2:
         raise DomainError("need at least two samples per process")
-    records: list[CheckRecord] = []
-    for i, s in enumerate(np.asarray(s_points, dtype=np.float64)):
+    s_values = np.asarray(s_points, dtype=np.float64)
+    for s in s_values:
         if not (np.isfinite(s) and s > 0.0):
             raise DomainError(f"precision clock s must be positive; got {s!r}")
+    jobs = []  # (process, its clock, the factor that rescales its state, seed)
+    for i, s in enumerate(s_values):
         t = rf_time_from_sl(s)
         tau = ddpm_time_from_sl(s)
         omega = s / (1.0 + s)  # e^{-2tau}
-        sl = simulate_forward(ProcessKind.SL, target, [s], n, child_seed(seed, i, 0))
-        rf = simulate_forward(
-            ProcessKind.RF_LINEAR, target, [t], n, child_seed(seed, i, 1)
-        )
-        dd = simulate_forward(
-            ProcessKind.DDPM_FORWARD, target, [tau], n, child_seed(seed, i, 2)
-        )
-        rescaled = {
-            "sl": sl.states[0] / s,
-            "rf": rf.states[0] / t,
-            "ddpm": dd.states[0] / math.sqrt(omega),
-        }
-        stats = {name: _moment_stats(x) for name, x in rescaled.items()}
+        jobs += [
+            (ProcessKind.SL, s, s, child_seed(seed, i, 0)),
+            (ProcessKind.RF_LINEAR, t, t, child_seed(seed, i, 1)),
+            (ProcessKind.DDPM_FORWARD, tau, math.sqrt(omega), child_seed(seed, i, 2)),
+        ]
+
+    def rescaled_moments(job):
+        kind, point, factor, job_seed = job
+        states = simulate_forward(kind, target, [point], n, job_seed).states[0]
+        return _moment_stats(states / factor)
+
+    workers = _pool_workers(n * target.dim, len(jobs))
+    if workers:
+        pool = ThreadPoolExecutor(workers, thread_name_prefix="flowgrid-equivalence")
+        try:
+            moments = list(pool.map(rescaled_moments, jobs))
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+    else:
+        moments = [rescaled_moments(job) for job in jobs]
+
+    records: list[CheckRecord] = []
+    for i, s in enumerate(s_values):
+        stats = dict(zip(("sl", "rf", "ddpm"), moments[3 * i : 3 * i + 3]))
         for a, b in (("sl", "rf"), ("sl", "ddpm"), ("rf", "ddpm")):
             mean_a, var_a, m4_a = stats[a]
             mean_b, var_b, m4_b = stats[b]
@@ -491,7 +530,7 @@ def check_marginal_equivalence(
     return EquivalenceReport(
         records=tuple(records),
         n=n,
-        s_points=tuple(float(s) for s in np.asarray(s_points, dtype=np.float64)),
+        s_points=tuple(float(s) for s in s_values),
     )
 
 

@@ -11,10 +11,12 @@ stream consume *identical* noise (used by the coupled-chain tests).
 Within a step, a single ``(n, d)`` block is drawn and row ``j`` belongs to
 trajectory ``j``.  A sampler takes its step blocks from a :class:`StepNoise`,
 which draws block i+1 on a worker thread while step i computes, when the
-blocks are large enough and a core is free for it.  Because a block depends
-only on its address, drawing it ahead of time leaves every value unchanged;
-a block handed out is valid only until the next :meth:`StepNoise.block`
-call, which refills its buffer.
+blocks are large enough and a core is free for it.  The forward-process
+simulators in :mod:`flowgrid.localization` read their Brownian increments
+from one too, block k being increment k.  Because a block depends only on
+its address, drawing it ahead of time leaves every value unchanged; a block
+handed out is valid only until the next :meth:`StepNoise.block` call, which
+refills its buffer.
 """
 
 from __future__ import annotations
@@ -60,6 +62,14 @@ and handing a block to a worker and back costs 35-75 us a step (2-vCPU x86
 VM), which a shorter fill cannot win back."""
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask outside Linux
+        return os.cpu_count() or 1
+
+
 def _prefetch_pays(values: int) -> bool:
     """Whether drawing blocks of ``values`` values on a worker can save time.
 
@@ -67,11 +77,18 @@ def _prefetch_pays(values: int) -> bool:
     that none of its live threads may be using: when a pool of threads
     already fills the cores, a worker only takes CPU from them.
     """
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask outside Linux
-        cores = os.cpu_count() or 1
-    return values >= _PREFETCH_MIN_VALUES and threading.active_count() < cores
+    free_core = threading.active_count() < _usable_cores()
+    return values >= _PREFETCH_MIN_VALUES and free_core
+
+
+def _pool_workers(values: int, jobs: int) -> int:
+    """Worker threads for ``jobs`` independent tasks drawing blocks of ``values``.
+
+    Zero, meaning run the tasks on the caller's thread, unless a worker pays
+    by the rule of :func:`_prefetch_pays`; otherwise one per task, but no
+    more than there are usable cores.
+    """
+    return min(jobs, _usable_cores()) if _prefetch_pays(values) else 0
 
 
 class StepNoise:

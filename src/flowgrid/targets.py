@@ -378,12 +378,14 @@ def sample_target(target: Target, n: int, seed: int) -> SampleBatch:
     if n < 1:
         raise DomainError("need at least one sample")
     rng = substream(seed, INIT_NOISE)
-    z = rng.standard_normal((n, target.dim))
+    data = rng.standard_normal((n, target.dim))
     if target.n_components == 1:
-        comps = np.zeros(n, dtype=np.intp)
+        # In place, with the same two operations per element as the gather.
+        data *= np.sqrt(target.variances[0])
+        data += target.means[0]
     else:
         comps = rng.choice(target.n_components, size=n, p=target.weights)
-    data = target.means[comps] + np.sqrt(target.variances[comps]) * z
+        data = target.means[comps] + np.sqrt(target.variances[comps]) * data
     meta = BatchMeta(
         sampler="target-exact",
         grid="none",

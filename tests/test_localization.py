@@ -7,19 +7,24 @@ mixture densities (no shared code with the package's quadrature path).
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowgrid.errors import DomainError, NoRootError
+import flowgrid.localization
+import flowgrid.rng
+from flowgrid.errors import DomainError, NonFiniteState, NoRootError
 from flowgrid.localization import (
     EquivalenceReport,
     ForwardPath,
     ProcessKind,
     TimeChange,
     TimeChangeKind,
+    _accumulated_rate,
     _moment_stats,
     check_marginal_equivalence,
     covariance_checks,
@@ -35,6 +40,7 @@ from flowgrid.localization import (
     sl_time_from_ddpm,
     sl_time_from_rf,
 )
+from flowgrid.rng import INIT_NOISE, STEP_NOISE, substream
 from flowgrid.targets import Target
 
 # --- independent oracles ----------------------------------------------------
@@ -418,6 +424,217 @@ class TestMomentStats:
             new = np.abs((_moment_stats(x)[2] - exact) / exact)
             old = np.abs((_old_moment_stats(x)[2] - exact) / exact)
             assert np.all(new <= old + 4 * eps)
+
+
+# --- forward simulators against the zero-start reference ---------------------
+
+
+def _gathered_x1(target, n, seed):
+    """Reference signal draw: every row gathers its component's mean and variance."""
+    rng = substream(seed, INIT_NOISE)
+    z = rng.standard_normal((n, target.dim))
+    if target.n_components == 1:
+        comps = np.zeros(n, dtype=np.intp)
+    else:
+        comps = rng.choice(target.n_components, size=n, p=target.weights)
+    return target.means[comps] + np.sqrt(target.variances[comps]) * z
+
+
+def _zero_start_brownian(clocks, n, d, seed):
+    """Reference Brownian path: a zero start plus one fresh draw per increment."""
+    gaps = np.diff(clocks, prepend=0.0)
+    out = np.empty((clocks.size, n, d))
+    level = np.zeros((n, d))
+    for k, gap in enumerate(gaps):
+        level = level + math.sqrt(gap) * substream(seed, STEP_NOISE, k).standard_normal(
+            (n, d)
+        )
+        out[k] = level
+    return out
+
+
+def _reference_forward(kind, target, clock, n, seed, beta=None):
+    """Reference states: stacked Brownian values, then one broadcast expression."""
+    clock = np.asarray(clock, dtype=np.float64)
+    x1 = _gathered_x1(target, n, seed)
+    d = target.dim
+    if kind == "sl":
+        return clock[:, None, None] * x1[None] + _zero_start_brownian(clock, n, d, seed)
+    if kind == "rf-linear":
+        back_clock = ((1.0 - clock) / clock) ** 2
+        noise = _zero_start_brownian(back_clock[::-1], n, d, seed)[::-1]
+        return clock[:, None, None] * (x1[None] + noise)
+    if beta is None:
+        accumulated = clock
+    else:
+        accumulated = np.array([_accumulated_rate(beta, float(v)) for v in clock])
+    omega = np.exp(-2.0 * accumulated)
+    noise = _zero_start_brownian((1.0 - omega) / omega, n, d, seed)
+    return np.sqrt(omega)[:, None, None] * (x1[None] + noise)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+_ZERO_VARIANCE = Target.gaussian(
+    np.array([1.5, -0.5, 0.0, 2.0]), np.array([0.3, 0.0, 0.0, 4.0])
+)
+_MIXTURE = Target(
+    weights=np.array([0.4, 0.6]),
+    means=np.array([[2.0, -1.0, 0.0, 1.0], [-2.0, 1.0, 0.5, 0.0]]),
+    variances=np.array([[1.0, 0.5, 0.0, 0.0], [0.3, 1.0, 0.7, 0.0]]),
+)
+_CLOCKS = {
+    "sl": ([0.5], [0.5, 1.0, 3.0]),
+    "rf-linear": ([0.4], [0.2, 0.5, 0.9]),
+    "ddpm-forward": ([0.3], [0.1, 0.4, 1.2]),
+}
+_WORKER_N = 4096  # with d >= 4, blocks of at least 2**14 values: drawn on the worker
+
+
+@pytest.fixture
+def step_draw_threads(monkeypatch):
+    """Worker blocks by the size rule alone; yields the threads drawing step noise."""
+    monkeypatch.setattr(
+        flowgrid.rng,
+        "_prefetch_pays",
+        lambda values: values >= flowgrid.rng._PREFETCH_MIN_VALUES,
+    )
+    real = flowgrid.rng.substream
+    threads = []
+
+    def recording(seed, *path):
+        if path[:1] == (STEP_NOISE,):
+            threads.append(threading.current_thread())
+        return real(seed, *path)
+
+    monkeypatch.setattr(flowgrid.rng, "substream", recording)
+    return threads
+
+
+class TestForwardBitwise:
+    @pytest.mark.parametrize("n", [37, _WORKER_N], ids=["caller", "worker"])
+    @pytest.mark.parametrize(
+        "target",
+        [Target.low_rank(10, 8), _ZERO_VARIANCE, _MIXTURE],
+        ids=["low-rank", "zero-variance", "mixture"],
+    )
+    @pytest.mark.parametrize("points", [1, 3])
+    @pytest.mark.parametrize("kind", ["sl", "rf-linear", "ddpm-forward"])
+    def test_states_equal_the_zero_start_reference(
+        self, kind, points, target, n, step_draw_threads
+    ):
+        clock = _CLOCKS[kind][points == 3]
+        path = simulate_forward(kind, target, clock, n, seed=21)
+        assert _same_bits(path.states, _reference_forward(kind, target, clock, n, 21))
+        on_caller = [t is threading.main_thread() for t in step_draw_threads]
+        assert on_caller == [n == 37] * points
+
+    @pytest.mark.parametrize("n", [37, _WORKER_N], ids=["caller", "worker"])
+    def test_beta_profile(self, n, step_draw_threads):
+        beta = lambda u: 1.0 + u  # noqa: E731
+        clock = [0.1, 0.3, 0.8]
+        path = simulate_forward("ddpm-forward", _MIXTURE, clock, n, seed=4, beta=beta)
+        want = _reference_forward("ddpm-forward", _MIXTURE, clock, n, 4, beta=beta)
+        assert _same_bits(path.states, want)
+
+    def test_worker_is_joined(self, step_draw_threads):
+        before = threading.active_count()
+        simulate_forward("sl", _ZERO_VARIANCE, [0.5, 1.0], _WORKER_N, seed=2)
+        assert threading.active_count() == before
+        assert not any(t.is_alive() for t in step_draw_threads)
+
+
+# --- the equivalence check's job pool -----------------------------------------
+
+
+def _record_tuples(report):
+    return [(r.name, repr(r.observed), r.tolerance) for r in report.records]
+
+
+@pytest.fixture
+def forward_calls(monkeypatch):
+    """Records the thread of every ``simulate_forward`` call."""
+    real = flowgrid.localization.simulate_forward
+    calls = []
+
+    def recording(kind, *args, **kwargs):
+        calls.append(threading.current_thread())
+        return real(kind, *args, **kwargs)
+
+    monkeypatch.setattr(flowgrid.localization, "simulate_forward", recording)
+    return calls
+
+
+def _force_pool(monkeypatch, on):
+    monkeypatch.setattr(flowgrid.rng, "_prefetch_pays", lambda values: on)
+
+
+class TestEquivalencePool:
+    def _report(self):
+        return check_marginal_equivalence(
+            Target.low_rank(6, 4), [0.25, 1.0, 4.0], 2000, seed=9
+        )
+
+    def test_records_equal_with_and_without_the_pool(self, monkeypatch, forward_calls):
+        before = threading.active_count()
+        _force_pool(monkeypatch, True)
+        pooled = self._report()
+        assert threading.active_count() == before
+        assert len(forward_calls) == 9
+        assert not any(t is threading.main_thread() for t in forward_calls)
+        assert not any(t.is_alive() for t in forward_calls)
+        forward_calls.clear()
+        _force_pool(monkeypatch, False)
+        serial = self._report()
+        assert forward_calls == [threading.main_thread()] * 9
+        assert _record_tuples(pooled) == _record_tuples(serial)
+
+    def test_more_workers_than_cores_match_serial(self, monkeypatch):
+        _force_pool(monkeypatch, False)
+        serial = _record_tuples(self._report())
+        _force_pool(monkeypatch, True)
+        monkeypatch.setattr(flowgrid.rng, "_usable_cores", lambda: 8)
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert _record_tuples(self._report()) == serial
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("pool", [True, False], ids=["pool", "serial"])
+    def test_nonfinite_state_in_one_job_propagates(self, monkeypatch, pool):
+        real = flowgrid.localization.simulate_forward
+        threads = []
+
+        def failing(kind, target, clock, n, seed):
+            threads.append(threading.current_thread())
+            if kind is ProcessKind.RF_LINEAR and clock[0] == rf_time_from_sl(1.0):
+                raise NonFiniteState("forward process rf-linear: non-finite states")
+            return real(kind, target, clock, n, seed)
+
+        monkeypatch.setattr(flowgrid.localization, "simulate_forward", failing)
+        _force_pool(monkeypatch, pool)
+        before = threading.active_count()
+        with pytest.raises(NonFiniteState, match="rf-linear"):
+            self._report()
+        assert threading.active_count() == before
+        workers = [t for t in threads if t is not threading.main_thread()]
+        assert not any(t.is_alive() for t in workers)
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.inf, math.nan])
+    def test_bad_clock_raises_before_any_simulation(
+        self, monkeypatch, forward_calls, bad
+    ):
+        _force_pool(monkeypatch, True)
+        target = Target.low_rank(6, 4)
+        with pytest.raises(DomainError, match="precision clock"):
+            check_marginal_equivalence(target, [1.0, 4.0, bad], 2000, seed=0)
+        assert forward_calls == []
 
 
 # --- covariance evolution -----------------------------------------------------

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowgrid import DomainError
+from flowgrid.rng import INIT_NOISE, substream
 from flowgrid.targets import (
     ExactOracle,
     PerturbationKind,
@@ -82,6 +83,17 @@ def random_mixture(rng: np.random.Generator, dim: int, m: int) -> Target:
     variances = rng.uniform(0.0, 2.0, (m, dim))
     variances[rng.random((m, dim)) < 0.25] = 0.0  # degenerate coordinates
     return Target(weights=w, means=means, variances=variances)
+
+
+def _gathered_sample(target: Target, n: int, seed: int) -> np.ndarray:
+    """Reference draw: every row gathers its component's mean and variance."""
+    rng = substream(seed, INIT_NOISE)
+    z = rng.standard_normal((n, target.dim))
+    if target.n_components == 1:
+        comps = np.zeros(n, dtype=np.intp)
+    else:
+        comps = rng.choice(target.n_components, size=n, p=target.weights)
+    return target.means[comps] + np.sqrt(target.variances[comps]) * z
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +409,28 @@ class TestSampling:
         c = sample_target(tgt, 100, seed=8).data
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            Target.low_rank(10, 8),
+            Target.gaussian(
+                np.array([1.5, -0.0, 0.0, -2.0]), np.array([0.3, 0.0, 0.0, 4.0])
+            ),
+            Target(
+                weights=np.array([0.4, 0.6]),
+                means=np.array([[2.0, -1.0, 0.0], [-2.0, 1.0, 0.5]]),
+                variances=np.array([[1.0, 0.0, 2.0], [0.3, 1.0, 0.0]]),
+            ),
+        ],
+        ids=["low-rank", "zero-variance", "mixture"],
+    )
+    @pytest.mark.parametrize("n", [1, 37, 20000])
+    def test_bitwise_equal_to_gathered_draw(self, target, n):
+        got = sample_target(target, n, seed=4).data
+        want = _gathered_sample(target, n, 4)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # signed zeros included
 
     def test_meta_provenance(self):
         batch = sample_target(Target.low_rank(2, 1), 10, seed=1)
