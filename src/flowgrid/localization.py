@@ -39,7 +39,7 @@ from scipy.special import roots_hermitenorm
 
 from .checks import CheckRecord
 from .errors import DomainError, NonFiniteState, NoRootError
-from .rng import INIT_NOISE, StepNoise, _pool_workers, child_seed, substream
+from .rng import INIT_NOISE, StepNoise, _free_cores, child_seed, substream
 from .schedules import time_from_mix_weight
 from .targets import Target, posterior_moments, sample_target
 
@@ -351,10 +351,9 @@ def simulate_forward(
 
     The signal draw X₁ uses the (seed, INIT_NOISE) stream.  Brownian
     increment k is block k of a :class:`~flowgrid.rng.StepNoise`, i.e. the
-    (seed, STEP_NOISE, k) stream; when the blocks are large enough and a
-    core is free, block 0 fills on a worker thread while X₁ fills on the
-    caller's, and each later block while the previous one is used.  The
-    values do not depend on which thread drew them.
+    (seed, STEP_NOISE, k) stream, so whether a block is drawn on a worker
+    thread follows the samplers' rule; no value depends on which thread
+    drew it.
     """
     kind = ProcessKind(kind)
     clock = np.asarray(clock, dtype=np.float64)
@@ -468,12 +467,12 @@ def check_marginal_equivalence(
     at that rate is chance, not a defect.
 
     The 3·len(s_points) simulations are independent jobs, each seeded by
-    ``child_seed(seed, i, k)`` for clock point i and process k.  When their
-    (n, d) noise blocks are large enough and a core is free (the rule of
-    :class:`~flowgrid.rng.StepNoise`), they run on a pool of at most one
-    thread per usable core, which is joined before this function returns;
-    otherwise they run on the caller's thread.  Either way every record is
-    the same, bit for bit.
+    ``child_seed(seed, i, k)`` for clock point i and process k.  They run on
+    a thread pool, joined before this function returns, with one worker per
+    core that no other live thread of the process may be using (the
+    caller's own core included, since it only waits), but at least one and
+    no more than there are jobs.  Every record is the same, bit for bit,
+    whatever the number of workers.
     """
     if n < 2:
         raise DomainError("need at least two samples per process")
@@ -497,15 +496,13 @@ def check_marginal_equivalence(
         states = simulate_forward(kind, target, [point], n, job_seed).states[0]
         return _moment_stats(states / factor)
 
-    workers = _pool_workers(n * target.dim, len(jobs))
-    if workers:
-        pool = ThreadPoolExecutor(workers, thread_name_prefix="flowgrid-equivalence")
-        try:
-            moments = list(pool.map(rescaled_moments, jobs))
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
-    else:
-        moments = [rescaled_moments(job) for job in jobs]
+    # The caller only waits on the pool, so its own core counts as free.
+    workers = max(1, min(len(jobs), _free_cores() + 1))
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="flowgrid-equivalence")
+    try:
+        moments = list(pool.map(rescaled_moments, jobs))
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
     records: list[CheckRecord] = []
     for i, s in enumerate(s_values):

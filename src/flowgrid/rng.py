@@ -62,12 +62,13 @@ and handing a block to a worker and back costs 35-75 us a step (2-vCPU x86
 VM), which a shorter fill cannot win back."""
 
 
-def _usable_cores() -> int:
-    """Cores this process may run on."""
+def _free_cores() -> int:
+    """Usable cores minus this process's live threads; zero or less if none is free."""
     try:
-        return len(os.sched_getaffinity(0))
+        cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask outside Linux
-        return os.cpu_count() or 1
+        cores = os.cpu_count() or 1
+    return cores - threading.active_count()
 
 
 def _prefetch_pays(values: int) -> bool:
@@ -77,18 +78,7 @@ def _prefetch_pays(values: int) -> bool:
     that none of its live threads may be using: when a pool of threads
     already fills the cores, a worker only takes CPU from them.
     """
-    free_core = threading.active_count() < _usable_cores()
-    return values >= _PREFETCH_MIN_VALUES and free_core
-
-
-def _pool_workers(values: int, jobs: int) -> int:
-    """Worker threads for ``jobs`` independent tasks drawing blocks of ``values``.
-
-    Zero, meaning run the tasks on the caller's thread, unless a worker pays
-    by the rule of :func:`_prefetch_pays`; otherwise one per task, but no
-    more than there are usable cores.
-    """
-    return min(jobs, _usable_cores()) if _prefetch_pays(values) else 0
+    return values >= _PREFETCH_MIN_VALUES and _free_cores() > 0
 
 
 class StepNoise:

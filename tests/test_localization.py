@@ -40,7 +40,7 @@ from flowgrid.localization import (
     sl_time_from_ddpm,
     sl_time_from_rf,
 )
-from flowgrid.rng import INIT_NOISE, STEP_NOISE, substream
+from flowgrid.rng import STEP_NOISE, substream
 from flowgrid.targets import Target
 
 # --- independent oracles ----------------------------------------------------
@@ -429,17 +429,6 @@ class TestMomentStats:
 # --- forward simulators against the zero-start reference ---------------------
 
 
-def _gathered_x1(target, n, seed):
-    """Reference signal draw: every row gathers its component's mean and variance."""
-    rng = substream(seed, INIT_NOISE)
-    z = rng.standard_normal((n, target.dim))
-    if target.n_components == 1:
-        comps = np.zeros(n, dtype=np.intp)
-    else:
-        comps = rng.choice(target.n_components, size=n, p=target.weights)
-    return target.means[comps] + np.sqrt(target.variances[comps]) * z
-
-
 def _zero_start_brownian(clocks, n, d, seed):
     """Reference Brownian path: a zero start plus one fresh draw per increment."""
     gaps = np.diff(clocks, prepend=0.0)
@@ -453,11 +442,10 @@ def _zero_start_brownian(clocks, n, d, seed):
     return out
 
 
-def _reference_forward(kind, target, clock, n, seed, beta=None):
+def _reference_forward(kind, x1, clock, seed, beta=None):
     """Reference states: stacked Brownian values, then one broadcast expression."""
     clock = np.asarray(clock, dtype=np.float64)
-    x1 = _gathered_x1(target, n, seed)
-    d = target.dim
+    n, d = x1.shape
     if kind == "sl":
         return clock[:, None, None] * x1[None] + _zero_start_brownian(clock, n, d, seed)
     if kind == "rf-linear":
@@ -523,20 +511,22 @@ class TestForwardBitwise:
     @pytest.mark.parametrize("points", [1, 3])
     @pytest.mark.parametrize("kind", ["sl", "rf-linear", "ddpm-forward"])
     def test_states_equal_the_zero_start_reference(
-        self, kind, points, target, n, step_draw_threads
+        self, kind, points, target, n, step_draw_threads, gathered_sample
     ):
         clock = _CLOCKS[kind][points == 3]
         path = simulate_forward(kind, target, clock, n, seed=21)
-        assert _same_bits(path.states, _reference_forward(kind, target, clock, n, 21))
+        want = _reference_forward(kind, gathered_sample(target, n, 21), clock, 21)
+        assert _same_bits(path.states, want)
         on_caller = [t is threading.main_thread() for t in step_draw_threads]
         assert on_caller == [n == 37] * points
 
     @pytest.mark.parametrize("n", [37, _WORKER_N], ids=["caller", "worker"])
-    def test_beta_profile(self, n, step_draw_threads):
+    def test_beta_profile(self, n, step_draw_threads, gathered_sample):
         beta = lambda u: 1.0 + u  # noqa: E731
         clock = [0.1, 0.3, 0.8]
         path = simulate_forward("ddpm-forward", _MIXTURE, clock, n, seed=4, beta=beta)
-        want = _reference_forward("ddpm-forward", _MIXTURE, clock, n, 4, beta=beta)
+        x1 = gathered_sample(_MIXTURE, n, 4)
+        want = _reference_forward("ddpm-forward", x1, clock, 4, beta=beta)
         assert _same_bits(path.states, want)
 
     def test_worker_is_joined(self, step_draw_threads):
@@ -567,8 +557,8 @@ def forward_calls(monkeypatch):
     return calls
 
 
-def _force_pool(monkeypatch, on):
-    monkeypatch.setattr(flowgrid.rng, "_prefetch_pays", lambda values: on)
+def _set_free_cores(monkeypatch, free):
+    monkeypatch.setattr(flowgrid.localization, "_free_cores", lambda: free)
 
 
 class TestEquivalencePool:
@@ -577,37 +567,43 @@ class TestEquivalencePool:
             Target.low_rank(6, 4), [0.25, 1.0, 4.0], 2000, seed=9
         )
 
-    def test_records_equal_with_and_without_the_pool(self, monkeypatch, forward_calls):
-        before = threading.active_count()
-        _force_pool(monkeypatch, True)
-        pooled = self._report()
-        assert threading.active_count() == before
-        assert len(forward_calls) == 9
-        assert not any(t is threading.main_thread() for t in forward_calls)
-        assert not any(t.is_alive() for t in forward_calls)
-        forward_calls.clear()
-        _force_pool(monkeypatch, False)
-        serial = self._report()
-        assert forward_calls == [threading.main_thread()] * 9
-        assert _record_tuples(pooled) == _record_tuples(serial)
+    @pytest.mark.parametrize(
+        "free, workers", [(-3, 1), (0, 1), (1, 2), (7, 8), (20, 9)]
+    )
+    def test_pool_takes_only_free_cores(self, monkeypatch, free, workers):
+        real = flowgrid.localization.ThreadPoolExecutor
+        sizes = []
 
-    def test_more_workers_than_cores_match_serial(self, monkeypatch):
-        _force_pool(monkeypatch, False)
-        serial = _record_tuples(self._report())
-        _force_pool(monkeypatch, True)
-        monkeypatch.setattr(flowgrid.rng, "_usable_cores", lambda: 8)
+        def recording(max_workers, **kwargs):
+            sizes.append(max_workers)
+            return real(max_workers, **kwargs)
+
+        monkeypatch.setattr(flowgrid.localization, "ThreadPoolExecutor", recording)
+        _set_free_cores(monkeypatch, free)
+        self._report()
+        assert sizes == [workers]
+
+    def test_records_equal_with_one_and_many_workers(self, monkeypatch, forward_calls):
         before = threading.active_count()
+        _set_free_cores(monkeypatch, 0)
+        single = _record_tuples(self._report())
+        assert len(forward_calls) == 9
+        assert len(set(forward_calls)) == 1
+        assert forward_calls[0] is not threading.main_thread()
+        assert not forward_calls[0].is_alive()
+        _set_free_cores(monkeypatch, 7)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(3):
-                assert _record_tuples(self._report()) == serial
+                assert _record_tuples(self._report()) == single
         finally:
             sys.setswitchinterval(interval)
         assert threading.active_count() == before
+        assert threading.main_thread() not in forward_calls
+        assert not any(t.is_alive() for t in forward_calls)
 
-    @pytest.mark.parametrize("pool", [True, False], ids=["pool", "serial"])
-    def test_nonfinite_state_in_one_job_propagates(self, monkeypatch, pool):
+    def test_nonfinite_state_in_one_job_propagates(self, monkeypatch):
         real = flowgrid.localization.simulate_forward
         threads = []
 
@@ -618,19 +614,15 @@ class TestEquivalencePool:
             return real(kind, target, clock, n, seed)
 
         monkeypatch.setattr(flowgrid.localization, "simulate_forward", failing)
-        _force_pool(monkeypatch, pool)
         before = threading.active_count()
         with pytest.raises(NonFiniteState, match="rf-linear"):
             self._report()
         assert threading.active_count() == before
-        workers = [t for t in threads if t is not threading.main_thread()]
-        assert not any(t.is_alive() for t in workers)
+        assert threading.main_thread() not in threads
+        assert not any(t.is_alive() for t in threads)
 
     @pytest.mark.parametrize("bad", [-1.0, 0.0, math.inf, math.nan])
-    def test_bad_clock_raises_before_any_simulation(
-        self, monkeypatch, forward_calls, bad
-    ):
-        _force_pool(monkeypatch, True)
+    def test_bad_clock_raises_before_any_simulation(self, forward_calls, bad):
         target = Target.low_rank(6, 4)
         with pytest.raises(DomainError, match="precision clock"):
             check_marginal_equivalence(target, [1.0, 4.0, bad], 2000, seed=0)

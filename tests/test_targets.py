@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowgrid import DomainError
-from flowgrid.rng import INIT_NOISE, substream
 from flowgrid.targets import (
     ExactOracle,
     PerturbationKind,
@@ -83,17 +82,6 @@ def random_mixture(rng: np.random.Generator, dim: int, m: int) -> Target:
     variances = rng.uniform(0.0, 2.0, (m, dim))
     variances[rng.random((m, dim)) < 0.25] = 0.0  # degenerate coordinates
     return Target(weights=w, means=means, variances=variances)
-
-
-def _gathered_sample(target: Target, n: int, seed: int) -> np.ndarray:
-    """Reference draw: every row gathers its component's mean and variance."""
-    rng = substream(seed, INIT_NOISE)
-    z = rng.standard_normal((n, target.dim))
-    if target.n_components == 1:
-        comps = np.zeros(n, dtype=np.intp)
-    else:
-        comps = rng.choice(target.n_components, size=n, p=target.weights)
-    return target.means[comps] + np.sqrt(target.variances[comps]) * z
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +414,9 @@ class TestSampling:
         ids=["low-rank", "zero-variance", "mixture"],
     )
     @pytest.mark.parametrize("n", [1, 37, 20000])
-    def test_bitwise_equal_to_gathered_draw(self, target, n):
+    def test_bitwise_equal_to_gathered_draw(self, target, n, gathered_sample):
         got = sample_target(target, n, seed=4).data
-        want = _gathered_sample(target, n, 4)
+        want = gathered_sample(target, n, 4)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()  # signed zeros included
 
