@@ -24,20 +24,15 @@ from .checks import SUITES, run_suite
 from .errors import FlowgridError, ParseError
 from .harness import ExperimentSpec, parse_config, run_fig2_experiment
 from .metrics import estimate_tv
-from .samplers import ddim_rf, ddpm_sample, langevin_rf, rf_euler, stoc_rf
-from .schedules import (
-    build_ddpm_schedule,
-    build_uniform_grid,
-    build_ushaped_grid,
-    ddpm_induced_rf_grid,
-    default_delta,
-)
+from .samplers import SAMPLERS, run_sampler
+from .schedules import GRIDS, GridKind, default_delta
 from .targets import ExactOracle, Target
 
 __all__ = ["main", "build_parser"]
 
-_SAMPLER_FLAGS = ("rf", "stoc-rf", "langevin", "ddpm", "ddim-rf")
-_GRID_FLAGS = ("uniform", "ushaped", "ddpm")
+# ``sample --grid`` spells the ddpm-induced kind "ddpm"; ``schedule --kind``
+# takes the kind names themselves.
+_GRID_FLAGS = {kind.value.removesuffix("-induced"): kind for kind in GRIDS}
 
 
 def _global_flags(parser: argparse.ArgumentParser, *, suppress: bool) -> None:
@@ -76,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         "schedule", help="print a time grid as CSV", parents=[shared]
     )
     schedule.add_argument(
-        "--kind", choices=("uniform", "ushaped", "ddpm-induced"), required=True
+        "--kind", choices=tuple(kind.value for kind in GRIDS), required=True
     )
     schedule.add_argument("--n-steps", type=int, required=True)
     schedule.add_argument(
@@ -87,9 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
     schedule.set_defaults(handler=_cmd_schedule)
 
     sample = commands.add_parser("sample", help="draw samples from one sampler", parents=[shared])
-    sample.add_argument("--sampler", choices=_SAMPLER_FLAGS, required=True)
+    sample.add_argument("--sampler", choices=tuple(SAMPLERS), required=True)
     sample.add_argument("--target", required=True, help="target config file")
-    sample.add_argument("--grid", choices=_GRID_FLAGS, required=True)
+    sample.add_argument("--grid", choices=tuple(_GRID_FLAGS), required=True)
     sample.add_argument("--n-steps", type=int, required=True)
     sample.add_argument("--delta", type=float, default=None)
     sample.add_argument("--c0", type=float, default=2.0)
@@ -132,13 +127,8 @@ def _sink(args):
 
 
 def _cmd_schedule(args) -> int:
-    if args.kind == "uniform":
-        grid = build_uniform_grid(args.n_steps)
-    elif args.kind == "ushaped":
-        delta = args.delta if args.delta is not None else default_delta(args.n_steps)
-        grid = build_ushaped_grid(args.n_steps, delta)
-    else:
-        grid = ddpm_induced_rf_grid(build_ddpm_schedule(args.n_steps, args.c0, args.c1))
+    delta = args.delta if args.delta is not None else default_delta(args.n_steps)
+    grid = GRIDS[GridKind(args.kind)].build(args.n_steps, delta, args.c0, args.c1).grid
     times = grid.times
     with _sink(args) as sink:
         sink.write("index,t,eta\n")
@@ -157,34 +147,12 @@ def _load_target(path: str) -> Target:
 
 def _cmd_sample(args) -> int:
     target = _load_target(args.target)
-    oracle = ExactOracle(target)
-    if args.sampler == "ddpm" and args.grid != "ddpm":
-        raise ParseError("the ddpm sampler runs on its own schedule; pass --grid ddpm")
-
-    if args.grid == "uniform":
-        grid = build_uniform_grid(args.n_steps)
-    elif args.grid == "ushaped":
-        delta = (
-            args.delta
-            if args.delta is not None
-            else default_delta(args.n_steps, target.dim)
-        )
-        grid = build_ushaped_grid(args.n_steps, delta)
-    else:
-        schedule = build_ddpm_schedule(args.n_steps, args.c0, args.c1)
-        grid = ddpm_induced_rf_grid(schedule)
-
-    kwargs = dict(record_trajectories=args.record_trajectories)
-    if args.sampler == "rf":
-        batch = rf_euler(oracle, grid, args.num_samples, args.seed, **kwargs)
-    elif args.sampler == "ddim-rf":
-        batch = ddim_rf(oracle, grid, args.num_samples, args.seed, **kwargs)
-    elif args.sampler == "stoc-rf":
-        batch = stoc_rf(oracle, grid, args.num_samples, args.seed, **kwargs)
-    elif args.sampler == "langevin":
-        batch = langevin_rf(oracle, grid, args.num_samples, args.seed, **kwargs)
-    else:
-        batch = ddpm_sample(oracle, schedule, args.num_samples, args.seed, **kwargs)
+    delta = args.delta if args.delta is not None else default_delta(args.n_steps, target.dim)
+    built = GRIDS[_GRID_FLAGS[args.grid]].build(args.n_steps, delta, args.c0, args.c1)
+    batch = run_sampler(
+        args.sampler, ExactOracle(target), built, args.num_samples, args.seed,
+        record_trajectories=args.record_trajectories,
+    )
 
     coords = ",".join(f"x{j}" for j in range(target.dim))
     with _sink(args) as sink:

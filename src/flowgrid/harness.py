@@ -12,6 +12,10 @@ regardless of the execution schedule, and float columns are serialized via
 ``repr`` — two runs of the same spec must produce byte-identical CSVs.
 Wall-clock times are therefore kept out of the CSV; they live on the
 returned rows and in the optional JSON manifest.
+
+A cell looks its sampler up in :data:`~flowgrid.samplers.SAMPLERS` and its
+grid in :data:`~flowgrid.schedules.GRIDS`; the grid entry also gives the δ
+the reference batch is blurred with.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,30 +33,21 @@ import numpy as np
 from .errors import DomainError, ParseError
 from .metrics import estimate_tv
 from .rng import child_seed
-from .samplers import ddim_rf, ddpm_sample, langevin_rf, rf_euler, stoc_rf
-from .schedules import (
-    TimeGrid,
-    build_ddpm_schedule,
-    build_uniform_grid,
-    build_ushaped_grid,
-    ddpm_induced_rf_grid,
-)
+from .samplers import SAMPLERS, run_sampler
+from .schedules import GRIDS, GridKind, default_delta
 from .targets import ExactOracle, Target, blur_samples, sample_target
 
 __all__ = [
     "DeltaRule",
     "ExperimentSpec",
     "ResultRow",
-    "SAMPLER_NAMES",
-    "GRID_NAMES",
     "sampler_fits_grid",
     "run_fig2_experiment",
     "parse_config",
     "CSV_HEADER",
 ]
 
-SAMPLER_NAMES = ("rf", "ddim-rf", "stoc-rf", "ddpm", "langevin")
-GRID_NAMES = ("uniform", "ushaped", "ddpm-induced")
+_GRID_NAMES = tuple(kind.value for kind in GRIDS)
 CSV_HEADER = "d,k,N,sampler,grid_kind,seed,tv,tv_stderr"
 
 _DEFAULT_DIMS = (10, 50, 100, 200, 400, 800)
@@ -74,9 +70,7 @@ class DeltaRule:
             raise DomainError(f"fixed delta must lie in (0, 1/2); got {self.fixed!r}")
 
     def resolve(self, n_steps: int, dim: int) -> float:
-        if self.fixed is not None:
-            return self.fixed
-        return min(1.0 / n_steps, 1.0 / dim)
+        return self.fixed if self.fixed is not None else default_delta(n_steps, dim)
 
     def describe(self) -> str:
         return "min(1/N,1/d)" if self.fixed is None else f"fixed({self.fixed:g})"
@@ -115,12 +109,24 @@ class ExperimentSpec:
             )
         if any(n < 2 for n in self.n_steps):
             raise DomainError("each n_steps must be at least 2")
-        unknown = [s for s in self.samplers if s not in SAMPLER_NAMES]
+        unknown = [s for s in self.samplers if s not in SAMPLERS]
         if unknown:
-            raise DomainError(f"unknown samplers {unknown}; choose from {SAMPLER_NAMES}")
-        unknown = [g for g in self.grids if g not in GRID_NAMES]
+            raise DomainError(f"unknown samplers {unknown}; choose from {tuple(SAMPLERS)}")
+        unknown = [g for g in self.grids if g not in _GRID_NAMES]
         if unknown:
-            raise DomainError(f"unknown grids {unknown}; choose from {GRID_NAMES}")
+            raise DomainError(f"unknown grids {unknown}; choose from {_GRID_NAMES}")
+        # Build each grid a sampler will run on once, so a bad N fails here and
+        # not mid-sweep.  The smallest d gives the largest default δ, the
+        # only one that can leave a builder's range.
+        for grid_kind in self.grids:
+            if not any(sampler_fits_grid(s, grid_kind) for s in self.samplers):
+                continue
+            build = GRIDS[GridKind(grid_kind)].build
+            for n_steps in self.n_steps:
+                try:
+                    build(n_steps, self.delta_rule.resolve(n_steps, min(self.dims)))
+                except DomainError as exc:
+                    raise DomainError(f"grid {grid_kind} with N={n_steps}: {exc}") from exc
         if self.num_samples < 200:
             raise DomainError("num_samples must be at least 200 for the TV probe")
         if self.rounds < 1:
@@ -155,27 +161,13 @@ class ResultRow:
 
 
 def sampler_fits_grid(sampler: str, grid_kind: str) -> bool:
-    """Whether the sampler can run on the grid kind.
+    """Whether the grid kind provides what the sampler needs.
 
-    The plain flow integrator handles any grid; every other sampler needs
-    t_0 > 0 (score evaluations or the chain's own schedule), which only the
-    schedule-induced grid provides.
+    Read from the two tables: the plain flow integrator runs on any grid,
+    the score-driven samplers need t_0 > 0 and the denoising chain needs its
+    schedule, which only the schedule-induced grid provides.
     """
-    return sampler == "rf" or grid_kind == "ddpm-induced"
-
-
-def _build_cell_grid(
-    grid_kind: str, n_steps: int, dim: int, rule: DeltaRule
-) -> tuple[TimeGrid, float]:
-    """Grid plus the blur level δ its samples are scored against."""
-    if grid_kind == "uniform":
-        return build_uniform_grid(n_steps), rule.resolve(n_steps, dim)
-    if grid_kind == "ushaped":
-        delta = rule.resolve(n_steps, dim)
-        return build_ushaped_grid(n_steps, delta), delta
-    schedule = build_ddpm_schedule(n_steps)
-    grid = ddpm_induced_rf_grid(schedule)
-    return grid, grid.delta
+    return SAMPLERS[sampler].needs <= GRIDS[GridKind(grid_kind)].provides
 
 
 def _run_cell(
@@ -191,29 +183,15 @@ def _run_cell(
     start = time.perf_counter()
     target = Target.low_rank(d, spec.intrinsic_dim)
     oracle = ExactOracle(target)
-    grid, blur_delta = _build_cell_grid(grid_kind, n_steps, d, spec.delta_rule)
+    built = GRIDS[GridKind(grid_kind)].build(n_steps, spec.delta_rule.resolve(n_steps, d))
 
     def cell_seed(role: int) -> int:
         return child_seed(seed, d, n_steps, sampler_idx, grid_idx, role)
 
-    if sampler == "rf":
-        batch = rf_euler(oracle, grid, spec.num_samples, cell_seed(0))
-    elif sampler == "ddim-rf":
-        batch = ddim_rf(oracle, grid, spec.num_samples, cell_seed(0))
-    elif sampler == "stoc-rf":
-        batch = stoc_rf(oracle, grid, spec.num_samples, cell_seed(0))
-    elif sampler == "langevin":
-        batch = langevin_rf(oracle, grid, spec.num_samples, cell_seed(0))
-    elif sampler == "ddpm":
-        batch = ddpm_sample(
-            oracle, build_ddpm_schedule(n_steps), spec.num_samples, cell_seed(0)
-        )
-    else:  # pragma: no cover - spec validation rejects these
-        raise DomainError(f"unknown sampler {sampler!r}")
-
+    batch = run_sampler(sampler, oracle, built, spec.num_samples, cell_seed(0))
     reference = blur_samples(
         sample_target(target, spec.num_samples, cell_seed(1)),
-        blur_delta,
+        built.delta,
         cell_seed(2),
     )
     estimate = estimate_tv(batch, reference, rounds=spec.rounds, seed=cell_seed(3))
@@ -282,10 +260,18 @@ def run_fig2_experiment(
             sink.write(row.csv_line() + "\n")
             sink.flush()
 
-        if threads == 1:
-            for cell in cells:
+        # One zero-argument call per cell that returns its row.  A single
+        # thread runs each cell on the caller's thread when its row is due,
+        # so no pool thread takes the core a StepNoise worker can use.
+        pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+        try:
+            if pool is None:
+                outcomes = [partial(_run_cell, spec, *cell) for cell in cells]
+            else:
+                outcomes = [pool.submit(_run_cell, spec, *cell).result for cell in cells]
+            for cell, outcome in zip(cells, outcomes):
                 try:
-                    finish(_run_cell(spec, *cell))
+                    finish(outcome())
                 except Exception as exc:
                     d, n_steps, sampler, grid_kind, seed = cell[:5]
                     sink.write(
@@ -293,21 +279,9 @@ def run_fig2_experiment(
                         f"{seed},error,{type(exc).__name__}\n"
                     )
                     raise
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = [pool.submit(_run_cell, spec, *cell) for cell in cells]
-                for cell, future in zip(cells, futures):
-                    try:
-                        finish(future.result())
-                    except Exception as exc:
-                        d, n_steps, sampler, grid_kind, seed = cell[:5]
-                        sink.write(
-                            f"{d},{spec.intrinsic_dim},{n_steps},{sampler},{grid_kind},"
-                            f"{seed},error,{type(exc).__name__}\n"
-                        )
-                        for pending in futures:
-                            pending.cancel()
-                        raise
+        finally:
+            if pool is not None:
+                pool.shutdown(wait=True, cancel_futures=True)
 
     if write_manifest:
         manifest = {

@@ -39,6 +39,7 @@ from scipy.special import roots_hermitenorm
 
 from .checks import CheckRecord
 from .errors import DomainError, NonFiniteState, NoRootError
+from .metrics import _moment_stats
 from .rng import INIT_NOISE, StepNoise, _free_cores, child_seed, substream
 from .schedules import time_from_mix_weight
 from .targets import Target, posterior_moments, sample_target
@@ -432,17 +433,6 @@ class EquivalenceReport:
 
     def worst(self) -> CheckRecord:
         return max(self.records, key=lambda r: r.observed)
-
-
-def _moment_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    mean = x.mean(axis=0)
-    centered = x - mean
-    # ``**2`` already runs as ``np.square``, but ``**4`` calls libm ``pow`` per
-    # element (about ten times slower), so the fourth moment squares the square.
-    squared = centered * centered
-    var = np.sum(squared, axis=0) / (x.shape[0] - 1)
-    fourth = np.mean(squared * squared, axis=0)
-    return mean, var, fourth
 
 
 def check_marginal_equivalence(

@@ -23,10 +23,17 @@ final step explicitly:
   weight γ_t = (1-t)/t and matching noise; ``gamma_scale=0`` switches the
   channel off and reproduces :func:`rf_euler` bit for bit.
 
+:data:`SAMPLERS` is the one table of them (function, push-forward kind, grid
+needs) and :func:`run_sampler` dispatches through it.  ``rf_euler``,
+``ddim_rf``'s default form and ``langevin_rf`` share one drift-plus-noise
+Euler step loop; the whitened recursion, the chain and the push-forward keep
+their own, because comparing them with it is the check.
+
 For single-Gaussian targets every one of these updates is affine in the
 state, so mean and per-coordinate variance propagate in closed form;
-:func:`gaussian_pushforward` does that propagation and is the reference the
-Monte-Carlo tests compare against.
+:func:`gaussian_pushforward` does that propagation, with the coefficients of
+:func:`~flowgrid.targets.affine_field`, and is the reference the Monte-Carlo
+tests compare against.
 
 Noise addressing: the initial state comes from the ``(seed, INIT_NOISE)``
 substream and step i consumes one (n, d) block from ``(seed, STEP_NOISE, i)``,
@@ -51,13 +58,14 @@ from .batch import BatchMeta, SampleBatch
 from .errors import DomainError, NonFiniteState
 from .rng import INIT_NOISE, StepNoise, substream
 from .schedules import (
+    BuiltGrid,
     DdpmSchedule,
     TimeGrid,
     build_ddpm_schedule,
     ddpm_induced_rf_grid,
     time_from_mix_weight,
 )
-from .targets import FieldOracle, Target
+from .targets import FieldOracle, Target, affine_field
 
 __all__ = [
     "StocRfCoefficients",
@@ -72,6 +80,9 @@ __all__ = [
     "ddpm_sample",
     "gaussian_pushforward",
     "identity_checks",
+    "SamplerEntry",
+    "SAMPLERS",
+    "run_sampler",
 ]
 
 
@@ -208,13 +219,6 @@ def _integration_times(grid, final_step: bool) -> tuple[np.ndarray, str]:
     return times, f"custom({times.size} knots)"
 
 
-def _oracle_label(oracle: FieldOracle) -> str:
-    target = getattr(oracle, "target", None)
-    if isinstance(target, Target):
-        return target.describe()
-    return repr(oracle)
-
-
 def _ensure_finite(state: np.ndarray, sampler: str, t: float) -> None:
     if not np.all(np.isfinite(state)):
         raise NonFiniteState(
@@ -224,11 +228,17 @@ def _ensure_finite(state: np.ndarray, sampler: str, t: float) -> None:
 
 
 def _finish(
-    data: np.ndarray,
-    frames: list[np.ndarray] | None,
-    times: np.ndarray,
-    meta: BatchMeta,
+    data: np.ndarray, frames: list[np.ndarray] | None, times: np.ndarray, sampler: str,
+    grid_label: str, oracle: FieldOracle, seed: int, terminal_time: float | None = None,
 ) -> SampleBatch:
+    target = getattr(oracle, "target", None)
+    meta = BatchMeta(
+        sampler=sampler,
+        grid=grid_label,
+        target=target.describe() if isinstance(target, Target) else repr(oracle),
+        seed=seed,
+        terminal_time=float(times[-1]) if terminal_time is None else terminal_time,
+    )
     if frames is None:
         return SampleBatch(data=data, meta=meta)
     return SampleBatch(
@@ -237,6 +247,52 @@ def _finish(
         trajectory=np.stack(frames),
         trajectory_times=times,
     )
+
+
+def _check_start(name: str, times: np.ndarray) -> None:
+    if "t0>0" in SAMPLERS[name].needs and times[0] <= 0.0:
+        raise DomainError(
+            f"{name} needs t_0 > 0: its score weight (1-t)/t diverges at t = 0, "
+            "where uniform and U-shaped grids start — use a DDPM-induced grid"
+        )
+
+
+def _euler_steps(
+    oracle: FieldOracle, grid, n: int, seed: int, record: bool, final_step: bool,
+    name: str, label: str, increment, noise_scale=None,
+) -> SampleBatch:
+    """Euler steps y ← y + increment(t_i, Δ_i, y) [+ noise_scale(t_i, Δ_i)·ξ_i].
+
+    ``increment`` returns step·drift as a fresh array; the loop adds y and
+    then the scaled noise block into it in place, so the operands pair as in
+    y + step·drift + c·ξ, and neither y (a recorded frame may hold it) nor an
+    oracle output is written.  ``noise_scale=None`` draws no noise.  ``name``
+    is the sampler's :data:`SAMPLERS` key, ``label`` its batch metadata name.
+    """
+    times, grid_label = _integration_times(grid, final_step)
+    _check_start(name, times)
+    y = substream(seed, INIT_NOISE).standard_normal((n, oracle.dim))
+    frames = [y] if record else None
+    steps = times.size - 1
+    with StepNoise(seed, y.shape, 0 if noise_scale is None else steps) as noise:
+        for i in range(steps):
+            t_i = float(times[i])
+            step = float(times[i + 1]) - t_i
+            update = increment(t_i, step, y)
+            update += y
+            if noise_scale is not None:
+                xi = noise.block(i)
+                xi *= noise_scale(t_i, step)
+                update += xi
+            y = update
+            _ensure_finite(y, name, float(times[i + 1]))
+            if frames is not None:
+                frames.append(y)
+    return _finish(y, frames, times, label, grid_label, oracle, seed)
+
+
+def _flow_increment(oracle: FieldOracle):
+    return lambda t, step, y: step * oracle.velocity(t, y)
 
 
 def rf_euler(
@@ -260,23 +316,10 @@ def rf_euler(
         If any iterate leaves the finite floats; the whole batch is
         abandoned rather than silently truncated.
     """
-    times, grid_label = _integration_times(grid, final_step)
-    y = substream(seed, INIT_NOISE).standard_normal((n, oracle.dim))
-    frames = [y] if record_trajectories else None
-    for i in range(times.size - 1):
-        t_i = float(times[i])
-        y = y + (float(times[i + 1]) - t_i) * oracle.velocity(t_i, y)
-        _ensure_finite(y, "rf", float(times[i + 1]))
-        if frames is not None:
-            frames.append(y)
-    meta = BatchMeta(
-        sampler="rf",
-        grid=grid_label,
-        target=_oracle_label(oracle),
-        seed=seed,
-        terminal_time=float(times[-1]),
+    increment = _flow_increment(oracle)
+    return _euler_steps(
+        oracle, grid, n, seed, record_trajectories, final_step, "rf", "rf", increment
     )
-    return _finish(y, frames, times, meta)
 
 
 def ddim_rf(
@@ -306,20 +349,9 @@ def ddim_rf(
         If the grid starts at t = 0 (the score weight 1/t diverges) or
         ``form`` is not one of the two variants.
     """
-    times, grid_label = _integration_times(grid, final_step)
-    if times[0] <= 0.0:
-        raise DomainError(
-            "the score-driven update needs t_0 > 0; uniform and U-shaped "
-            "grids start at 0 — drop the first knot or use a DDPM-induced grid"
-        )
-    meta = BatchMeta(
-        sampler=f"ddim-rf[{form}]",
-        grid=grid_label,
-        target=_oracle_label(oracle),
-        seed=seed,
-        terminal_time=float(times[-1]),
-    )
+    label = f"ddim-rf[{form}]"
     if form == "scaled":
+        times, grid_label = _integration_times(grid, final_step)
         start = substream(seed, INIT_NOISE).standard_normal((n, oracle.dim))
         x, frames = _whitened_chain(
             oracle,
@@ -329,23 +361,23 @@ def ddim_rf(
             n,
             seed,
             record_trajectories,
-            sampler="ddim-rf[scaled]",
+            sampler=label,
             init=start,
         )
-        return _finish(x, frames, times, meta)
+        return _finish(x, frames, times, label, grid_label, oracle, seed)
     if form != "euler":
         raise DomainError(f"unknown update form {form!r}: use 'euler' or 'scaled'")
-    y = substream(seed, INIT_NOISE).standard_normal((n, oracle.dim))
-    frames = [y] if record_trajectories else None
-    for i in range(times.size - 1):
-        t_i = float(times[i])
-        step = float(times[i + 1]) - t_i
-        drift = y / t_i + ((1.0 - t_i) / t_i) * oracle.score(t_i, y)
-        y = y + step * drift
-        _ensure_finite(y, "ddim-rf", float(times[i + 1]))
-        if frames is not None:
-            frames.append(y)
-    return _finish(y, frames, times, meta)
+
+    def increment(t, step, y):
+        # step·(y/t + ((1-t)/t)·s), the sum taken in the other order: it commutes
+        update = ((1.0 - t) / t) * oracle.score(t, y)
+        update += y / t
+        update *= step
+        return update
+
+    return _euler_steps(
+        oracle, grid, n, seed, record_trajectories, final_step, "ddim-rf", label, increment
+    )
 
 
 def _whitened_chain(
@@ -437,14 +469,7 @@ def stoc_rf(
         record_trajectories,
         sampler="stoc-rf",
     )
-    meta = BatchMeta(
-        sampler="stoc-rf",
-        grid=grid_label,
-        target=_oracle_label(oracle),
-        seed=seed,
-        terminal_time=float(times[-1]),
-    )
-    return _finish(x, frames, times, meta)
+    return _finish(x, frames, times, "stoc-rf", grid_label, oracle, seed)
 
 
 def langevin_rf(
@@ -474,45 +499,28 @@ def langevin_rf(
     """
     if not (math.isfinite(gamma_scale) and gamma_scale >= 0.0):
         raise DomainError(f"gamma_scale must be finite and >= 0, got {gamma_scale!r}")
-    times, grid_label = _integration_times(grid, final_step)
-    if times[0] <= 0.0:
-        raise DomainError(
-            "the Langevin weight (1-t)/t diverges at t = 0; start the grid "
-            "strictly inside (0, 1)"
-        )
-    y = substream(seed, INIT_NOISE).standard_normal((n, oracle.dim))
-    frames = [y] if record_trajectories else None
-    steps = times.size - 1
-    with StepNoise(seed, y.shape, steps if gamma_scale > 0.0 else 0) as noise:
-        for i in range(steps):
-            t_i = float(times[i])
-            step = float(times[i + 1]) - t_i
-            if gamma_scale == 0.0:
-                y = y + step * oracle.velocity(t_i, y)
-            else:
-                gamma = gamma_scale * (1.0 - t_i) / t_i
-                # y + step·(v + γ·s) + √(2·step·γ)·ξ in place, same pairings;
-                # y itself is not written, as a recorded frame may hold it
-                v = oracle.velocity(t_i, y)
-                drift = gamma * oracle.score(t_i, y)
-                drift += v
-                drift *= step
-                drift += y
-                xi = noise.block(i)
-                xi *= math.sqrt(2.0 * step * gamma)
-                drift += xi
-                y = drift
-            _ensure_finite(y, "langevin", float(times[i + 1]))
-            if frames is not None:
-                frames.append(y)
-    meta = BatchMeta(
-        sampler=f"langevin(gamma_scale={gamma_scale:.6g})",
-        grid=grid_label,
-        target=_oracle_label(oracle),
-        seed=seed,
-        terminal_time=float(times[-1]),
+
+    def gamma(t):
+        return gamma_scale * (1.0 - t) / t
+
+    def increment(t, step, y):
+        # step·(v + γ·s), the operands paired as written
+        v = oracle.velocity(t, y)
+        update = gamma(t) * oracle.score(t, y)
+        update += v
+        update *= step
+        return update
+
+    def noise_scale(t, step):
+        return math.sqrt(2.0 * step * gamma(t))
+
+    if gamma_scale == 0.0:  # the channel is off: no score call and no noise
+        increment, noise_scale = _flow_increment(oracle), None
+    label = f"langevin(gamma_scale={gamma_scale:.6g})"
+    return _euler_steps(
+        oracle, grid, n, seed, record_trajectories, final_step,
+        "langevin", label, increment, noise_scale,
     )
-    return _finish(y, frames, times, meta)
 
 
 def ddpm_sample(
@@ -581,14 +589,9 @@ def ddpm_sample(
             if frames is not None:
                 frames.append(scale_next * y)
                 frame_times.append(t_next)
-    meta = BatchMeta(
-        sampler="ddpm",
-        grid=ddpm_induced_rf_grid(schedule).describe(),
-        target=_oracle_label(oracle),
-        seed=seed,
-        terminal_time=frame_times[-1] if frames is not None else t_next,
-    )
-    return _finish(scale_next * y, frames, np.asarray(frame_times), meta)
+    grid_label = ddpm_induced_rf_grid(schedule).describe()
+    frame_times = np.asarray(frame_times)
+    return _finish(scale_next * y, frames, frame_times, "ddpm", grid_label, oracle, seed, t_next)
 
 
 @dataclass(frozen=True)
@@ -609,7 +612,48 @@ class PushforwardPath:
         return self.mean[-1], self.var_diag[-1]
 
 
-_PUSHFORWARD_KINDS = ("rf", "ddim-rf", "stoc-rf", "ddpm", "langevin")
+@dataclass(frozen=True)
+class SamplerEntry:
+    """One row of :data:`SAMPLERS`: the sampler function's name in this
+    module, the recursion :func:`gaussian_pushforward` propagates for it
+    (``"flow"`` or ``"whitened"``), and what its grid must provide, in the
+    terms of :class:`~flowgrid.schedules.GridEntry`."""
+
+    function: str
+    pushforward: str
+    needs: frozenset[str] = frozenset()
+
+
+SAMPLERS: dict[str, SamplerEntry] = {
+    "rf": SamplerEntry("rf_euler", "flow"),
+    "ddim-rf": SamplerEntry("ddim_rf", "flow", frozenset({"t0>0"})),
+    "stoc-rf": SamplerEntry("stoc_rf", "whitened", frozenset({"t0>0"})),
+    "ddpm": SamplerEntry("ddpm_sample", "whitened", frozenset({"schedule"})),
+    "langevin": SamplerEntry("langevin_rf", "flow", frozenset({"t0>0"})),
+}
+
+
+def _sampler_entry(name: str) -> SamplerEntry:
+    if name not in SAMPLERS:
+        raise DomainError(f"unknown sampler kind {name!r}; choose from {tuple(SAMPLERS)}")
+    return SAMPLERS[name]
+
+
+def run_sampler(name: str, oracle: FieldOracle, built: BuiltGrid, n: int, seed: int, **kwargs):
+    """Run sampler ``name`` on a built grid, or on its schedule for the chain.
+
+    The function is looked up as a module attribute at call time, so a
+    wrapper installed on the module sees the call.  Keyword arguments pass
+    through.  Raises :class:`DomainError` for an unknown name, a missing
+    schedule, or (from the sampler) a grid it cannot run on.
+    """
+    entry = _sampler_entry(name)
+    sampler = globals()[entry.function]
+    if "schedule" not in entry.needs:
+        return sampler(oracle, built.grid, n, seed, **kwargs)
+    if built.schedule is None:
+        raise DomainError(f"the {name} sampler runs on its own schedule; use a ddpm-induced grid")
+    return sampler(oracle, built.schedule, n, seed, **kwargs)
 
 
 def gaussian_pushforward(
@@ -651,13 +695,9 @@ def gaussian_pushforward(
         raise DomainError(
             "the affine push-forward exists only for single-Gaussian targets"
         )
-    if sampler not in _PUSHFORWARD_KINDS:
-        raise DomainError(
-            f"unknown sampler kind {sampler!r}; choose from {_PUSHFORWARD_KINDS}"
-        )
+    entry = _sampler_entry(sampler)
     times, _ = _integration_times(grid, final_step)
     d = target.dim
-    mu, v = target.means[0], target.variances[0]
     m = np.zeros(d) if init_mean is None else np.broadcast_to(
         np.asarray(init_mean, dtype=np.float64), (d,)
     ).copy()
@@ -667,16 +707,7 @@ def gaussian_pushforward(
     if np.any(var < 0.0) or not np.all(np.isfinite(var)) or not np.all(np.isfinite(m)):
         raise DomainError("initial moments must be finite with var >= 0")
 
-    def field_coeffs(t: float):
-        """Velocity v(x) = a·x + b and score s(x) = p·x + q at time t."""
-        scale = t * t * v + (1.0 - t) ** 2
-        a = (t * v - (1.0 - t)) / scale
-        b = (1.0 - t) * mu / scale
-        p = -1.0 / scale
-        q = t * mu / scale
-        return a, b, p, q
-
-    if sampler in ("stoc-rf", "ddpm"):
+    if entry.pushforward == "whitened":
         coeffs = stoc_rf_coefficients(times)  # validates t_0 > 0
         sigma2 = coeffs.sigma2
         sigma = np.sqrt(sigma2)
@@ -684,7 +715,7 @@ def gaussian_pushforward(
         means = [sigma[0] * m]
         vars_ = [sigma2[0] * var]
         for i in range(times.size - 1):
-            _, _, p, q = field_coeffs(float(times[i]))
+            _, _, p, q = (c[0] for c in affine_field(target, float(times[i])))
             lin = growth[i] * (1.0 + coeffs.eta[i] * sigma2[i] * p)
             off = growth[i] * coeffs.eta[i] * sigma[i] * q
             m = lin * m + off
@@ -695,14 +726,13 @@ def gaussian_pushforward(
             times=times, mean=np.stack(means), var_diag=np.stack(vars_)
         )
 
-    if sampler in ("ddim-rf", "langevin") and times[0] <= 0.0:
-        raise DomainError(f"{sampler} push-forward needs a grid with t_0 > 0")
+    _check_start(sampler, times)
     means = [m.copy()]
     vars_ = [var.copy()]
     for i in range(times.size - 1):
         t_i = float(times[i])
         step = float(times[i + 1]) - t_i
-        a, b, p, q = field_coeffs(t_i)
+        a, b, p, q = (c[0] for c in affine_field(target, t_i))
         noise = 0.0
         if sampler == "rf":
             lin, off = 1.0 + step * a, step * b

@@ -11,7 +11,8 @@ Three grid families are provided:
   via the mixing weight ω ↦ t(ω) = √ω/(√ω + √(1-ω)).
 
 All constructors validate their inputs and raise :class:`DomainError` on
-structural problems.
+structural problems.  :data:`GRIDS` maps each :class:`GridKind` to its one
+builder, which the sweep harness and the CLI both call.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -35,6 +37,9 @@ __all__ = [
     "ddpm_induced_rf_grid",
     "time_from_mix_weight",
     "default_delta",
+    "BuiltGrid",
+    "GridEntry",
+    "GRIDS",
 ]
 
 
@@ -307,3 +312,48 @@ def default_delta(n_steps: int, dim: int | None = None) -> float:
     if dim < 1:
         raise DomainError("dim must be positive")
     return min(1.0 / n_steps, 1.0 / dim)
+
+
+@dataclass(frozen=True)
+class BuiltGrid:
+    """A grid, the blur level δ its samples are scored against, and the
+    noising schedule behind it (DDPM-induced grids only)."""
+
+    grid: TimeGrid
+    delta: float
+    schedule: DdpmSchedule | None = None
+
+
+@dataclass(frozen=True)
+class GridEntry:
+    """One row of :data:`GRIDS`: ``build(n_steps, delta, c0, c1)`` and what
+    the grid provides a sampler — ``"t0>0"``, a first knot inside (0, 1), and
+    ``"schedule"``, its :class:`DdpmSchedule`.  The δ rule: a DDPM-induced
+    grid is scored against its own terminal gap, the others against
+    ``delta``, which also sets the U-shaped grid's gap."""
+
+    build: Callable[..., BuiltGrid]
+    provides: frozenset[str] = frozenset()
+
+
+# Each builder looks its constructors up at call time, so a wrapper installed
+# on this module (a tracer, say) sees every build.
+def _uniform(n_steps: int, delta: float, c0: float = 2.0, c1: float = 6.0) -> BuiltGrid:
+    return BuiltGrid(build_uniform_grid(n_steps), delta)
+
+
+def _ushaped(n_steps: int, delta: float, c0: float = 2.0, c1: float = 6.0) -> BuiltGrid:
+    return BuiltGrid(build_ushaped_grid(n_steps, delta), delta)
+
+
+def _ddpm_induced(n_steps: int, delta: float, c0: float = 2.0, c1: float = 6.0) -> BuiltGrid:
+    schedule = build_ddpm_schedule(n_steps, c0, c1)
+    grid = ddpm_induced_rf_grid(schedule)
+    return BuiltGrid(grid, grid.delta, schedule)
+
+
+GRIDS: dict[GridKind, GridEntry] = {
+    GridKind.UNIFORM: GridEntry(_uniform),
+    GridKind.USHAPED: GridEntry(_ushaped),
+    GridKind.DDPM_INDUCED: GridEntry(_ddpm_induced, frozenset({"t0>0", "schedule"})),
+}

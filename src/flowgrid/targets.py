@@ -50,6 +50,7 @@ __all__ = [
     "FieldOracle",
     "ExactOracle",
     "posterior_moments",
+    "affine_field",
     "velocity",
     "score",
     "perturb_field",
@@ -219,22 +220,29 @@ def posterior_moments(target: Target, t: float, x) -> PosteriorMoments:
     return PosteriorMoments(mean=mean, var_diag=var)
 
 
+def affine_field(target: Target, t: float) -> tuple[np.ndarray, ...]:
+    """Per-component (a, b, p, q), each (m, d), of the velocity a·x + b (module
+    docstring) and the score p·x + q, p = -1/(t²v + (1-t)²), q = -p·t·μ."""
+    t = _check_time(t)
+    d_scale = _marginal_scale(target, t)  # (m, d)
+    a = (t * target.variances - (1.0 - t)) / d_scale
+    b = (1.0 - t) * target.means / d_scale
+    return a, b, -1.0 / d_scale, t * target.means / d_scale
+
+
 def velocity(target: Target, t: float, x) -> np.ndarray:
     """Exact interpolation velocity E[X₁ - X₀ | X_t = x].
 
-    Evaluated through the per-component affine coefficients (module
-    docstring), so zero-variance coordinates stay exact all the way to
-    t → 1 — the naive (posterior mean - x)/(1-t) route cancels there.
+    Evaluated through the per-component affine coefficients of
+    :func:`affine_field`, so zero-variance coordinates stay exact all the way
+    to t → 1 — the naive (posterior mean - x)/(1-t) route cancels there.
     """
-    t = _check_time(t)
+    a, b, _, _ = affine_field(target, t)
     x, squeezed = _as_batch(x, target.dim)
-    d_scale = _marginal_scale(target, t)  # (m, d)
-    a = (t * target.variances - (1.0 - t)) / d_scale  # (m, d)
-    b = (1.0 - t) * target.means / d_scale  # (m, d)
     if target.n_components == 1:
         out = a[0] * x + b[0]
     else:
-        resp = np.exp(_log_responsibilities(target, t, x))  # (n, m)
+        resp = np.exp(_log_responsibilities(target, float(t), x))  # (n, m)
         fields = a[None, :, :] * x[:, None, :] + b[None, :, :]  # (n, m, d)
         out = np.sum(resp[:, :, None] * fields, axis=1)
     return out[0] if squeezed else out
@@ -246,6 +254,9 @@ def score(target: Target, t: float, x) -> np.ndarray:
     The responsibility-weighted per-component Gaussian score
     -Σ_c r_c(x)·(x - t·μ_c)/(t²v_c + (1-t)²); exchanging it with
     :func:`velocity` through s = (t·v - x)/(1-t) is an exact identity.
+    It is evaluated in this form, not as p·x + q from :func:`affine_field`:
+    the two round differently, and the score-driven samplers' outputs are
+    pinned bit for bit to this one.
     """
     t = _check_time(t)
     x, squeezed = _as_batch(x, target.dim)

@@ -1,6 +1,8 @@
 """Sweep harness tests: tiny end-to-end cells, reproducibility, config parsing."""
 
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +18,11 @@ from flowgrid import (
     run_fig2_experiment,
     sampler_fits_grid,
 )
+from flowgrid.cli import main as cli_main
 from flowgrid.harness import CSV_HEADER, _git_blob_sha1
+from flowgrid.samplers import SAMPLERS, run_sampler
+from flowgrid.schedules import GRIDS, GridKind
+from flowgrid.targets import ExactOracle
 
 
 def tiny_spec(tmp_path, **overrides):
@@ -83,7 +89,7 @@ class TestSpecValidation:
         with pytest.raises(DomainError, match="wall_ms"):
             ResultRow(10, 8, 100, "rf", "ushaped", 0, 0.5, 0.01, 0.0)
 
-    def test_sampler_grid_compatibility(self):
+    def test_sampler_grid_compatibility(self, tmp_path, capsys):
         assert sampler_fits_grid("rf", "uniform")
         assert sampler_fits_grid("rf", "ushaped")
         assert sampler_fits_grid("stoc-rf", "ddpm-induced")
@@ -91,6 +97,53 @@ class TestSpecValidation:
         assert not sampler_fits_grid("stoc-rf", "uniform")
         assert not sampler_fits_grid("langevin", "ushaped")
         assert not sampler_fits_grid("ddim-rf", "uniform")
+        # Every pair of the two tables: the declared fit matches what the
+        # library call and ``flowgrid sample`` actually do.
+        target_file = tmp_path / "target.cfg"
+        target_file.write_text("kind = target\ndim = 3\nintrinsic_dim = 2\n")
+        oracle = ExactOracle(parse_config(target_file))
+        for sampler in SAMPLERS:
+            for kind in GRIDS:
+                built = GRIDS[kind].build(40, 0.025)
+                try:
+                    run_sampler(sampler, oracle, built, 5, 0)
+                    runs = True
+                except DomainError:
+                    runs = False
+                flag = "ddpm" if kind is GridKind.DDPM_INDUCED else kind.value
+                code = cli_main([
+                    "sample", "--sampler", sampler, "--grid", flag, "--target",
+                    str(target_file), "--n-steps", "40", "--num-samples", "5",
+                ])
+                capsys.readouterr()
+                fits = sampler_fits_grid(sampler, kind.value)
+                assert fits == runs == (code == 0), (sampler, kind, code)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(n_steps=(100, 5), grids=("ushaped",)),
+            dict(n_steps=(100, 2), samplers=("stoc-rf",), grids=("ddpm-induced",)),
+        ],
+        ids=["ushaped-odd-N", "ddpm-beta-above-one"],
+    )
+    def test_grid_sizes_are_checked_before_any_cell_runs(self, overrides, tmp_path):
+        with pytest.raises(DomainError, match=f"N={overrides['n_steps'][1]}"):
+            ExperimentSpec(**overrides)
+        path = tmp_path / "bad.cfg"
+        path.write_text(
+            f"n_steps = 100, {overrides['n_steps'][1]}\n"
+            f"samplers = {','.join(overrides.get('samplers', ('rf',)))}\n"
+            f"grids = {overrides['grids'][0]}\n"
+        )
+        with pytest.raises(ParseError, match="bad.cfg"):
+            parse_config(path)
+
+    def test_grids_no_sampler_runs_on_are_not_built(self):
+        spec = ExperimentSpec(
+            n_steps=(101,), samplers=("stoc-rf",), grids=("ushaped", "ddpm-induced")
+        )
+        assert spec.n_steps == (101,)
 
 
 class TestRunExperiment:
@@ -172,25 +225,35 @@ class TestRunExperiment:
         # wall time stays out of the CSV so repeats can be byte-identical
         assert "wall" not in (tmp_path / "rows.csv").read_text()
 
-    def test_failed_cell_leaves_marker_row_and_reraises(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failed_cell_leaves_marker_row_and_reraises(self, tmp_path, monkeypatch, threads):
         import flowgrid.harness as harness
 
-        calls = {"n": 0}
-        real = harness.estimate_tv
+        ran = []
+        real = harness._run_cell
+        caller = threading.get_ident()
 
-        def flaky(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 2:
+        def flaky(spec, d, n_steps, sampler, grid_kind, seed, *rest):
+            ran.append((seed, threading.get_ident()))
+            if seed == 1:
                 raise RuntimeError("synthetic failure")
-            return real(*args, **kwargs)
+            time.sleep(0.05)  # keeps the pool's workers busy while it is cancelled
+            return real(spec, d, n_steps, sampler, grid_kind, seed, *rest)
 
-        monkeypatch.setattr(harness, "estimate_tv", flaky)
-        spec = tiny_spec(tmp_path, seeds=(0, 1, 2))
+        monkeypatch.setattr(harness, "_run_cell", flaky)
+        seeds = tuple(range(8))
+        spec = tiny_spec(tmp_path, seeds=seeds)
         with pytest.raises(RuntimeError, match="synthetic"):
-            run_fig2_experiment(spec)
+            run_fig2_experiment(spec, threads=threads)
         lines = (tmp_path / "rows.csv").read_text().splitlines()
         assert len(lines) == 3  # header, one good row, one marker
+        assert lines[1].startswith("10,8,40,rf,ushaped,0,")
         assert lines[2] == "10,8,40,rf,ushaped,1,error,RuntimeError"
+        if threads == 1:  # in order, on the caller's thread, stopping at the failure
+            assert ran == [(0, caller), (1, caller)]
+        else:  # the cells still queued when the failure surfaced never start
+            assert caller not in {ident for _, ident in ran}
+            assert len(ran) < len(seeds)
 
     def test_rejects_bad_invocations(self, tmp_path):
         spec = tiny_spec(tmp_path)

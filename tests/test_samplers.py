@@ -7,6 +7,7 @@ distributional claims are checked against the closed-form push-forward with
 4-standard-error Monte-Carlo bands.
 """
 
+import functools
 import math
 import os
 import sys
@@ -30,11 +31,15 @@ from flowgrid.samplers import (
     identity_checks,
     interpolation_scale2,
     langevin_rf,
+    SAMPLERS,
     rf_euler,
+    run_sampler,
     stoc_rf,
     stoc_rf_coefficients,
 )
 from flowgrid.schedules import (
+    GRIDS,
+    GridKind,
     build_ddpm_schedule,
     build_uniform_grid,
     build_ushaped_grid,
@@ -559,6 +564,48 @@ def _reference_langevin(oracle, grid, n, seed):
     return y, np.stack(frames)
 
 
+def _reference_rf_euler(oracle, grid, n, seed, final_step):
+    """The flow loop as it was before the shared Euler step loop."""
+    times = grid.integration_times(final_step=final_step)
+    y = substream(seed, INIT_NOISE).standard_normal((n, oracle.dim))
+    frames = [y]
+    for i in range(times.size - 1):
+        t_i = float(times[i])
+        y = y + (float(times[i + 1]) - t_i) * oracle.velocity(t_i, y)
+        frames.append(y)
+    return y, np.stack(frames)
+
+
+def _reference_ddim_euler(oracle, grid, n, seed, final_step):
+    """``ddim_rf(form="euler")``'s loop as it was before the shared step loop."""
+    times = grid.integration_times(final_step=final_step)
+    y = substream(seed, INIT_NOISE).standard_normal((n, oracle.dim))
+    frames = [y]
+    for i in range(times.size - 1):
+        t_i = float(times[i])
+        step = float(times[i + 1]) - t_i
+        drift = y / t_i + ((1.0 - t_i) / t_i) * oracle.score(t_i, y)
+        y = y + step * drift
+        frames.append(y)
+    return y, np.stack(frames)
+
+
+def _reference_langevin_scaled(oracle, grid, n, seed, final_step, gamma_scale):
+    """``langevin_rf``'s loop as it was before the shared step loop, any γ scale."""
+    times = grid.integration_times(final_step=final_step)
+    y = substream(seed, INIT_NOISE).standard_normal((n, oracle.dim))
+    frames = [y]
+    for i in range(times.size - 1):
+        t_i = float(times[i])
+        step = float(times[i + 1]) - t_i
+        gamma = gamma_scale * (1.0 - t_i) / t_i
+        drift = gamma * oracle.score(t_i, y) + oracle.velocity(t_i, y)
+        xi = substream(seed, STEP_NOISE, i).standard_normal(y.shape)
+        y = (step * drift + y) + math.sqrt(2.0 * step * gamma) * xi
+        frames.append(y)
+    return y, np.stack(frames)
+
+
 _SCHEDULE = build_ddpm_schedule(40)
 _GRID = ddpm_induced_rf_grid(_SCHEDULE)
 
@@ -727,6 +774,120 @@ class TestStepNoisePrefetch:
             assert np.array_equal(got.data, want.data)
             assert np.array_equal(got.trajectory, want.trajectory)
         assert _live_threads_settle(before) == before
+
+
+# ---------------------------------------------------------------------------
+# the shared Euler step loop
+
+
+class _KeepingOracle:
+    """The exact fields, keeping every output with a copy taken at return."""
+
+    def __init__(self, target):
+        self.exact = ExactOracle(target)
+        self.outputs = []
+
+    @property
+    def dim(self):
+        return self.exact.dim
+
+    def _keep(self, out):
+        self.outputs.append((out, out.copy()))
+        return out
+
+    def velocity(self, t, x):
+        return self._keep(self.exact.velocity(t, x))
+
+    def score(self, t, x):
+        return self._keep(self.exact.score(t, x))
+
+
+class TestEulerStepLoop:
+    @pytest.mark.parametrize("final_step", [False, True], ids=["stop-short", "final-step"])
+    @pytest.mark.parametrize("target", [_D1, _D5_MIXTURE], ids=["d1", "d5-mixture"])
+    @pytest.mark.parametrize(
+        "name, grid",
+        [
+            ("rf", _GRID),
+            ("rf", build_ushaped_grid(40, 0.01)),
+            ("ddim-rf", _GRID),
+            ("langevin", _GRID),
+        ],
+        ids=["rf-induced", "rf-ushaped", "ddim-rf-induced", "langevin-induced"],
+    )
+    def test_bitwise_equal_to_the_old_loops(self, name, grid, target, final_step):
+        oracle = ExactOracle(target)
+        if name == "langevin":
+            reference = functools.partial(_reference_langevin_scaled, gamma_scale=0.7)
+            run = functools.partial(langevin_rf, gamma_scale=0.7)
+        else:
+            reference = _reference_rf_euler if name == "rf" else _reference_ddim_euler
+            run = rf_euler if name == "rf" else ddim_rf
+        data, frames = reference(oracle, grid, 300, 7, final_step)
+        batch = run(oracle, grid, 300, 7, record_trajectories=True, final_step=final_step)
+        assert np.array_equal(batch.data, data)
+        assert np.array_equal(batch.trajectory, frames)
+        assert np.array_equal(batch.trajectory_times, grid.integration_times(final_step))
+        assert np.array_equal(run(oracle, grid, 300, 7, final_step=final_step).data, data)
+
+    @pytest.mark.parametrize("name", ["rf", "ddim-rf", "langevin", "langevin-off"])
+    def test_oracle_outputs_are_never_written(self, name):
+        oracle = _KeepingOracle(_D5_MIXTURE)
+        if name == "rf":
+            rf_euler(oracle, _GRID, 50, 3, record_trajectories=True)
+        elif name == "ddim-rf":
+            ddim_rf(oracle, _GRID, 50, 3, record_trajectories=True)
+        else:
+            gamma_scale = 0.0 if name == "langevin-off" else 1.0
+            langevin_rf(oracle, _GRID, 50, 3, gamma_scale=gamma_scale, record_trajectories=True)
+        assert oracle.outputs
+        for out, copy in oracle.outputs:
+            assert np.array_equal(out, copy)
+
+    @pytest.mark.parametrize(
+        "run, label",
+        [
+            (lambda o: rf_euler(o, _GRID, 8, 1), "rf"),
+            (lambda o: ddim_rf(o, _GRID, 8, 1), "ddim-rf[euler]"),
+            (lambda o: langevin_rf(o, _GRID, 8, 1, gamma_scale=0.5), "langevin(gamma_scale=0.5)"),
+        ],
+        ids=["rf", "ddim-rf", "langevin"],
+    )
+    def test_batch_metadata(self, run, label):
+        batch = run(ExactOracle(_D1))
+        assert batch.meta.sampler == label
+        assert batch.meta.grid == _GRID.describe()
+        assert batch.meta.target == _D1.describe()
+        assert batch.meta.seed == 1
+        assert batch.meta.terminal_time == float(_GRID.integration_times()[-1])
+
+
+class TestSamplerTable:
+    @pytest.mark.parametrize("name", list(SAMPLERS))
+    def test_run_sampler_calls_the_module_attribute(self, name, monkeypatch):
+        # Wrappers installed on the module (tracing, say) must see every run.
+        import flowgrid.samplers as samplers
+
+        function = SAMPLERS[name].function
+        real = getattr(samplers, function)
+        handed = []
+
+        def spy(oracle, grid, n, seed, **kwargs):
+            handed.append(grid)
+            return real(oracle, grid, n, seed, **kwargs)
+
+        monkeypatch.setattr(samplers, function, spy)
+        built = GRIDS[GridKind.DDPM_INDUCED].build(40, 0.025)
+        batch = run_sampler(name, ExactOracle(_D1), built, 4, 0, record_trajectories=True)
+        assert handed == [built.schedule if name == "ddpm" else built.grid]
+        assert batch.trajectory is not None
+
+    def test_unknown_names_and_missing_schedules_are_domain_errors(self):
+        built = GRIDS[GridKind.UNIFORM].build(10, 0.1)
+        with pytest.raises(DomainError, match="unknown sampler"):
+            run_sampler("heun", ExactOracle(_D1), built, 4, 0)
+        with pytest.raises(DomainError, match="schedule"):
+            run_sampler("ddpm", ExactOracle(_D1), built, 4, 0)
 
 
 # ---------------------------------------------------------------------------

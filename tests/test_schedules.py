@@ -26,6 +26,7 @@ from flowgrid import (
     time_from_mix_weight,
 )
 from flowgrid.checks import grid_identity_checks, grid_suite, random_grid_cases
+from flowgrid.schedules import GRIDS
 
 
 def bisect_growth(n_steps: int, delta: float) -> float:
@@ -307,3 +308,44 @@ class TestDefaultDelta:
             default_delta(0)
         with pytest.raises(DomainError):
             default_delta(10, dim=0)
+
+
+class TestGridTable:
+    def test_every_kind_has_one_entry(self):
+        assert set(GRIDS) == set(GridKind)
+
+    def test_builders_and_delta_rules(self):
+        uniform = GRIDS[GridKind.UNIFORM].build(50, 0.02)
+        assert np.array_equal(uniform.grid.times, build_uniform_grid(50).times)
+        assert (uniform.delta, uniform.schedule) == (0.02, None)
+        ushaped = GRIDS[GridKind.USHAPED].build(50, 0.02)
+        assert np.array_equal(ushaped.grid.times, build_ushaped_grid(50, 0.02).times)
+        assert (ushaped.delta, ushaped.schedule) == (0.02, None)
+        induced = GRIDS[GridKind.DDPM_INDUCED].build(50, 0.02, 2.5, 5.0)
+        schedule = build_ddpm_schedule(50, 2.5, 5.0)
+        assert np.array_equal(induced.schedule.betas, schedule.betas)
+        assert np.array_equal(induced.grid.times, ddpm_induced_rf_grid(schedule).times)
+        assert induced.delta == induced.grid.delta  # its own gap, not the one asked for
+
+    @pytest.mark.parametrize(
+        "kind, constructors",
+        [
+            (GridKind.UNIFORM, ["build_uniform_grid"]),
+            (GridKind.USHAPED, ["build_ushaped_grid"]),
+            (GridKind.DDPM_INDUCED, ["build_ddpm_schedule", "ddpm_induced_rf_grid"]),
+        ],
+    )
+    def test_builders_call_the_module_attributes(self, kind, constructors, monkeypatch):
+        # Wrappers installed on the module (tracing, say) must see every build.
+        import flowgrid.schedules as schedules
+
+        calls = []
+        for name in constructors:
+            real = getattr(schedules, name)
+            monkeypatch.setattr(
+                schedules,
+                name,
+                lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args),
+            )
+        GRIDS[kind].build(40, 0.025)
+        assert calls == constructors

@@ -19,6 +19,7 @@ from flowgrid.targets import (
     PerturbationKind,
     PerturbationSpec,
     Target,
+    affine_field,
     blur_samples,
     perturb_field,
     posterior_moments,
@@ -214,6 +215,33 @@ class TestVelocity:
         np.testing.assert_allclose(
             velocity(tgt, 0.5, np.array([[1.0], [-3.0]])), 0.0, atol=1e-15
         )
+
+
+class TestAffineField:
+    def test_velocity_is_the_affine_map_bit_for_bit(self):
+        target = Target.low_rank(6, 3, var_value=0.4)
+        x = np.random.default_rng(0).normal(size=(50, 6))
+        for t in (0.0, 0.2, 0.5, 0.97, 0.999999):
+            a, b, _, _ = affine_field(target, t)
+            assert np.array_equal(velocity(target, t, x), a[0] * x + b[0])
+
+    @pytest.mark.parametrize("t", [0.05, 0.5, 0.95])
+    def test_score_coefficients_match_the_score(self, t):
+        target = Target(
+            weights=np.array([0.3, 0.7]),
+            means=np.array([[1.0, -2.0, 0.0], [0.5, 3.0, 2.0]]),
+            variances=np.array([[1.0, 0.0, 2.0], [0.2, 1.5, 0.0]]),
+        )
+        a, b, p, q = affine_field(target, t)
+        assert all(c.shape == (2, 3) for c in (a, b, p, q))
+        x = np.random.default_rng(1).normal(size=(40, 3))
+        for c in range(2):
+            single = Target.gaussian(target.means[c], target.variances[c])
+            np.testing.assert_allclose(score(single, t, x), p[c] * x + q[c], rtol=1e-13, atol=1e-13)
+
+    def test_time_domain(self):
+        with pytest.raises(DomainError):
+            affine_field(Target.low_rank(2, 1), 1.0)
 
 
 class TestScore:
