@@ -25,14 +25,10 @@ from .errors import FlowgridError, ParseError
 from .harness import ExperimentSpec, parse_config, run_fig2_experiment
 from .metrics import estimate_tv
 from .samplers import SAMPLERS, run_sampler
-from .schedules import GRIDS, GridKind, default_delta
+from .schedules import GRID_FLAGS, GRIDS, GridKind, default_delta
 from .targets import ExactOracle, Target
 
 __all__ = ["main", "build_parser"]
-
-# ``sample --grid`` spells the ddpm-induced kind "ddpm"; ``schedule --kind``
-# takes the kind names themselves.
-_GRID_FLAGS = {kind.value.removesuffix("-induced"): kind for kind in GRIDS}
 
 
 def _global_flags(parser: argparse.ArgumentParser, *, suppress: bool) -> None:
@@ -49,7 +45,7 @@ def _global_flags(parser: argparse.ArgumentParser, *, suppress: bool) -> None:
         "--threads",
         type=int,
         default=default(1),
-        help="worker threads for sweeps (default 1)",
+        help="worker processes for sweeps (default 1: run in this process)",
     )
     parser.add_argument(
         "--out", type=str, default=default(None), help="output file (default: stdout)"
@@ -84,7 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
     sample = commands.add_parser("sample", help="draw samples from one sampler", parents=[shared])
     sample.add_argument("--sampler", choices=tuple(SAMPLERS), required=True)
     sample.add_argument("--target", required=True, help="target config file")
-    sample.add_argument("--grid", choices=tuple(_GRID_FLAGS), required=True)
+    # ``sample --grid`` takes the short spellings; ``schedule --kind`` the
+    # kind names themselves.
+    sample.add_argument("--grid", choices=tuple(GRID_FLAGS), required=True)
     sample.add_argument("--n-steps", type=int, required=True)
     sample.add_argument("--delta", type=float, default=None)
     sample.add_argument("--c0", type=float, default=2.0)
@@ -148,7 +146,7 @@ def _load_target(path: str) -> Target:
 def _cmd_sample(args) -> int:
     target = _load_target(args.target)
     delta = args.delta if args.delta is not None else default_delta(args.n_steps, target.dim)
-    built = GRIDS[_GRID_FLAGS[args.grid]].build(args.n_steps, delta, args.c0, args.c1)
+    built = GRIDS[GRID_FLAGS[args.grid]].build(args.n_steps, delta, args.c0, args.c1)
     batch = run_sampler(
         args.sampler, ExactOracle(target), built, args.num_samples, args.seed,
         record_trajectories=args.record_trajectories,

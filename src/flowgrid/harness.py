@@ -16,6 +16,14 @@ returned rows and in the optional JSON manifest.
 A cell looks its sampler up in :data:`~flowgrid.samplers.SAMPLERS` and its
 grid in :data:`~flowgrid.schedules.GRIDS`; the grid entry also gives the δ
 the reference batch is blurred with.
+
+With ``threads > 1`` a sweep runs its cells in that many worker processes,
+not threads: a small cell is mostly interpreter work (the TV probe's
+gradient steps are a dozen small numpy calls each), which threads of one
+process would serialize on the interpreter lock.  Workers are forked where
+the platform allows, so a script without a ``__main__`` guard can run a
+parallel sweep, and they see the module as it stands at the fork.  Each
+worker lowers its OpenBLAS thread count to its share of the cores.
 """
 
 from __future__ import annotations
@@ -23,7 +31,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
@@ -32,9 +39,9 @@ import numpy as np
 
 from .errors import DomainError, ParseError
 from .metrics import estimate_tv
-from .rng import child_seed
+from .rng import _usable_cores, child_seed
 from .samplers import SAMPLERS, run_sampler
-from .schedules import GRIDS, GridKind, default_delta
+from .schedules import GRID_FLAGS, GRIDS, GridKind, default_delta
 from .targets import ExactOracle, Target, blur_samples, sample_target
 
 __all__ = [
@@ -135,7 +142,12 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One sweep cell: a (d, N, sampler, grid, seed) combination scored once."""
+    """One sweep cell: a (d, N, sampler, grid, seed) combination scored once.
+
+    ``wall_ms`` times the whole cell and the three ``*_ms`` fields its
+    stages: the sampler run, the reference draw plus blur, and the TV probe.
+    None of them reaches the CSV.
+    """
 
     d: int
     k: int
@@ -146,6 +158,9 @@ class ResultRow:
     tv: float
     tv_stderr: float
     wall_ms: float
+    sampler_ms: float = 0.0
+    reference_ms: float = 0.0
+    probe_ms: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.tv <= 1.0:
@@ -188,14 +203,18 @@ def _run_cell(
     def cell_seed(role: int) -> int:
         return child_seed(seed, d, n_steps, sampler_idx, grid_idx, role)
 
+    stage_start = time.perf_counter()
     batch = run_sampler(sampler, oracle, built, spec.num_samples, cell_seed(0))
+    sampled = time.perf_counter()
     reference = blur_samples(
         sample_target(target, spec.num_samples, cell_seed(1)),
         built.delta,
         cell_seed(2),
     )
+    referenced = time.perf_counter()
     estimate = estimate_tv(batch, reference, rounds=spec.rounds, seed=cell_seed(3))
-    wall_ms = (time.perf_counter() - start) * 1000.0
+    probed = time.perf_counter()
+    wall_ms = (probed - start) * 1000.0
     return ResultRow(
         d=d,
         k=spec.intrinsic_dim,
@@ -206,7 +225,87 @@ def _run_cell(
         tv=estimate.value,
         tv_stderr=estimate.std_error,
         wall_ms=max(wall_ms, 1e-3),
+        sampler_ms=(sampled - stage_start) * 1000.0,
+        reference_ms=(referenced - sampled) * 1000.0,
+        probe_ms=(probed - referenced) * 1000.0,
     )
+
+
+def _cell_task(spec: ExperimentSpec, cell: tuple) -> ResultRow:
+    """One cell in a worker process.
+
+    A module-level function pickles by reference, and it looks ``_run_cell``
+    up when it runs, so a wrapper installed on this module before the
+    workers fork (a tracer's closure, which cannot be pickled) still runs.
+    """
+    return _run_cell(spec, *cell)
+
+
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _limit_blas_threads(limit: int) -> None:
+    """Lower each loaded OpenBLAS to at most ``limit`` threads.
+
+    Runs in each sweep worker.  Every process has its own BLAS thread pool,
+    and OpenBLAS threads spin while they wait for work: two workers with a
+    two-thread pool each made the d >= 400 probe rounds ten times slower
+    on a 2-vCPU x86 VM.  The libraries are found through ``/proc/self/maps``;
+    where that does not exist, nothing changes.  Thread counts do not
+    change the sweep's output.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            libraries = {line.split()[-1] for line in maps if "openblas" in line.lower()}
+    except OSError:
+        return
+    for library in sorted(libraries):
+        try:
+            handle = ctypes.CDLL(library)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_CALLS:
+            get, set_ = getattr(handle, get_name, None), getattr(handle, set_name, None)
+            if get is not None and set_ is not None:
+                get.restype = ctypes.c_int
+                get.argtypes = []
+                set_.restype = None
+                set_.argtypes = [ctypes.c_int]
+                set_(max(1, min(get(), limit)))
+                break
+
+
+def _worker_pool(workers: int):
+    """A process pool, forked where the platform can fork.
+
+    Forked workers start from the caller's loaded modules and never re-run
+    its script, so a caller needs no ``__main__`` guard; ``multiprocessing``
+    flushes stdout and stderr before each fork, so no worker repeats the
+    caller's buffered output.  Each worker gets an equal share of the cores
+    for its BLAS threads.  The process machinery is imported here so that
+    importing the package does not pay for it.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    return ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context(method),
+        initializer=_limit_blas_threads,
+        initargs=(_usable_cores() // workers,),
+    )
+
+
+def _cell_label(row: ResultRow) -> str:
+    return f"d={row.d},N={row.n_steps},{row.sampler},{row.grid_kind},seed={row.seed}"
 
 
 def _cells(spec: ExperimentSpec):
@@ -232,18 +331,18 @@ def run_fig2_experiment(
 ) -> list[ResultRow]:
     """Run the sweep, streaming rows to ``spec.out`` as cells finish.
 
-    Cells execute in parallel when ``threads > 1``, but rows always land in
-    spec order, so the CSV is identical either way.  If a cell raises, the
-    rows finished so far are already flushed, a marker row naming the cell
-    and the exception type is appended (its tv column reads ``error``), and
-    the exception propagates.
+    With ``threads > 1`` the cells run in that many worker processes, but
+    rows always land in spec order, so the CSV is identical either way.  If a cell raises, the rows
+    finished so far are already flushed, a marker row naming the cell and
+    the exception type is appended (its tv column reads ``error``), the
+    exception propagates, and cells not yet handed to a worker never start.
 
     With ``write_manifest=True`` a JSON file next to the CSV records the
-    spec, the CSV's git-style blob hash, and per-cell wall times — the one
-    place timing information is persisted.
+    spec, the CSV's git-style blob hash, and per-cell wall times and stage
+    times — the one place timing information is persisted.
     """
     if threads < 1:
-        raise DomainError("need at least one worker thread")
+        raise DomainError(f"threads must be at least 1; got {threads}")
     out_path = Path(spec.out)
     if out_path.parent and not out_path.parent.exists():
         raise DomainError(f"output directory {out_path.parent} does not exist")
@@ -261,14 +360,14 @@ def run_fig2_experiment(
             sink.flush()
 
         # One zero-argument call per cell that returns its row.  A single
-        # thread runs each cell on the caller's thread when its row is due,
-        # so no pool thread takes the core a StepNoise worker can use.
-        pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+        # worker runs each cell on the caller's thread when its row is due,
+        # with no process started.
+        pool = _worker_pool(threads) if threads > 1 else None
         try:
             if pool is None:
                 outcomes = [partial(_run_cell, spec, *cell) for cell in cells]
             else:
-                outcomes = [pool.submit(_run_cell, spec, *cell).result for cell in cells]
+                outcomes = [pool.submit(_cell_task, spec, cell).result for cell in cells]
             for cell, outcome in zip(cells, outcomes):
                 try:
                     finish(outcome())
@@ -289,8 +388,13 @@ def run_fig2_experiment(
             "csv_blob_sha1": _git_blob_sha1(out_path.read_bytes()),
             "row_count": len(rows),
             "total_wall_ms": (time.perf_counter() - total_start) * 1000.0,
-            "wall_ms_by_cell": {
-                f"d={r.d},N={r.n_steps},{r.sampler},{r.grid_kind},seed={r.seed}": r.wall_ms
+            "wall_ms_by_cell": {_cell_label(r): r.wall_ms for r in rows},
+            "stage_ms_by_cell": {
+                _cell_label(r): {
+                    "sampler": r.sampler_ms,
+                    "reference": r.reference_ms,
+                    "probe": r.probe_ms,
+                }
                 for r in rows
             },
         }
@@ -513,10 +617,10 @@ def parse_config(path: str | Path) -> ExperimentSpec | Target:
     if "samplers" in seen:
         kwargs["samplers"] = _to_str_list(seen["samplers"][1])
     if "grids" in seen:
-        normalized = tuple(
-            "ddpm-induced" if g == "ddpm" else g for g in _to_str_list(seen["grids"][1])
+        kwargs["grids"] = tuple(
+            GRID_FLAGS[g].value if g in GRID_FLAGS else g
+            for g in _to_str_list(seen["grids"][1])
         )
-        kwargs["grids"] = normalized
     if "num_samples" in seen:
         kwargs["num_samples"] = _to_int(
             path_str, seen["num_samples"][0], "num_samples", seen["num_samples"][1]

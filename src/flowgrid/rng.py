@@ -62,13 +62,17 @@ and handing a block to a worker and back costs 35-75 us a step (2-vCPU x86
 VM), which a shorter fill cannot win back."""
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask outside Linux
+        return os.cpu_count() or 1
+
+
 def _free_cores() -> int:
     """Usable cores minus this process's live threads; zero or less if none is free."""
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask outside Linux
-        cores = os.cpu_count() or 1
-    return cores - threading.active_count()
+    return _usable_cores() - threading.active_count()
 
 
 def _prefetch_pays(values: int) -> bool:

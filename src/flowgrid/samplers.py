@@ -60,6 +60,7 @@ from .rng import INIT_NOISE, StepNoise, substream
 from .schedules import (
     BuiltGrid,
     DdpmSchedule,
+    GridKind,
     TimeGrid,
     build_ddpm_schedule,
     ddpm_induced_rf_grid,
@@ -589,7 +590,10 @@ def ddpm_sample(
             if frames is not None:
                 frames.append(scale_next * y)
                 frame_times.append(t_next)
-    grid_label = ddpm_induced_rf_grid(schedule).describe()
+    # ``times`` are the induced grid's knots (``ddpm_induced_rf_grid``), so
+    # the label needs no second build of that grid.
+    induced = TimeGrid(times, GridKind.DDPM_INDUCED, delta=1.0 - float(times[-1]))
+    grid_label = induced.describe()
     frame_times = np.asarray(frame_times)
     return _finish(scale_next * y, frames, frame_times, "ddpm", grid_label, oracle, seed, t_next)
 

@@ -40,6 +40,7 @@ __all__ = [
     "BuiltGrid",
     "GridEntry",
     "GRIDS",
+    "GRID_FLAGS",
 ]
 
 
@@ -357,3 +358,9 @@ GRIDS: dict[GridKind, GridEntry] = {
     GridKind.USHAPED: GridEntry(_ushaped),
     GridKind.DDPM_INDUCED: GridEntry(_ddpm_induced, frozenset({"t0>0", "schedule"})),
 }
+
+GRID_FLAGS: dict[str, GridKind] = {
+    kind.value.removesuffix("-induced"): kind for kind in GRIDS
+}
+"""The short grid spellings, ``ddpm`` for the DDPM-induced kind: the choices
+of ``flowgrid sample --grid``, also accepted by a config's ``grids`` key."""

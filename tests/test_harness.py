@@ -1,8 +1,12 @@
 """Sweep harness tests: tiny end-to-end cells, reproducibility, config parsing."""
 
 import json
-import threading
+import multiprocessing
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,28 @@ from flowgrid.harness import CSV_HEADER, _git_blob_sha1
 from flowgrid.samplers import SAMPLERS, run_sampler
 from flowgrid.schedules import GRIDS, GridKind
 from flowgrid.targets import ExactOracle
+
+
+def _openblas_threads():
+    """Threads each loaded OpenBLAS will use, asked of the library itself."""
+    import ctypes
+
+    counts = {}
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            libraries = {line.split()[-1] for line in maps if "openblas" in line.lower()}
+    except OSError:
+        return counts
+    for library in libraries:
+        handle = ctypes.CDLL(library)
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            get = getattr(handle, name, None)
+            if get is not None:
+                get.restype = ctypes.c_int
+                counts[library] = get()
+                break
+    return counts
 
 
 def tiny_spec(tmp_path, **overrides):
@@ -202,13 +228,14 @@ class TestRunExperiment:
         run_fig2_experiment(spec)
         assert (tmp_path / "rows.csv").read_bytes() == first
 
-    def test_thread_pool_matches_serial_output(self, tmp_path):
+    def test_worker_pool_matches_serial_output(self, tmp_path):
         spec = tiny_spec(tmp_path, seeds=(0, 1, 2), grids=("uniform", "ushaped"))
         serial = run_fig2_experiment(spec)
         serial_bytes = (tmp_path / "rows.csv").read_bytes()
-        threaded = run_fig2_experiment(spec, threads=3)
+        pooled = run_fig2_experiment(spec, threads=2)
         assert (tmp_path / "rows.csv").read_bytes() == serial_bytes
-        assert [r.csv_line() for r in threaded] == [r.csv_line() for r in serial]
+        assert [r.csv_line() for r in pooled] == [r.csv_line() for r in serial]
+        assert multiprocessing.active_children() == []
 
     def test_manifest_records_spec_hash_and_timings(self, tmp_path):
         spec = tiny_spec(tmp_path, seeds=(0, 1))
@@ -225,23 +252,54 @@ class TestRunExperiment:
         # wall time stays out of the CSV so repeats can be byte-identical
         assert "wall" not in (tmp_path / "rows.csv").read_text()
 
+    def test_manifest_records_stage_times(self, tmp_path):
+        spec = tiny_spec(tmp_path, seeds=(0, 1), samplers=("rf", "stoc-rf"),
+                         grids=("ushaped", "ddpm-induced"))
+        rows = run_fig2_experiment(spec, threads=2, write_manifest=True)
+        manifest = json.loads((tmp_path / "rows.json").read_text())
+        stages = manifest["stage_ms_by_cell"]
+        assert list(stages) == list(manifest["wall_ms_by_cell"])
+        for row in rows:
+            times = stages[f"d=10,N=40,{row.sampler},{row.grid_kind},seed={row.seed}"]
+            assert times == {
+                "sampler": row.sampler_ms,
+                "reference": row.reference_ms,
+                "probe": row.probe_ms,
+            }
+            assert all(ms > 0.0 for ms in times.values())
+            assert sum(times.values()) <= row.wall_ms
+        assert "ms" not in (tmp_path / "rows.csv").read_text()
+
+    @staticmethod
+    def _logging_cell(harness, log, fail_seed=None):
+        """A local closure in place of ``_run_cell``, as a tracer installs one:
+        it cannot be pickled, and it logs each cell it starts to a file,
+        which worker processes share."""
+        real = harness._run_cell
+
+        def logged(spec, d, n_steps, sampler, grid_kind, seed, *rest):
+            with open(log, "a", encoding="utf-8") as sink:
+                sink.write(f"{seed} {os.getpid()}\n")
+            if seed == fail_seed:
+                raise RuntimeError("synthetic failure")
+            time.sleep(0.05)  # keeps the workers busy while the pool is cancelled
+            return real(spec, d, n_steps, sampler, grid_kind, seed, *rest)
+
+        return logged
+
+    @staticmethod
+    def _started(log):
+        if not log.exists():
+            return []
+        return [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_failed_cell_leaves_marker_row_and_reraises(self, tmp_path, monkeypatch, threads):
         import flowgrid.harness as harness
 
-        ran = []
-        real = harness._run_cell
-        caller = threading.get_ident()
-
-        def flaky(spec, d, n_steps, sampler, grid_kind, seed, *rest):
-            ran.append((seed, threading.get_ident()))
-            if seed == 1:
-                raise RuntimeError("synthetic failure")
-            time.sleep(0.05)  # keeps the pool's workers busy while it is cancelled
-            return real(spec, d, n_steps, sampler, grid_kind, seed, *rest)
-
-        monkeypatch.setattr(harness, "_run_cell", flaky)
-        seeds = tuple(range(8))
+        log = tmp_path / "started.log"
+        monkeypatch.setattr(harness, "_run_cell", self._logging_cell(harness, log, fail_seed=1))
+        seeds = tuple(range(16))
         spec = tiny_spec(tmp_path, seeds=seeds)
         with pytest.raises(RuntimeError, match="synthetic"):
             run_fig2_experiment(spec, threads=threads)
@@ -249,11 +307,75 @@ class TestRunExperiment:
         assert len(lines) == 3  # header, one good row, one marker
         assert lines[1].startswith("10,8,40,rf,ushaped,0,")
         assert lines[2] == "10,8,40,rf,ushaped,1,error,RuntimeError"
-        if threads == 1:  # in order, on the caller's thread, stopping at the failure
-            assert ran == [(0, caller), (1, caller)]
-        else:  # the cells still queued when the failure surfaced never start
-            assert caller not in {ident for _, ident in ran}
-            assert len(ran) < len(seeds)
+        started = self._started(log)
+        if threads == 1:  # in order, in this process, stopping at the failure
+            assert started == [(0, os.getpid()), (1, os.getpid())]
+        else:  # in workers; the cells still queued when the failure surfaced never start
+            assert os.getpid() not in {pid for _, pid in started}
+            assert len(started) < len(seeds)
+        assert multiprocessing.active_children() == []
+
+    def test_workers_run_a_local_closure_bound_as_run_cell(self, tmp_path, monkeypatch):
+        import flowgrid.harness as harness
+
+        spec = tiny_spec(tmp_path, seeds=(0, 1, 2))
+        run_fig2_experiment(spec)
+        serial_bytes = (tmp_path / "rows.csv").read_bytes()
+        log = tmp_path / "started.log"
+        monkeypatch.setattr(harness, "_run_cell", self._logging_cell(harness, log))
+        run_fig2_experiment(spec, threads=2)
+        assert (tmp_path / "rows.csv").read_bytes() == serial_bytes
+        started = self._started(log)
+        assert sorted(seed for seed, _ in started) == [0, 1, 2]
+        assert os.getpid() not in {pid for _, pid in started}
+
+    def test_workers_share_the_cores_among_their_blas_threads(self, tmp_path, monkeypatch):
+        import flowgrid.harness as harness
+        from flowgrid.rng import _usable_cores
+
+        before = _openblas_threads()
+        if not before:
+            pytest.skip("no OpenBLAS found through /proc/self/maps")
+        real = harness._run_cell
+        log = tmp_path / "blas.log"
+
+        def logged(*args):
+            with open(log, "a", encoding="utf-8") as sink:
+                sink.write(f"{os.getpid()} {max(_openblas_threads().values())}\n")
+            return real(*args)
+
+        monkeypatch.setattr(harness, "_run_cell", logged)
+        run_fig2_experiment(tiny_spec(tmp_path, seeds=(0, 1, 2, 3)), threads=2)
+        counts = [int(line.split()[1]) for line in log.read_text().splitlines()]
+        assert len(counts) == 4
+        assert all(count <= max(1, _usable_cores() // 2) for count in counts)
+        assert _openblas_threads() == before  # the caller's own pool is left alone
+
+    def test_script_without_main_guard_runs_a_worker_sweep(self, tmp_path):
+        script = tmp_path / "sweep.py"
+        script.write_text(
+            "from flowgrid import ExperimentSpec, run_fig2_experiment\n"
+            "print('started')\n"
+            f"spec = ExperimentSpec(dims=(10,), n_steps=(40,), grids=('ushaped',),"
+            f" num_samples=300, seeds=(0, 1, 2), rounds=2, out={str(tmp_path / 'rows.csv')!r})\n"
+            "rows = run_fig2_experiment(spec, threads=2)\n"
+            "print(len(rows), 'rows')\n",
+            encoding="utf-8",
+        )
+        import flowgrid
+
+        src = str(Path(flowgrid.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        )}
+        done = subprocess.run(
+            [sys.executable, str(script)], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        # the workers neither re-run the script nor repeat its buffered output
+        assert done.stdout.splitlines() == ["started", "3 rows"]
+        assert len((tmp_path / "rows.csv").read_text().splitlines()) == 4
 
     def test_rejects_bad_invocations(self, tmp_path):
         spec = tiny_spec(tmp_path)
@@ -298,6 +420,26 @@ class TestParseConfig:
         assert spec.grids == ("ushaped", "ddpm-induced")  # alias normalized
         assert spec.delta_rule == DeltaRule(fixed=0.02)
         assert spec.out == "sweep.csv"
+
+    def test_config_and_sample_flag_read_ddpm_as_the_same_kind(self, tmp_path, monkeypatch):
+        import flowgrid.cli as cli
+
+        spec = parse_config(self.write(tmp_path, "samplers = stoc-rf\ngrids = ddpm\n"))
+        built_kinds = []
+
+        def spy(name, oracle, built, n, seed, **kwargs):
+            built_kinds.append(built.grid.kind)
+            return run_sampler(name, oracle, built, n, seed, **kwargs)
+
+        monkeypatch.setattr(cli, "run_sampler", spy)
+        target = tmp_path / "target.cfg"
+        target.write_text("kind = target\ndim = 3\n")
+        code = cli_main([
+            "--out", str(tmp_path / "x.csv"), "sample", "--sampler", "stoc-rf", "--grid", "ddpm",
+            "--target", str(target), "--n-steps", "40", "--num-samples", "5",
+        ])
+        assert code == 0
+        assert [GridKind(g) for g in spec.grids] == built_kinds == [GridKind.DDPM_INDUCED]
 
     def test_delta_auto_keyword(self, tmp_path):
         spec = parse_config(self.write(tmp_path, "delta = auto\n"))

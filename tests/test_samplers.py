@@ -446,6 +446,22 @@ class TestDdpmSample:
         assert batch.meta.terminal_time == pytest.approx(float(grid.times[-1]), abs=1e-15)
         assert batch.meta.grid.startswith("ddpm-induced")
 
+    @pytest.mark.parametrize("n_steps, c0, c1", [(100, 2.0, 6.0), (37, 1.5, 4.0), (400, 2.0, 6.0)])
+    def test_grid_label_is_the_induced_grid_and_builds_no_grid(self, monkeypatch, n_steps, c0, c1):
+        import flowgrid.samplers as samplers_module
+
+        schedule = build_ddpm_schedule(n_steps, c0, c1)
+        expected = ddpm_induced_rf_grid(schedule).describe()
+
+        def no_rebuild(_schedule):
+            raise AssertionError("ddpm_sample rebuilt the induced grid")
+
+        monkeypatch.setattr(samplers_module, "ddpm_induced_rf_grid", no_rebuild)
+        oracle = ExactOracle(Target.low_rank(3, 2))
+        for final_step in (False, True):
+            batch = ddpm_sample(oracle, schedule, 4, seed=0, final_step=final_step)
+            assert batch.meta.grid == expected
+
     def test_small_beta_coefficient_expansions(self):
         # the drift weight of the stochastic chain is β (not β/2: that rate
         # belongs to the damped deterministic update); 1/√α carries the β/2,
