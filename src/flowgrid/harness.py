@@ -288,8 +288,10 @@ def _worker_pool(workers: int):
     Forked workers start from the caller's loaded modules and never re-run
     its script, so a caller needs no ``__main__`` guard; ``multiprocessing``
     flushes stdout and stderr before each fork, so no worker repeats the
-    caller's buffered output.  Each worker gets an equal share of the cores
-    for its BLAS threads.  The process machinery is imported here so that
+    caller's buffered output.  A fork copies only the calling thread, so a
+    caller should not start a parallel sweep while its other threads may
+    hold locks.  Each worker gets an equal share of the cores for its BLAS
+    threads.  The process machinery is imported here so that
     importing the package does not pay for it.
     """
     import multiprocessing
