@@ -45,7 +45,7 @@ def _global_flags(parser: argparse.ArgumentParser, *, suppress: bool) -> None:
         "--threads",
         type=int,
         default=default(1),
-        help="worker processes for sweeps (default 1: run in this process)",
+        help="worker processes for sweeps, at most one per cell (default 1: run in this process)",
     )
     parser.add_argument(
         "--out", type=str, default=default(None), help="output file (default: stdout)"

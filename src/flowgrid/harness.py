@@ -22,8 +22,9 @@ not threads: a small cell is mostly interpreter work (the TV probe's
 gradient steps are a dozen small numpy calls each), which threads of one
 process would serialize on the interpreter lock.  Workers are forked where
 the platform allows, so a script without a ``__main__`` guard can run a
-parallel sweep, and they see the module as it stands at the fork.  Each
-worker lowers its OpenBLAS thread count to its share of the cores.
+parallel sweep, and they see the module as it stands at the fork.  A
+sweep starts no more workers than it has cells, and each worker lowers its
+OpenBLAS thread count to its share of the cores.
 """
 
 from __future__ import annotations
@@ -249,15 +250,11 @@ _OPENBLAS_THREAD_CALLS = (
 )
 
 
-def _limit_blas_threads(limit: int) -> None:
-    """Lower each loaded OpenBLAS to at most ``limit`` threads.
+def _openblas_handles() -> list[tuple]:
+    """``(get, set)`` thread-count calls of each OpenBLAS this process loaded.
 
-    Runs in each sweep worker.  Every process has its own BLAS thread pool,
-    and OpenBLAS threads spin while they wait for work: two workers with a
-    two-thread pool each made the d >= 400 probe rounds ten times slower
-    on a 2-vCPU x86 VM.  The libraries are found through ``/proc/self/maps``;
-    where that does not exist, nothing changes.  Thread counts do not
-    change the sweep's output.
+    The libraries are found through ``/proc/self/maps``; where that does
+    not exist, or no OpenBLAS is loaded, the list is empty.
     """
     import ctypes
 
@@ -265,7 +262,8 @@ def _limit_blas_threads(limit: int) -> None:
         with open("/proc/self/maps", encoding="utf-8") as maps:
             libraries = {line.split()[-1] for line in maps if "openblas" in line.lower()}
     except OSError:
-        return
+        return []
+    handles = []
     for library in sorted(libraries):
         try:
             handle = ctypes.CDLL(library)
@@ -278,8 +276,21 @@ def _limit_blas_threads(limit: int) -> None:
                 get.argtypes = []
                 set_.restype = None
                 set_.argtypes = [ctypes.c_int]
-                set_(max(1, min(get(), limit)))
+                handles.append((get, set_))
                 break
+    return handles
+
+
+def _limit_blas_threads(limit: int) -> None:
+    """Lower each loaded OpenBLAS to at most ``limit`` threads.
+
+    Runs in each sweep worker.  Every process has its own BLAS thread pool,
+    and OpenBLAS threads spin while they wait for work: two workers with a
+    two-thread pool each made the d >= 400 probe rounds ten times slower
+    on a 2-vCPU x86 VM.  Thread counts do not change the sweep's output.
+    """
+    for get, set_ in _openblas_handles():
+        set_(max(1, min(get(), limit)))
 
 
 def _worker_pool(workers: int):
@@ -290,13 +301,23 @@ def _worker_pool(workers: int):
     flushes stdout and stderr before each fork, so no worker repeats the
     caller's buffered output.  A fork copies only the calling thread, so a
     caller should not start a parallel sweep while its other threads may
-    hold locks.  Each worker gets an equal share of the cores for its BLAS
-    threads.  The process machinery is imported here so that
+    hold locks.  A forking pool starts all its workers at once, so the
+    caller sizes it to the work.  Each worker gets an equal share of the
+    cores for its BLAS threads; where no OpenBLAS can be found to cap, a
+    warning says so once.  The process machinery is imported here so that
     importing the package does not pay for it.
     """
     import multiprocessing
+    import warnings
     from concurrent.futures import ProcessPoolExecutor
 
+    if not _openblas_handles():
+        warnings.warn(
+            f"no OpenBLAS found to cap: each of the {workers} sweep workers keeps its "
+            "BLAS library's own thread count, which can oversubscribe the cores",
+            RuntimeWarning,
+            stacklevel=3,
+        )
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
     return ProcessPoolExecutor(
         workers,
@@ -333,11 +354,12 @@ def run_fig2_experiment(
 ) -> list[ResultRow]:
     """Run the sweep, streaming rows to ``spec.out`` as cells finish.
 
-    With ``threads > 1`` the cells run in that many worker processes, but
-    rows always land in spec order, so the CSV is identical either way.  If a cell raises, the rows
-    finished so far are already flushed, a marker row naming the cell and
-    the exception type is appended (its tv column reads ``error``), the
-    exception propagates, and cells not yet handed to a worker never start.
+    With ``threads > 1`` the cells run in that many worker processes (no
+    more than there are cells), but rows always land in spec order, so the
+    CSV is identical either way.  If a cell raises, the rows finished so
+    far are already flushed, a marker row naming the cell and the exception
+    type is appended (its tv column reads ``error``), the exception
+    propagates, and cells not yet handed to a worker never start.
 
     With ``write_manifest=True`` a JSON file next to the CSV records the
     spec, the CSV's git-style blob hash, and per-cell wall times and stage
@@ -363,8 +385,9 @@ def run_fig2_experiment(
 
         # One zero-argument call per cell that returns its row.  A single
         # worker runs each cell on the caller's thread when its row is due,
-        # with no process started.
-        pool = _worker_pool(threads) if threads > 1 else None
+        # with no process started; a pool never has more workers than cells.
+        workers = min(threads, len(cells))
+        pool = _worker_pool(workers) if workers > 1 else None
         try:
             if pool is None:
                 outcomes = [partial(_run_cell, spec, *cell) for cell in cells]

@@ -223,26 +223,34 @@ class TimeChange:
 def interpolant_time_change(
     a: Callable[[float], float],
     b: Callable[[float], float],
-    s: float | Sequence[float],
+    s: float,
     *,
     tol: float = 1e-12,
-) -> float | list[float]:
+) -> float:
     """Interpolant parameter whose noise-to-signal ratio matches ``s``.
 
     For a unit interpolation pair (a(0)=0, a(1)=1, b(0)=1, b(1)=0) with
     strictly decreasing ratio r(θ) = b(θ)/a(θ), solves r(θ)² = 1/s by
     bisection to within ``tol`` in θ.  The linear pair (θ, 1−θ) recovers
-    :func:`rf_time_from_sl`.  A sequence of ``s`` gives a list of θ, one
-    per entry, with the pair checked once for all of them.
+    :func:`rf_time_from_sl`.
 
     Raises :class:`~flowgrid.errors.NoRootError` when the ratio is not
     strictly decreasing on (0, 1), and :class:`~flowgrid.errors.DomainError`
     for inputs that are not a unit interpolation pair or s ≤ 0.
     """
-    points = [s] if np.ndim(s) == 0 else list(s)
-    for point in points:
-        if not (np.isfinite(point) and point > 0.0):
-            raise DomainError(f"precision clock s must be finite and > 0; got {point!r}")
+    if not (np.isfinite(s) and s > 0.0):
+        raise DomainError(f"precision clock s must be finite and > 0; got {s!r}")
+    _check_unit_pair(a, b)
+    return _solve_theta(a, b, s, tol)
+
+
+def _check_unit_pair(a: Callable[[float], float], b: Callable[[float], float]) -> None:
+    """Raise unless (a, b) is a unit pair with strictly decreasing b/a.
+
+    The ratio is probed at 513 points through the Python callables, which
+    costs far more than one bisection, so a caller solving many ``s`` for
+    one pair checks it once and then calls :func:`_solve_theta` for each.
+    """
     ends = (abs(a(0.0)), abs(a(1.0) - 1.0), abs(b(0.0) - 1.0), abs(b(1.0)))
     if max(ends) > 1e-8:
         raise DomainError(
@@ -254,29 +262,33 @@ def interpolant_time_change(
     if np.any(~np.isfinite(ratio[1:])) or np.any(np.diff(ratio) >= 0.0):
         raise NoRootError("interpolant ratio b/a is not strictly decreasing on (0, 1)")
 
-    def solve(point: float) -> float:
-        half_log_s = 0.5 * math.log(point)
 
-        def gap(theta: float) -> float:
-            # log r(θ) + ½ log s, decreasing through 0 at the matching θ
-            bt, at = b(theta), a(theta)
-            if at <= 0.0:
-                return math.inf
-            if bt <= 0.0:
-                return -math.inf
-            return math.log(bt) - math.log(at) + half_log_s
+def _solve_theta(
+    a: Callable[[float], float],
+    b: Callable[[float], float],
+    s: float,
+    tol: float = 1e-12,
+) -> float:
+    """Bisect for r(θ)² = 1/s on a pair :func:`_check_unit_pair` accepted."""
+    half_log_s = 0.5 * math.log(s)
 
-        lo, hi = 0.0, 1.0
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if gap(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+    def gap(theta: float) -> float:
+        # log r(θ) + ½ log s, decreasing through 0 at the matching θ
+        bt, at = b(theta), a(theta)
+        if at <= 0.0:
+            return math.inf
+        if bt <= 0.0:
+            return -math.inf
+        return math.log(bt) - math.log(at) + half_log_s
 
-    thetas = [solve(point) for point in points]
-    return thetas[0] if np.ndim(s) == 0 else thetas
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if gap(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------
@@ -706,28 +718,37 @@ def equivalence_checks(seed: int = 0) -> list[CheckRecord]:
     def trig_b(theta: float) -> float:
         return math.cos(0.5 * math.pi * theta)
 
-    # Each call site passes all its s at once, so each checks its pair once.
-    linear_s = (0.25, 1.0, 4.0, 100.0)
-    linear_thetas = interpolant_time_change(lambda u: u, lambda u: 1.0 - u, linear_s)
+    # Each pair is checked once; its s values then only need the bisection.
+    def linear_a(theta: float) -> float:
+        return theta
+
+    def linear_b(theta: float) -> float:
+        return 1.0 - theta
+
+    _check_unit_pair(linear_a, linear_b)
     records.append(
         CheckRecord(
             "interpolant:linear-matches-closed-form",
-            max(abs(theta - rf_time_from_sl(s)) for s, theta in zip(linear_s, linear_thetas)),
+            max(
+                abs(_solve_theta(linear_a, linear_b, s) - rf_time_from_sl(s))
+                for s in (0.25, 1.0, 4.0, 100.0)
+            ),
             5e-12,
         )
     )
+    _check_unit_pair(trig_a, trig_b)
     records.append(
         CheckRecord(
             "interpolant:trig-symmetric-point",
-            abs(interpolant_time_change(trig_a, trig_b, 1.0) - 0.5),
+            abs(_solve_theta(trig_a, trig_b, 1.0) - 0.5),
             5e-12,
         )
     )
     trig_gap = 0.0
-    trig_s = [float(s) for s in np.exp(rng.uniform(math.log(0.05), math.log(20.0), size=8))]
-    for s, theta in zip(trig_s, interpolant_time_change(trig_a, trig_b, trig_s)):
+    for s in np.exp(rng.uniform(math.log(0.05), math.log(20.0), size=8)):
+        theta = _solve_theta(trig_a, trig_b, float(s))
         t_comp = trig_a(theta) / (trig_a(theta) + trig_b(theta))
-        trig_gap = max(trig_gap, abs(t_comp - rf_time_from_sl(s)))
+        trig_gap = max(trig_gap, abs(t_comp - rf_time_from_sl(float(s))))
     records.append(CheckRecord("interpolant:trig-composition", trig_gap, 1e-10))
 
     std = Target.gaussian(np.zeros(2), np.ones(2))

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -31,24 +32,9 @@ from flowgrid.targets import ExactOracle
 
 def _openblas_threads():
     """Threads each loaded OpenBLAS will use, asked of the library itself."""
-    import ctypes
+    from flowgrid.harness import _openblas_handles
 
-    counts = {}
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as maps:
-            libraries = {line.split()[-1] for line in maps if "openblas" in line.lower()}
-    except OSError:
-        return counts
-    for library in libraries:
-        handle = ctypes.CDLL(library)
-        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
-            get = getattr(handle, name, None)
-            if get is not None:
-                get.restype = ctypes.c_int
-                counts[library] = get()
-                break
-    return counts
+    return [get() for get, _ in _openblas_handles()]
 
 
 def tiny_spec(tmp_path, **overrides):
@@ -273,13 +259,14 @@ class TestRunExperiment:
     @staticmethod
     def _logging_cell(harness, log, fail_seed=None):
         """A local closure in place of ``_run_cell``, as a tracer installs one:
-        it cannot be pickled, and it logs each cell it starts to a file,
-        which worker processes share."""
+        it cannot be pickled, and it logs each cell it starts, with the
+        process and thread that run it, to a file, which worker processes
+        share."""
         real = harness._run_cell
 
         def logged(spec, d, n_steps, sampler, grid_kind, seed, *rest):
             with open(log, "a", encoding="utf-8") as sink:
-                sink.write(f"{seed} {os.getpid()}\n")
+                sink.write(f"{seed} {os.getpid()} {threading.get_ident()}\n")
             if seed == fail_seed:
                 raise RuntimeError("synthetic failure")
             time.sleep(0.05)  # keeps the workers busy while the pool is cancelled
@@ -308,10 +295,11 @@ class TestRunExperiment:
         assert lines[1].startswith("10,8,40,rf,ushaped,0,")
         assert lines[2] == "10,8,40,rf,ushaped,1,error,RuntimeError"
         started = self._started(log)
-        if threads == 1:  # in order, in this process, stopping at the failure
-            assert started == [(0, os.getpid()), (1, os.getpid())]
+        if threads == 1:  # in order, on this thread, stopping at the failure
+            caller = (os.getpid(), threading.get_ident())
+            assert started == [(0, *caller), (1, *caller)]
         else:  # in workers; the cells still queued when the failure surfaced never start
-            assert os.getpid() not in {pid for _, pid in started}
+            assert os.getpid() not in {pid for _, pid, _ in started}
             assert len(started) < len(seeds)
         assert multiprocessing.active_children() == []
 
@@ -326,8 +314,44 @@ class TestRunExperiment:
         run_fig2_experiment(spec, threads=2)
         assert (tmp_path / "rows.csv").read_bytes() == serial_bytes
         started = self._started(log)
-        assert sorted(seed for seed, _ in started) == [0, 1, 2]
-        assert os.getpid() not in {pid for _, pid in started}
+        assert sorted(seed for seed, _, _ in started) == [0, 1, 2]
+        assert os.getpid() not in {pid for _, pid, _ in started}
+
+    def test_pool_has_no_more_workers_than_cells(self, tmp_path, monkeypatch):
+        import flowgrid.harness as harness
+
+        real_pool = harness._worker_pool
+        built, children = [], []
+
+        def counted_pool(workers):
+            # a forking pool starts all its workers at the first submit
+            pool = real_pool(workers)
+            submit = pool.submit
+
+            def counted_submit(*args):
+                future = submit(*args)
+                children.append(len(multiprocessing.active_children()))
+                return future
+
+            pool.submit = counted_submit
+            built.append(workers)
+            return pool
+
+        monkeypatch.setattr(harness, "_worker_pool", counted_pool)
+        spec = tiny_spec(tmp_path, seeds=(0, 1))
+        run_fig2_experiment(spec, threads=4)
+        assert built == [2]
+        assert children and max(children) <= 2
+        run_fig2_experiment(tiny_spec(tmp_path), threads=4)  # one cell: no pool
+        assert built == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_warns_when_no_blas_can_be_capped(self, tmp_path, monkeypatch):
+        import flowgrid.harness as harness
+
+        monkeypatch.setattr(harness, "_openblas_handles", lambda: [])
+        with pytest.warns(RuntimeWarning, match="no OpenBLAS found to cap"):
+            run_fig2_experiment(tiny_spec(tmp_path, seeds=(0, 1)), threads=2)
 
     def test_workers_share_the_cores_among_their_blas_threads(self, tmp_path, monkeypatch):
         import flowgrid.harness as harness
@@ -341,7 +365,7 @@ class TestRunExperiment:
 
         def logged(*args):
             with open(log, "a", encoding="utf-8") as sink:
-                sink.write(f"{os.getpid()} {max(_openblas_threads().values())}\n")
+                sink.write(f"{os.getpid()} {max(_openblas_threads())}\n")
             return real(*args)
 
         monkeypatch.setattr(harness, "_run_cell", logged)

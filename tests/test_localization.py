@@ -244,30 +244,23 @@ class TestInterpolantTimeChange:
         with pytest.raises(DomainError):
             interpolant_time_change(lambda u: u, lambda u: 1.0 - u, 0.0)
 
-    def test_sequence_of_s_checks_the_pair_once(self):
-        calls = []
+    def test_equivalence_suite_checks_each_pair_once(self, monkeypatch):
+        checked = []
+        real = flowgrid.localization._check_unit_pair
 
-        def a(u):
-            calls.append(u)
-            return math.sin(0.5 * math.pi * u)
+        def counted(a, b):
+            checked.append((a(0.5), b(0.5)))
+            return real(a, b)
 
+        monkeypatch.setattr(flowgrid.localization, "_check_unit_pair", counted)
+        records = {r.name: r.observed for r in flowgrid.localization.equivalence_checks(seed=3)}
+        # the linear and the trigonometric pair, once each, for 13 solves
+        assert checked == [(0.5, 0.5), (math.sin(0.25 * math.pi), math.cos(0.25 * math.pi))]
+        monkeypatch.undo()
+        a = lambda u: math.sin(0.5 * math.pi * u)
         b = lambda u: math.cos(0.5 * math.pi * u)
-        points = [0.05, 1.0, 3.0, 20.0]
-        one_by_one = [interpolant_time_change(a, b, s) for s in points]
-        per_call = len(calls) // len(points)
-        calls.clear()
-        together = interpolant_time_change(a, b, points)
-        assert together == one_by_one
-        assert all(type(theta) is float for theta in together)
-        # one monotonicity probe (513 points and the two ends) for the four
-        assert len(calls) == len(points) * per_call - (len(points) - 1) * 515
-        assert interpolant_time_change(a, b, np.array(points)) == one_by_one
-        assert interpolant_time_change(a, b, []) == []
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
-    def test_sequence_rejects_any_bad_precision(self, bad):
-        with pytest.raises(DomainError, match="precision clock"):
-            interpolant_time_change(lambda u: u, lambda u: 1.0 - u, [1.0, bad])
+        expected = abs(interpolant_time_change(a, b, 1.0) - 0.5)
+        assert records["interpolant:trig-symmetric-point"] == expected
 
 
 # --- forward simulators -------------------------------------------------------
