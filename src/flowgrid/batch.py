@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,9 +20,6 @@ class BatchMeta:
     target: str
     seed: int
     terminal_time: float
-
-    def amended(self, **changes) -> "BatchMeta":
-        return replace(self, **changes)
 
 
 @dataclass(frozen=True)
@@ -59,10 +56,6 @@ class SampleBatch:
             times.flags.writeable = False
             object.__setattr__(self, "trajectory", traj)
             object.__setattr__(self, "trajectory_times", times)
-
-    @property
-    def n_samples(self) -> int:
-        return self.data.shape[0]
 
     @property
     def dim(self) -> int:

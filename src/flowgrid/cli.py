@@ -17,6 +17,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import replace
 from functools import cache
+from pathlib import Path
 
 import numpy as np
 
@@ -38,8 +39,15 @@ def _global_flags(parser: argparse.ArgumentParser, *, suppress: bool) -> None:
     the flag actually appears after the subcommand (and then it wins).
     """
     default = (lambda value: argparse.SUPPRESS if suppress else value)
+
+    def seed(text: str) -> int:
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+        return value
+
     parser.add_argument(
-        "--seed", type=int, default=default(0), help="master seed (default 0)"
+        "--seed", type=seed, default=default(0), help="master seed (default 0)"
     )
     parser.add_argument(
         "--threads",
@@ -121,6 +129,9 @@ def _sink(args):
     """Output handle honoring --out; stdout stays open, files close."""
     if args.out is None:
         return nullcontext(sys.stdout)
+    directory = Path(args.out).parent
+    if not directory.is_dir():
+        raise FlowgridError(f"output directory {directory} does not exist")
     return open(args.out, "w", encoding="utf-8")
 
 

@@ -35,6 +35,7 @@ import time
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -84,6 +85,12 @@ class DeltaRule:
         return "min(1/N,1/d)" if self.fixed is None else f"fixed({self.fixed:g})"
 
 
+def _seed(seed: int) -> int:
+    if seed < 0:
+        raise DomainError(f"seeds must be non-negative, got {seed}")
+    return seed
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One grid-comparison sweep, fully determining its output."""
@@ -109,6 +116,8 @@ class ExperimentSpec:
         ):
             if len(values) == 0:
                 raise DomainError(f"{name} must be nonempty")
+        for seed in self.seeds:
+            _seed(seed)
         if any(d < 1 for d in self.dims):
             raise DomainError("dimensions must be positive")
         if not 1 <= self.intrinsic_dim <= min(self.dims):
@@ -437,159 +446,149 @@ def _fail(path: str, lineno: int, message: str) -> ParseError:
     return ParseError(f"{path}:{lineno}: {message}")
 
 
-def _parse_lines(path: str | Path) -> list[tuple[int, str, str | None]]:
-    """(lineno, key, value) triples; value None marks a bare block opener."""
+def _parse_lines(path: str) -> list[tuple[int, str, str | None]]:
+    """(lineno, key, value) triples; value None marks a bare ``component`` line."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: cannot read config file: {exc}") from exc
     entries: list[tuple[int, str, str | None]] = []
-    text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            if line == "component":
-                entries.append((lineno, "component", None))
-                continue
-            raise _fail(str(path), lineno, f"expected 'key = value', got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if not key:
-            raise _fail(str(path), lineno, "empty key")
-        entries.append((lineno, key, value))
+        if line == "component":
+            entries.append((lineno, line, None))
+        elif line:
+            key, sep, value = (part.strip() for part in line.partition("="))
+            if not sep:
+                raise _fail(path, lineno, f"expected 'key = value', got {line!r}")
+            if not key:
+                raise _fail(path, lineno, "empty key")
+            entries.append((lineno, key, value))
     return entries
 
 
-def _to_int(path: str, lineno: int, key: str, value: str) -> int:
+def _int(text: str) -> int:
     try:
-        return int(value)
+        return int(text)
     except ValueError:
-        raise _fail(path, lineno, f"key '{key}' needs an integer, got {value!r}") from None
+        raise ValueError(f"needs an integer, got {text!r}") from None
 
 
-def _to_float(path: str, lineno: int, key: str, value: str) -> float:
+def _float(text: str) -> float:
     try:
-        return float(value)
+        return float(text)
     except ValueError:
-        raise _fail(path, lineno, f"key '{key}' needs a number, got {value!r}") from None
+        raise ValueError(f"needs a number, got {text!r}") from None
 
 
-def _to_int_list(path: str, lineno: int, key: str, value: str) -> tuple[int, ...]:
-    return tuple(_to_int(path, lineno, key, part) for part in value.split(","))
+def _items(fn: Callable[[str], Any]) -> Callable[[str], tuple]:
+    """A converter for a comma-separated list, each item converted by ``fn``."""
+    return lambda text: tuple(fn(part.strip()) for part in text.split(","))
 
 
-def _to_float_list(path: str, lineno: int, key: str, value: str) -> tuple[float, ...]:
-    return tuple(_to_float(path, lineno, key, part) for part in value.split(","))
+def _kind(text: str) -> str:
+    if text not in ("experiment", "target"):
+        raise ValueError(f"kind must be experiment|target, got {text!r}")
+    return text
 
 
-def _to_str_list(value: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in value.split(","))
+def _convert(path: str, lineno: int, key: str, value: str, fn: Callable[[str], Any]):
+    """``fn(value)``, with a ValueError (a DomainError too) as a ParseError."""
+    try:
+        return fn(value)
+    except ValueError as exc:
+        raise _fail(path, lineno, f"key '{key}': {exc}") from exc
 
 
-_EXPERIMENT_KEYS = {
-    "kind",
-    "dims",
-    "intrinsic_dim",
-    "n_steps",
-    "samplers",
-    "grids",
-    "num_samples",
-    "seeds",
-    "rounds",
-    "delta",
-    "out",
+def _put(into: dict, path: str, lineno: int, key: str, value: str | None, fn) -> None:
+    """Store ``key``'s converted value and line; ``fn`` None marks an unknown key."""
+    if fn is None:
+        raise _fail(path, lineno, f"unknown key '{key}'")
+    if key in into:
+        raise _fail(path, lineno, f"duplicate key '{key}'")
+    into[key] = (lineno, _convert(path, lineno, key, value, fn))
+
+
+# config key -> (ExperimentSpec field, converter); ``kind`` picks the schema.
+_EXPERIMENT_KEYS: dict[str, tuple[str | None, Callable[[str], Any]]] = {
+    "kind": (None, _kind),
+    "dims": ("dims", _items(_int)),
+    "intrinsic_dim": ("intrinsic_dim", _int),
+    "n_steps": ("n_steps", _items(_int)),
+    "samplers": ("samplers", _items(str)),
+    "grids": ("grids", _items(lambda g: GRID_FLAGS[g].value if g in GRID_FLAGS else g)),
+    "num_samples": ("num_samples", _int),
+    "seeds": ("seeds", _items(lambda text: _seed(_int(text)))),
+    "rounds": ("rounds", _int),
+    "delta": ("delta_rule", lambda t: DeltaRule() if t == "auto" else DeltaRule(_float(t))),
+    "out": ("out", str),
 }
-_TARGET_KEYS = {"kind", "dim", "intrinsic_dim", "mean", "var", "component", "weight"}
+# A target's top-level keys, and the keys of its ``component`` blocks.
+_TARGET_KEYS = {
+    "kind": _kind,
+    "dim": _int,
+    "intrinsic_dim": _int,
+    "mean": _items(_float),
+    "var": _items(_float),
+}
+_COMPONENT_KEYS = {"weight": _float, "mean": _items(_float), "var": _items(_float)}
 
 
-def _broadcast(path, lineno, key, values: tuple[float, ...], dim: int) -> np.ndarray:
+def _broadcast(path: str, key: str, entry: tuple[int, tuple], dim: int) -> np.ndarray:
+    lineno, values = entry
     if len(values) == 1:
         return np.full(dim, values[0])
     if len(values) != dim:
-        raise _fail(
-            path, lineno, f"key '{key}' needs 1 or {dim} values, got {len(values)}"
-        )
+        raise _fail(path, lineno, f"key '{key}' needs 1 or {dim} values, got {len(values)}")
     return np.asarray(values)
 
 
 def _parse_target(path: str, entries) -> Target:
-    scalars: dict[str, tuple[int, str]] = {}
-    components: list[dict[str, tuple[int, str]]] = []
-    in_block = False
+    top: dict[str, tuple[int, Any]] = {}
+    blocks: list[dict[str, tuple[int, Any]]] = []
     for lineno, key, value in entries:
         if key == "component":
             if value is not None:
                 raise _fail(path, lineno, "'component' opens a block and takes no value")
-            components.append({})
-            in_block = True
-            continue
-        if key not in _TARGET_KEYS:
-            raise _fail(path, lineno, f"unknown key '{key}'")
-        if in_block and key in ("weight", "mean", "var"):
-            if key in components[-1]:
-                raise _fail(path, lineno, f"duplicate key '{key}' in component block")
-            components[-1][key] = (lineno, value)
-            continue
-        if key == "weight":
+            blocks.append({})
+        elif blocks and key in _COMPONENT_KEYS:
+            _put(blocks[-1], path, lineno, key, value, _COMPONENT_KEYS[key])
+        elif key == "weight":
             raise _fail(path, lineno, "'weight' is only valid inside a component block")
-        if key in scalars:
-            raise _fail(path, lineno, f"duplicate key '{key}'")
-        scalars[key] = (lineno, value)
+        else:
+            _put(top, path, lineno, key, value, _TARGET_KEYS.get(key))
 
-    if "dim" not in scalars:
+    if "dim" not in top:
         raise _fail(path, 1, "target config needs a 'dim' key")
-    dim_line, dim_raw = scalars["dim"]
-    dim = _to_int(path, dim_line, "dim", dim_raw)
+    dim_line, dim = top["dim"]
     if dim < 1:
         raise _fail(path, dim_line, f"dim must be positive, got {dim}")
-
-    if components:
-        for forbidden in ("mean", "var", "intrinsic_dim"):
-            if forbidden in scalars:
-                lineno = scalars[forbidden][0]
-                raise _fail(
-                    path, lineno, f"'{forbidden}' belongs inside component blocks here"
-                )
-        weights, means, variances = [], [], []
-        for block in components:
-            if "weight" not in block:
-                raise _fail(path, 1, "every component block needs a 'weight'")
-            w_line, w_raw = block["weight"]
-            weights.append(_to_float(path, w_line, "weight", w_raw))
-            m_line, m_raw = block.get("mean", (w_line, "0"))
-            means.append(
-                _broadcast(path, m_line, "mean", _to_float_list(path, m_line, "mean", m_raw), dim)
-            )
-            v_line, v_raw = block.get("var", (w_line, "1"))
-            variances.append(
-                _broadcast(path, v_line, "var", _to_float_list(path, v_line, "var", v_raw), dim)
-            )
-        try:
-            return Target(
-                weights=np.asarray(weights),
-                means=np.stack(means),
-                variances=np.stack(variances),
-            )
-        except DomainError as exc:
-            raise ParseError(f"{path}: invalid mixture: {exc}") from exc
-
-    mean_line, mean_raw = scalars.get("mean", (1, "0"))
-    mean_values = _to_float_list(path, mean_line, "mean", mean_raw)
-    var_line, var_raw = scalars.get("var", (1, "1"))
-    var_values = _to_float_list(path, var_line, "var", var_raw)
-    if "intrinsic_dim" in scalars:
-        k_line, k_raw = scalars["intrinsic_dim"]
-        k = _to_int(path, k_line, "intrinsic_dim", k_raw)
-        if len(mean_values) != 1 or len(var_values) != 1:
-            raise _fail(
-                path, k_line, "'intrinsic_dim' requires scalar 'mean' and 'var'"
-            )
+    if blocks:
+        for key in ("mean", "var", "intrinsic_dim"):
+            if key in top:
+                raise _fail(path, top[key][0], f"'{key}' belongs inside component blocks here")
+    elif "intrinsic_dim" in top:
+        k_line, k = top["intrinsic_dim"]
+        mean, var = top.get("mean", (1, (0.0,)))[1], top.get("var", (1, (1.0,)))[1]
+        if len(mean) != 1 or len(var) != 1:
+            raise _fail(path, k_line, "'intrinsic_dim' requires scalar 'mean' and 'var'")
         if not 1 <= k <= dim:
             raise _fail(path, k_line, f"intrinsic_dim must lie in [1, {dim}], got {k}")
-        return Target.low_rank(dim, k, mean_value=mean_values[0], var_value=var_values[0])
-    mean = _broadcast(path, mean_line, "mean", mean_values, dim)
-    var = _broadcast(path, var_line, "var", var_values, dim)
-    try:
-        return Target.gaussian(mean, var)
-    except DomainError as exc:
-        raise ParseError(f"{path}: invalid target: {exc}") from exc
+        return Target.low_rank(dim, k, mean_value=mean[0], var_value=var[0])
+    else:  # a single Gaussian is a one-component mixture
+        blocks = [{"weight": (1, 1.0), **top}]
+
+    means, variances = [], []
+    for block in blocks:
+        if "weight" not in block:
+            raise _fail(path, 1, "every component block needs a 'weight'")
+        means.append(_broadcast(path, "mean", block.get("mean", (1, (0.0,))), dim))
+        variances.append(_broadcast(path, "var", block.get("var", (1, (1.0,))), dim))
+    return Target(
+        weights=np.asarray([block["weight"][1] for block in blocks]),
+        means=np.stack(means),
+        variances=np.stack(variances),
+    )
 
 
 def parse_config(path: str | Path) -> ExperimentSpec | Target:
@@ -599,73 +598,31 @@ def parse_config(path: str | Path) -> ExperimentSpec | Target:
     it defaults to 'experiment', whose keys all carry defaults, so an empty
     file is the default sweep.  Mixture targets use bare ``component`` lines
     to open blocks of weight/mean/var keys; scalar ``mean``/``var`` values
-    broadcast across ``dim`` coordinates.  Unknown or duplicate keys, bad
-    numbers, and malformed lines raise :class:`~flowgrid.errors.ParseError`
-    naming the file, line, and key.
+    broadcast across ``dim`` coordinates.
+
+    A file that cannot be read, a malformed line, an unknown or repeated key
+    (``kind`` included), a bad number, an out-of-range ``delta`` and a
+    negative seed raise :class:`~flowgrid.errors.ParseError` naming the file,
+    line and key.  Lines are read in order and the first bad one is
+    reported; checks that span keys (a target without ``dim``, an
+    ``intrinsic_dim`` above ``min(dims)``) follow once every line is read.
     """
+    path = str(path)
     entries = _parse_lines(path)
-    path_str = str(path)
-    kind = "experiment"
+    if next((value for _, key, value in entries if key == "kind"), None) == "target":
+        try:
+            return _parse_target(path, entries)
+        except DomainError as exc:
+            raise ParseError(f"{path}: invalid mixture: {exc}") from exc
+    seen: dict[str, tuple[int, Any]] = {}
     for lineno, key, value in entries:
-        if key == "kind":
-            if value not in ("experiment", "target"):
-                raise _fail(path_str, lineno, f"kind must be experiment|target, got {value!r}")
-            kind = value
-            break
-    if kind == "target":
-        body = [e for e in entries if e[1] != "kind"]
-        return _parse_target(path_str, body)
-
-    seen: dict[str, tuple[int, str]] = {}
-    for lineno, key, value in entries:
-        if key == "kind":
-            continue
-        if key not in _EXPERIMENT_KEYS:
-            raise _fail(path_str, lineno, f"unknown key '{key}'")
-        if value is None:
-            raise _fail(path_str, lineno, f"key '{key}' needs a value")
-        if key in seen:
-            raise _fail(path_str, lineno, f"duplicate key '{key}'")
-        seen[key] = (lineno, value)
-
-    kwargs: dict = {}
-    if "dims" in seen:
-        kwargs["dims"] = _to_int_list(path_str, seen["dims"][0], "dims", seen["dims"][1])
-    if "intrinsic_dim" in seen:
-        kwargs["intrinsic_dim"] = _to_int(
-            path_str, seen["intrinsic_dim"][0], "intrinsic_dim", seen["intrinsic_dim"][1]
-        )
-    if "n_steps" in seen:
-        kwargs["n_steps"] = _to_int_list(
-            path_str, seen["n_steps"][0], "n_steps", seen["n_steps"][1]
-        )
-    if "samplers" in seen:
-        kwargs["samplers"] = _to_str_list(seen["samplers"][1])
-    if "grids" in seen:
-        kwargs["grids"] = tuple(
-            GRID_FLAGS[g].value if g in GRID_FLAGS else g
-            for g in _to_str_list(seen["grids"][1])
-        )
-    if "num_samples" in seen:
-        kwargs["num_samples"] = _to_int(
-            path_str, seen["num_samples"][0], "num_samples", seen["num_samples"][1]
-        )
-    if "seeds" in seen:
-        kwargs["seeds"] = _to_int_list(path_str, seen["seeds"][0], "seeds", seen["seeds"][1])
-    if "rounds" in seen:
-        kwargs["rounds"] = _to_int(path_str, seen["rounds"][0], "rounds", seen["rounds"][1])
-    if "delta" in seen:
-        lineno, raw = seen["delta"]
-        if raw == "auto":
-            kwargs["delta_rule"] = DeltaRule()
-        else:
-            value = _to_float(path_str, lineno, "delta", raw)
-            if not 0.0 < value < 0.5:
-                raise _fail(path_str, lineno, f"delta must lie in (0, 1/2), got {raw!r}")
-            kwargs["delta_rule"] = DeltaRule(fixed=value)
-    if "out" in seen:
-        kwargs["out"] = seen["out"][1]
+        _put(seen, path, lineno, key, value, _EXPERIMENT_KEYS.get(key, (None, None))[1])
+    kwargs = {
+        field: seen[key][1]
+        for key, (field, _) in _EXPERIMENT_KEYS.items()
+        if field is not None and key in seen
+    }
     try:
         return ExperimentSpec(**kwargs)
     except DomainError as exc:
-        raise ParseError(f"{path_str}: invalid experiment spec: {exc}") from exc
+        raise ParseError(f"{path}: invalid experiment spec: {exc}") from exc

@@ -33,7 +33,7 @@ which hold exactly for the closed forms and are enforced by tests.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -67,7 +67,6 @@ class Target:
     means: np.ndarray
     variances: np.ndarray
     intrinsic_dim: int | None = None
-    support_radius: float | None = None
 
     def __post_init__(self) -> None:
         w = np.atleast_1d(np.asarray(self.weights, dtype=np.float64))
@@ -419,7 +418,8 @@ def blur_samples(batch: SampleBatch, delta: float, seed: int) -> SampleBatch:
         return batch
     rng = substream(seed, INIT_NOISE)
     data = (1.0 - delta) * batch.data + delta * rng.standard_normal(batch.data.shape)
-    meta = batch.meta.amended(
+    meta = replace(
+        batch.meta,
         sampler=f"{batch.meta.sampler}+blur(delta={delta:.6g})",
         terminal_time=batch.meta.terminal_time * (1.0 - delta),
     )

@@ -229,6 +229,16 @@ class TestSampleCommand:
         assert "expected a target config" in err
 
 
+    def test_missing_target_file_exits_2(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.cfg")
+        code, _, err = run(
+            capsys, "sample", "--sampler", "rf", "--target", missing,
+            "--grid", "uniform", "--n-steps", "10",
+        )
+        assert code == 2
+        assert err.startswith("flowgrid: ") and f"{missing}: cannot read config file" in err
+
+
 class TestTvCommand:
     def make_samples(self, tmp_path, name, mean, n=400, seed=0):
         rng = np.random.default_rng(seed)
@@ -302,6 +312,25 @@ class TestCheckCommand:
         code, _, _ = run(capsys, "check", "--suite", "nonsense")
         assert code == 2
 
+    @pytest.mark.parametrize("after_subcommand", [False, True])
+    def test_negative_seed_is_a_usage_error(self, capsys, monkeypatch, after_subcommand):
+        import flowgrid.cli as cli
+
+        monkeypatch.setattr(cli, "run_suite", lambda name, seed=0: pytest.fail("suite ran"))
+        argv = ["check", "--suite", "grid", "--seed", "-1"]
+        code, out, err = run(capsys, *(argv if after_subcommand else argv[3:] + argv[:3]))
+        assert code == 2
+        assert out == ""
+        assert "argument --seed: must be non-negative, got -1" in err
+
+    def test_out_into_a_missing_directory_exits_2(self, capsys, tmp_path):
+        missing = tmp_path / "no" / "such"
+        code, out, err = run(capsys, "--out", str(missing / "grid.csv"), "check", "--suite", "grid")
+        assert code == 2
+        assert out == ""
+        assert f"flowgrid: output directory {missing} does not exist" in err
+        assert not missing.exists()
+
 
 class TestExperimentCommand:
     def test_runs_sweep_from_config(self, capsys, tmp_path):
@@ -355,6 +384,22 @@ class TestExperimentCommand:
         code, _, err = run(capsys, "experiment", "fig2", "--config", str(config))
         assert code == 2
         assert "unknown key 'wibble'" in err
+
+
+    def test_missing_config_file_exits_2(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.cfg")
+        code, _, err = run(capsys, "experiment", "fig2", "--config", missing)
+        assert code == 2
+        assert err.startswith("flowgrid: ") and f"{missing}: cannot read config file" in err
+
+    def test_negative_seed_in_config_exits_2_before_any_output(self, capsys, tmp_path):
+        config = tmp_path / "exp.cfg"
+        out_csv = tmp_path / "sweep.csv"
+        config.write_text(f"dims = 10\nseeds = 0, -1\nout = {out_csv}\n")
+        code, _, err = run(capsys, "experiment", "fig2", "--config", str(config))
+        assert code == 2
+        assert f"flowgrid: {config}:2: key 'seeds'" in err
+        assert not out_csv.exists()
 
 
 class TestUsageErrors:

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from flowgrid import (
     DeltaRule,
@@ -35,6 +37,29 @@ def _openblas_threads():
     from flowgrid.harness import _openblas_handles
 
     return [get() for get, _ in _openblas_handles()]
+
+
+@st.composite
+def valid_specs(draw):
+    """An ExperimentSpec drawn over every field, valid as constructed."""
+    dims = tuple(draw(st.lists(st.integers(1, 1000), min_size=1, max_size=4)))
+    delta = draw(st.none() | st.floats(1e-4, 0.1))
+    fields = dict(
+        dims=dims,
+        intrinsic_dim=draw(st.integers(1, min(dims))),
+        n_steps=tuple(draw(st.lists(st.integers(20, 200).map(lambda n: 2 * n), min_size=1, max_size=3))),
+        samplers=tuple(draw(st.lists(st.sampled_from(tuple(SAMPLERS)), min_size=1, unique=True))),
+        grids=tuple(draw(st.lists(st.sampled_from([k.value for k in GRIDS]), min_size=1, unique=True))),
+        num_samples=draw(st.integers(200, 5000)),
+        seeds=tuple(draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=5))),
+        rounds=draw(st.integers(1, 20)),
+        delta_rule=DeltaRule(delta),
+        out=draw(st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True)),
+    )
+    try:
+        return ExperimentSpec(**fields)
+    except DomainError:
+        assume(False)
 
 
 def tiny_spec(tmp_path, **overrides):
@@ -76,6 +101,7 @@ class TestSpecValidation:
             (dict(grids=("chebyshev",)), "unknown grids"),
             (dict(num_samples=150), "at least 200"),
             (dict(rounds=0), "at least one"),
+            (dict(seeds=(0, -1)), "seeds must be non-negative"),
         ],
     )
     def test_rejects_malformed_specs(self, overrides, match):
@@ -479,11 +505,38 @@ class TestParseConfig:
             ("kind = banana\n", "experiment|target"),
             ("delta = 0.9\n", r"delta must lie in \(0, 1/2\)"),
             ("dims = 4\nintrinsic_dim = 8\n", "invalid experiment spec"),
+            ("kind = experiment\nkind = target\ndim = 3\n", r"config.txt:2: duplicate key 'kind'"),
+            ("rounds = 3\ndelta = abc\n", r"config.txt:2: key 'delta': needs a number"),
+            ("dims = 10,,20\n", r"config.txt:1: key 'dims': needs an integer, got ''"),
+            ("dims = 10\nseeds = 0, -1\n", r"config.txt:2: key 'seeds': .*non-negative"),
         ],
     )
     def test_rejects_malformed_experiment_files(self, tmp_path, text, match):
         with pytest.raises(ParseError, match=match):
             parse_config(self.write(tmp_path, text))
+
+    @given(spec=valid_specs(), sep=st.sampled_from([",", ", ", " ,", " , "]))
+    @settings(max_examples=40, deadline=None)
+    def test_every_key_round_trips(self, tmp_path_factory, spec, sep):
+        def items(values):
+            return sep.join(map(str, values))
+
+        delta = spec.delta_rule.fixed
+        text = f"""
+            kind = experiment
+            dims = {items(spec.dims)}
+            intrinsic_dim = {spec.intrinsic_dim}
+            n_steps = {items(spec.n_steps)}
+            samplers = {items(spec.samplers)}
+            grids = {items(g.removesuffix("-induced") for g in spec.grids)}
+            num_samples = {spec.num_samples}
+            seeds = {items(spec.seeds)}
+            rounds = {spec.rounds}
+            delta = {"auto" if delta is None else repr(delta)}
+            out = {spec.out}
+        """
+        assert "ddpm-induced" not in text
+        assert parse_config(self.write(tmp_path_factory.mktemp("cfg"), text)) == spec
 
     def test_single_gaussian_target_with_broadcast(self, tmp_path):
         target = parse_config(
