@@ -38,8 +38,6 @@ from .localization import (
     EquivalenceReport,
     ForwardPath,
     ProcessKind,
-    TimeChange,
-    TimeChangeKind,
     check_marginal_equivalence,
     covariance_ode_residual,
     ddpm_time_from_sl,
@@ -128,8 +126,6 @@ __all__ = [
     "EquivalenceReport",
     "ForwardPath",
     "ProcessKind",
-    "TimeChange",
-    "TimeChangeKind",
     "check_marginal_equivalence",
     "covariance_ode_residual",
     "ddpm_time_from_sl",

@@ -6,8 +6,8 @@ against each other, ``check`` runs a named diagnostic suite, and
 ``experiment fig2`` runs the grid-comparison sweep from a config file.
 
 Exit codes: 0 on success, 1 when a check suite reports a failure, 2 for
-usage errors and malformed configs.  Tabular output goes to ``--out`` when
-given, stdout otherwise.
+usage errors, malformed configs and an ``--out`` that cannot be opened.
+Tabular output goes to ``--out`` when given, stdout otherwise.
 """
 
 from __future__ import annotations
@@ -17,16 +17,20 @@ import sys
 from contextlib import nullcontext
 from dataclasses import replace
 from functools import cache
-from pathlib import Path
 
 import numpy as np
 
 from .checks import SUITES, run_suite
 from .errors import FlowgridError, ParseError
-from .harness import ExperimentSpec, parse_config, run_fig2_experiment
+from .harness import (
+    ExperimentSpec,
+    _check_out_directory,
+    parse_config,
+    run_fig2_experiment,
+)
 from .metrics import estimate_tv
 from .samplers import SAMPLERS, run_sampler
-from .schedules import GRID_FLAGS, GRIDS, GridKind, default_delta
+from .schedules import GRID_FLAGS, GRIDS, default_delta
 from .targets import ExactOracle, Target
 
 __all__ = ["main", "build_parser"]
@@ -74,9 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     schedule = commands.add_parser(
         "schedule", help="print a time grid as CSV", parents=[shared]
     )
-    schedule.add_argument(
-        "--kind", choices=tuple(kind.value for kind in GRIDS), required=True
-    )
+    schedule.add_argument("--kind", choices=tuple(GRID_FLAGS), required=True)
     schedule.add_argument("--n-steps", type=int, required=True)
     schedule.add_argument(
         "--delta", type=float, default=None, help="terminal gap (ushaped; default 1/N)"
@@ -88,8 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     sample = commands.add_parser("sample", help="draw samples from one sampler", parents=[shared])
     sample.add_argument("--sampler", choices=tuple(SAMPLERS), required=True)
     sample.add_argument("--target", required=True, help="target config file")
-    # ``sample --grid`` takes the short spellings; ``schedule --kind`` the
-    # kind names themselves.
     sample.add_argument("--grid", choices=tuple(GRID_FLAGS), required=True)
     sample.add_argument("--n-steps", type=int, required=True)
     sample.add_argument("--delta", type=float, default=None)
@@ -126,18 +126,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _sink(args):
-    """Output handle honoring --out; stdout stays open, files close."""
+    """Output handle honoring --out; stdout stays open, files close.
+
+    Commands open it before their costly step, so an ``--out`` that cannot
+    be opened fails before any sampling, probing or checking.
+    """
     if args.out is None:
         return nullcontext(sys.stdout)
-    directory = Path(args.out).parent
-    if not directory.is_dir():
-        raise FlowgridError(f"output directory {directory} does not exist")
+    _check_out_directory(args.out)
     return open(args.out, "w", encoding="utf-8")
 
 
 def _cmd_schedule(args) -> int:
     delta = args.delta if args.delta is not None else default_delta(args.n_steps)
-    grid = GRIDS[GridKind(args.kind)].build(args.n_steps, delta, args.c0, args.c1).grid
+    grid = GRIDS[GRID_FLAGS[args.kind]].build(args.n_steps, delta, args.c0, args.c1).grid
     times = grid.times
     with _sink(args) as sink:
         sink.write("index,t,eta\n")
@@ -158,13 +160,12 @@ def _cmd_sample(args) -> int:
     target = _load_target(args.target)
     delta = args.delta if args.delta is not None else default_delta(args.n_steps, target.dim)
     built = GRIDS[GRID_FLAGS[args.grid]].build(args.n_steps, delta, args.c0, args.c1)
-    batch = run_sampler(
-        args.sampler, ExactOracle(target), built, args.num_samples, args.seed,
-        record_trajectories=args.record_trajectories,
-    )
-
     coords = ",".join(f"x{j}" for j in range(target.dim))
     with _sink(args) as sink:
+        batch = run_sampler(
+            args.sampler, ExactOracle(target), built, args.num_samples, args.seed,
+            record_trajectories=args.record_trajectories,
+        )
         if not args.record_trajectories:
             sink.write(coords + "\n")
             for row in batch.data:
@@ -191,17 +192,17 @@ def _read_samples(path: str) -> np.ndarray:
 def _cmd_tv(args) -> int:
     a = _read_samples(args.a)
     b = _read_samples(args.b)
-    estimate = estimate_tv(a, b, rounds=args.rounds, seed=args.seed)
     with _sink(args) as sink:
+        estimate = estimate_tv(a, b, rounds=args.rounds, seed=args.seed)
         sink.write("tv,std_error,rounds\n")
         sink.write(f"{estimate.value!r},{estimate.std_error!r},{estimate.rounds}\n")
     return 0
 
 
 def _cmd_check(args) -> int:
-    records = run_suite(args.suite, seed=args.seed)
-    failures = sum(not record.passed for record in records)
     with _sink(args) as sink:
+        records = run_suite(args.suite, seed=args.seed)
+        failures = sum(not record.passed for record in records)
         sink.write("name,observed,tolerance,status\n")
         for record in records:
             status = "pass" if record.passed else "fail"
@@ -243,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except FlowgridError as exc:
+    except (FlowgridError, OSError) as exc:
         print(f"flowgrid: {exc}", file=sys.stderr)
         return 2
 

@@ -355,6 +355,14 @@ def _git_blob_sha1(data: bytes) -> str:
     return hashlib.sha1(b"blob %d\x00" % len(data) + data).hexdigest()
 
 
+def _check_out_directory(path: str | Path) -> None:
+    """Raise a DomainError unless the directory an output file goes in exists."""
+    directory = Path(path).parent
+    if not directory.is_dir():
+        problem = "is not a directory" if directory.exists() else "does not exist"
+        raise DomainError(f"output directory {directory} {problem}")
+
+
 def run_fig2_experiment(
     spec: ExperimentSpec,
     *,
@@ -377,8 +385,7 @@ def run_fig2_experiment(
     if threads < 1:
         raise DomainError(f"threads must be at least 1; got {threads}")
     out_path = Path(spec.out)
-    if out_path.parent and not out_path.parent.exists():
-        raise DomainError(f"output directory {out_path.parent} does not exist")
+    _check_out_directory(out_path)
 
     cells = list(_cells(spec))
     rows: list[ResultRow] = []

@@ -360,7 +360,10 @@ GRIDS: dict[GridKind, GridEntry] = {
 }
 
 GRID_FLAGS: dict[str, GridKind] = {
-    kind.value.removesuffix("-induced"): kind for kind in GRIDS
+    spelling: kind
+    for kind in GRIDS
+    for spelling in (kind.value, kind.value.removesuffix("-induced"))
 }
-"""The short grid spellings, ``ddpm`` for the DDPM-induced kind: the choices
-of ``flowgrid sample --grid``, also accepted by a config's ``grids`` key."""
+"""Every accepted grid spelling, the kind names plus ``ddpm`` for the
+DDPM-induced kind: the choices of ``flowgrid schedule --kind`` and
+``flowgrid sample --grid``, also accepted by a config's ``grids`` key."""

@@ -1,5 +1,6 @@
 """CLI tests: every subcommand exercised in process through ``main(argv)``."""
 
+import builtins
 import os
 import subprocess
 import sys
@@ -55,6 +56,12 @@ class TestScheduleCommand:
         times = [float(line.split(",")[1]) for line in out.splitlines()[1:]]
         assert times[0] > 0.0
         assert times == sorted(times)
+
+    def test_both_ddpm_spellings_print_the_same_grid(self, capsys):
+        argv = ("schedule", "--n-steps", "50", "--kind")
+        code, short, _ = run(capsys, *argv, "ddpm")
+        assert code == 0
+        assert short == run(capsys, *argv, "ddpm-induced")[1]
 
     def test_writes_to_out_file(self, capsys, tmp_path):
         out_file = tmp_path / "grid.csv"
@@ -144,6 +151,16 @@ class TestSampleCommand:
         assert first == second
         _, other, _ = run(capsys, "--seed", "10", *argv[2:])
         assert other != first
+
+    def test_both_ddpm_spellings_draw_the_same_samples(self, capsys, tmp_path):
+        target = write_target(tmp_path)
+        argv = (
+            "sample", "--sampler", "ddpm", "--target", target,
+            "--n-steps", "30", "--num-samples", "20", "--grid",
+        )
+        code, short, _ = run(capsys, *argv, "ddpm")
+        assert code == 0
+        assert short == run(capsys, *argv, "ddpm-induced")[1]
 
     def test_trajectories_add_step_and_time_columns(self, capsys, tmp_path):
         target = write_target(tmp_path, "kind = target\ndim = 2\nmean = 1\nvar = 1\n")
@@ -330,6 +347,72 @@ class TestCheckCommand:
         assert out == ""
         assert f"flowgrid: output directory {missing} does not exist" in err
         assert not missing.exists()
+
+
+class TestOutFailures:
+    """Any ``--out`` that cannot be opened exits 2 before the command's work."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        import flowgrid.cli as cli
+        import flowgrid.harness as harness
+
+        def refuse(*args, **kwargs):
+            pytest.fail("work ran before --out was opened")
+
+        for module, name in ((cli, "run_sampler"), (cli, "run_suite"), (harness, "run_sampler")):
+            monkeypatch.setattr(module, name, refuse)
+
+    @pytest.fixture
+    def commands(self, tmp_path):
+        target = write_target(tmp_path)
+        return {
+            "sample": [
+                "sample", "--sampler", "rf", "--target", target,
+                "--grid", "uniform", "--n-steps", "10", "--num-samples", "20",
+            ],
+            "check": ["check", "--suite", "grid"],
+            "experiment": ["experiment", "fig2"],
+        }
+
+    @pytest.mark.parametrize("command", ["sample", "check", "experiment"])
+    @pytest.mark.parametrize(
+        "case", ["missing-directory", "directory", "under-a-file", "permission-denied"]
+    )
+    def test_exits_2_with_a_message(
+        self, capsys, monkeypatch, tmp_path, no_work, commands, command, case
+    ):
+        (tmp_path / "plain.txt").write_text("")
+        out = {
+            "missing-directory": tmp_path / "no" / "such" / "rows.csv",
+            "directory": tmp_path,
+            "under-a-file": tmp_path / "plain.txt" / "rows.csv",
+            "permission-denied": tmp_path / "rows.csv",
+        }[case]
+        if case == "permission-denied":
+            # file modes do not stop a superuser, so the refusal is simulated
+            real_open = builtins.open
+
+            def guarded(file, mode="r", *args, **kwargs):
+                if "w" in mode and os.fspath(file) == str(out):
+                    raise PermissionError(13, "Permission denied", str(file))
+                return real_open(file, mode, *args, **kwargs)
+
+            monkeypatch.setattr(builtins, "open", guarded)
+        code, stdout, err = run(capsys, "--out", str(out), *commands[command])
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("flowgrid: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "no").exists()
+
+    def test_a_file_as_output_directory_is_named(self, capsys, tmp_path):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("")
+        code, _, err = run(capsys, "--out", str(plain / "grid.csv"), "check", "--suite", "grid")
+        assert code == 2
+        assert err == f"flowgrid: output directory {plain} is not a directory\n"
+        assert plain.read_text() == ""
 
 
 class TestExperimentCommand:

@@ -435,6 +435,17 @@ class TestRunExperiment:
         with pytest.raises(DomainError, match="does not exist"):
             run_fig2_experiment(missing)
 
+    def test_output_under_a_regular_file_fails_before_any_cell(self, tmp_path, monkeypatch):
+        import flowgrid.harness as harness
+
+        monkeypatch.setattr(harness, "_run_cell", lambda *a: pytest.fail("a cell ran"))
+        plain = tmp_path / "plain.txt"
+        plain.write_text("")
+        spec = tiny_spec(tmp_path, out=str(plain / "rows.csv"))
+        with pytest.raises(DomainError, match="is not a directory"):
+            run_fig2_experiment(spec)
+        assert plain.read_text() == ""
+
 
 class TestParseConfig:
     def write(self, tmp_path, text):

@@ -22,8 +22,6 @@ from flowgrid.localization import (
     EquivalenceReport,
     ForwardPath,
     ProcessKind,
-    TimeChange,
-    TimeChangeKind,
     _accumulated_rate,
     _moment_stats,
     check_marginal_equivalence,
@@ -190,22 +188,18 @@ class TestClockMaps:
         with pytest.raises(DomainError):
             sl_time_from_ddpm(0.0)
 
-    def test_time_change_wrapper_inverts(self):
-        cases = {
-            TimeChangeKind.SL_TO_RF: np.geomspace(1e-6, 1e6, 25),
-            TimeChangeKind.RF_TO_SL: np.linspace(0.01, 0.99, 25),
-            TimeChangeKind.SL_TO_DDPM_OU: np.geomspace(1e-6, 1e6, 25),
-            TimeChangeKind.DDPM_TO_RF: np.linspace(0.01, 0.99, 25),
-        }
-        for kind, points in cases.items():
-            change = TimeChange(kind)
-            back = change.inverse(change.forward(points))
-            np.testing.assert_allclose(back, points, rtol=1e-12)
-
-    def test_time_change_wrapper_carries_beta(self):
-        change = TimeChange(TimeChangeKind.SL_TO_DDPM_OU, beta=lambda u: 2.0)
-        assert change.forward(1.0) == pytest.approx(0.25 * math.log(2.0), rel=1e-10)
-        assert change.inverse(change.forward(0.3)) == pytest.approx(0.3, rel=1e-10)
+    @pytest.mark.parametrize(
+        "forward, inverse, points",
+        [
+            (rf_time_from_sl, sl_time_from_rf, np.geomspace(1e-6, 1e6, 25)),
+            (sl_time_from_rf, rf_time_from_sl, np.linspace(0.01, 0.99, 25)),
+            (ddpm_time_from_sl, sl_time_from_ddpm, np.geomspace(1e-6, 1e6, 25)),
+            (rf_time_from_ddpm, mix_weight_from_rf_time, np.linspace(0.01, 0.99, 25)),
+        ],
+        ids=["sl-to-rf", "rf-to-sl", "sl-to-ddpm-ou", "ddpm-to-rf"],
+    )
+    def test_maps_round_trip(self, forward, inverse, points):
+        np.testing.assert_allclose(inverse(forward(points)), points, rtol=1e-12)
 
 
 class TestInterpolantTimeChange:
