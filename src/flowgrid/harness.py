@@ -23,8 +23,10 @@ gradient steps are a dozen small numpy calls each), which threads of one
 process would serialize on the interpreter lock.  Workers are forked where
 the platform allows, so a script without a ``__main__`` guard can run a
 parallel sweep, and they see the module as it stands at the fork.  A
-sweep starts no more workers than it has cells, and each worker lowers its
-OpenBLAS thread count to its share of the cores.
+sweep starts no more workers than it has cells, and each worker counts only
+its share of the cores: it lowers its OpenBLAS thread count to that share,
+and sizes its step-noise draw threads (:class:`~flowgrid.rng.StepNoise`) by
+it.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 
 from .errors import DomainError, ParseError
 from .metrics import estimate_tv
-from .rng import _usable_cores, child_seed
+from .rng import _share_cores, _usable_cores, child_seed
 from .samplers import SAMPLERS, run_sampler
 from .schedules import GRID_FLAGS, GRIDS, GridKind, default_delta
 from .targets import ExactOracle, Target, blur_samples, sample_target
@@ -302,6 +304,13 @@ def _limit_blas_threads(limit: int) -> None:
         set_(max(1, min(get(), limit)))
 
 
+def _enter_worker(cores: int) -> None:
+    """Give a sweep worker process ``cores`` cores: they cap its BLAS threads
+    and are all it counts when sizing its step-noise draws."""
+    _limit_blas_threads(cores)
+    _share_cores(cores)
+
+
 def _worker_pool(workers: int):
     """A process pool, forked where the platform can fork.
 
@@ -312,9 +321,10 @@ def _worker_pool(workers: int):
     caller should not start a parallel sweep while its other threads may
     hold locks.  A forking pool starts all its workers at once, so the
     caller sizes it to the work.  Each worker gets an equal share of the
-    cores for its BLAS threads; where no OpenBLAS can be found to cap, a
-    warning says so once.  The process machinery is imported here so that
-    importing the package does not pay for it.
+    cores for its BLAS threads and its step-noise draw threads; where no
+    OpenBLAS can be found to cap, a warning says so once.  The process
+    machinery is imported here so that importing the package does not pay
+    for it.
     """
     import multiprocessing
     import warnings
@@ -331,7 +341,7 @@ def _worker_pool(workers: int):
     return ProcessPoolExecutor(
         workers,
         mp_context=multiprocessing.get_context(method),
-        initializer=_limit_blas_threads,
+        initializer=_enter_worker,
         initargs=(_usable_cores() // workers,),
     )
 

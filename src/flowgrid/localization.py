@@ -40,7 +40,7 @@ from scipy.special import roots_hermitenorm
 from .checks import CheckRecord
 from .errors import DomainError, NonFiniteState, NoRootError
 from .metrics import _moment_stats
-from .rng import INIT_NOISE, StepNoise, _free_cores, child_seed, substream
+from .rng import INIT_NOISE, StepNoise, _thread_budget, child_seed, substream
 from .schedules import time_from_mix_weight
 from .targets import Target, posterior_moments, sample_target
 
@@ -453,8 +453,7 @@ def check_marginal_equivalence(
         states = simulate_forward(kind, target, [point], n, job_seed).states[0]
         return _moment_stats(states / factor)
 
-    # The caller only waits on the pool, so its own core counts as free.
-    workers = max(1, min(len(jobs), _free_cores() + 1))
+    workers = _thread_budget(len(jobs))
     pool = ThreadPoolExecutor(workers, thread_name_prefix="flowgrid-equivalence")
     try:
         moments = list(pool.map(rescaled_moments, jobs))

@@ -38,10 +38,10 @@ tests compare against.
 Noise addressing: the initial state comes from the ``(seed, INIT_NOISE)``
 substream and step i consumes one (n, d) block from ``(seed, STEP_NOISE, i)``,
 row j belonging to trajectory j.  The stochastic samplers read their blocks
-from a :class:`~flowgrid.rng.StepNoise`, which draws block i+1 on a worker
-thread while step i computes (when blocks are large enough and a core is
-free); a block depends only on its address, so the values are the same as
-drawing it inline.  A block is valid only until the next block is read, so each step
+from a :class:`~flowgrid.rng.StepNoise`, which keeps blocks i+1 .. i+3 queued
+for worker threads while step i computes (when blocks are large enough and a
+core is free, one thread per free core); a block depends only on its
+address, so the values are the same as drawing it inline.  A block is valid only until the next block is read, so each step
 consumes its block before asking for the next.  Samplers never share or
 mutate state across trajectories, so results are independent of any
 parallel execution order.

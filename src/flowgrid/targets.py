@@ -239,7 +239,8 @@ def velocity(target: Target, t: float, x) -> np.ndarray:
     a, b, _, _ = affine_field(target, t)
     x, squeezed = _as_batch(x, target.dim)
     if target.n_components == 1:
-        out = a[0] * x + b[0]
+        out = np.multiply(a[0], x)
+        out += b[0]
     else:
         resp = np.exp(_log_responsibilities(target, float(t), x))  # (n, m)
         fields = a[None, :, :] * x[:, None, :] + b[None, :, :]  # (n, m, d)
@@ -260,10 +261,12 @@ def score(target: Target, t: float, x) -> np.ndarray:
     t = _check_time(t)
     x, squeezed = _as_batch(x, target.dim)
     d_scale = _marginal_scale(target, t)
-    grads = -(x[:, None, :] - t * target.means[None, :, :]) / d_scale  # (n, m, d)
-    if target.n_components == 1:
-        out = grads[:, 0, :]
+    if target.n_components == 1:  # -(x - t·μ)/scale, in one array
+        out = np.subtract(x, t * target.means[0])
+        np.negative(out, out=out)
+        out /= d_scale[0]
     else:
+        grads = -(x[:, None, :] - t * target.means[None, :, :]) / d_scale  # (n, m, d)
         resp = np.exp(_log_responsibilities(target, t, x))
         out = np.sum(resp[:, :, None] * grads, axis=1)
     return out[0] if squeezed else out

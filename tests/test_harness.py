@@ -401,6 +401,37 @@ class TestRunExperiment:
         assert all(count <= max(1, _usable_cores() // 2) for count in counts)
         assert _openblas_threads() == before  # the caller's own pool is left alone
 
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the workers must inherit the patched affinity mask",
+    )
+    @pytest.mark.parametrize("cores, width", [(2, 0), (4, 2), (8, 3)])
+    def test_workers_size_their_step_noise_by_their_core_share(
+        self, tmp_path, monkeypatch, cores, width
+    ):
+        import flowgrid.harness as harness
+        import flowgrid.rng as rng
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        real = harness._run_cell
+        log = tmp_path / "cores.log"
+
+        def logged(*args):
+            with rng.StepNoise(0, (4096, 4), 5) as noise:
+                threads = [t for t in threading.enumerate() if t.name.startswith("flowgrid-step-noise")]
+                for i in range(5):
+                    noise.block(i)
+            with open(log, "a", encoding="utf-8") as sink:
+                sink.write(f"{rng._usable_cores()} {len(threads)}\n")
+            return real(*args)
+
+        monkeypatch.setattr(harness, "_run_cell", logged)
+        run_fig2_experiment(tiny_spec(tmp_path, seeds=(0, 1, 2, 3)), threads=2)
+        lines = log.read_text().splitlines()
+        assert len(lines) == 4
+        assert set(lines) == {f"{cores // 2} {width}"}
+        assert rng._usable_cores() == cores  # the caller keeps its whole mask
+
     def test_script_without_main_guard_runs_a_worker_sweep(self, tmp_path):
         script = tmp_path / "sweep.py"
         script.write_text(

@@ -495,12 +495,9 @@ _WORKER_N = 4096  # with d >= 4, blocks of at least 2**14 values: drawn on the w
 
 @pytest.fixture
 def step_draw_threads(monkeypatch):
-    """Worker blocks by the size rule alone; yields the threads drawing step noise."""
-    monkeypatch.setattr(
-        flowgrid.rng,
-        "_prefetch_pays",
-        lambda values: values >= flowgrid.rng._PREFETCH_MIN_VALUES,
-    )
+    """Worker blocks by the size rule alone, free cores being plenty; yields
+    the threads drawing step noise."""
+    monkeypatch.setattr(flowgrid.rng, "_free_cores", lambda: 64)
     real = flowgrid.rng.substream
     threads = []
 
@@ -570,7 +567,7 @@ def forward_calls(monkeypatch):
 
 
 def _set_free_cores(monkeypatch, free):
-    monkeypatch.setattr(flowgrid.localization, "_free_cores", lambda: free)
+    monkeypatch.setattr(flowgrid.rng, "_free_cores", lambda: free)
 
 
 class TestEquivalencePool:

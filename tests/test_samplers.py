@@ -518,13 +518,13 @@ class TestDdpmSample:
 
 
 # ---------------------------------------------------------------------------
-# step noise drawn ahead on a worker thread
+# step noise drawn ahead on worker threads
 #
 # The reference loops below draw each step's block inline, as the samplers
 # did before their blocks came from a StepNoise; the samplers must match
-# them bit for bit.  Blocks of 2**14 values or more go through the worker
-# thread (here whatever the core count), smaller ones are drawn on the
-# caller's thread: tests cover both.
+# them bit for bit.  Blocks of 2**14 values or more go to draw threads when
+# a core is free, smaller ones are drawn on the caller's thread: tests cover
+# both, on this machine's cores and on a patched core count.
 
 
 def _reference_stoc_rf(oracle, grid, n, seed):
@@ -675,22 +675,40 @@ _D5_MIXTURE = Target(
 _WORKER_N = 4096  # with d = 4, a 2**14-value block: drawn on the worker
 
 
-class TestStepNoisePrefetch:
-    @pytest.fixture(autouse=True)
-    def _worker_on_any_core_count(self, monkeypatch):
-        monkeypatch.setattr(
-            flowgrid.rng,
-            "_prefetch_pays",
-            lambda values: values >= flowgrid.rng._PREFETCH_MIN_VALUES,
-        )
+def _set_cores(monkeypatch, cores):
+    """Give the process ``cores`` cores with only the caller's thread on them:
+    the affinity mask grows by the threads already live."""
+    mask = set(range(cores + threading.active_count() - 1))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: mask, raising=False)
 
+
+def _draw_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("flowgrid-step-noise")]
+
+
+@pytest.fixture
+def blocks_ahead(monkeypatch):
+    """Sets a StepNoise to keep ``w`` blocks in flight (at most ``steps``) on
+    one draw thread per free core of ``cores``, but no more than ``w``."""
+
+    def set_ahead(w, cores=64):
+        _set_cores(monkeypatch, cores)
+        monkeypatch.setattr(flowgrid.rng, "_BLOCKS_AHEAD", w)
+
+    return set_ahead
+
+
+class TestStepNoisePrefetch:
+    @pytest.mark.parametrize("cores", ["this-machine", "64"])
     @pytest.mark.parametrize(
         "target, n",
         [(_D1, 37), (_D1, 20000), (_D5_MIXTURE, 3500)],
         ids=["d1-caller", "d1-worker", "d5-mixture-worker"],
     )
     @pytest.mark.parametrize("name", STOCHASTIC)
-    def test_bitwise_equal_to_inline_draws(self, name, target, n):
+    def test_bitwise_equal_to_inline_draws(self, name, target, n, cores, monkeypatch):
+        if cores != "this-machine":
+            _set_cores(monkeypatch, int(cores))
         oracle = ExactOracle(target)
         seed = 11
         if name == "stoc-rf":
@@ -706,32 +724,85 @@ class TestStepNoisePrefetch:
         assert np.array_equal(batch.trajectory, frames)
 
     @pytest.mark.parametrize(
-        "shape, workers", [((6, 3), 0), ((_WORKER_N, 4), 1)], ids=["caller", "worker"]
+        "shape, ahead, cores, threads",
+        [
+            ((6, 3), 3, 64, 0),
+            ((_WORKER_N, 4), 1, 64, 1),
+            ((_WORKER_N, 4), 2, 64, 2),
+            ((_WORKER_N, 4), 3, 64, 3),
+            ((_WORKER_N, 4), 3, 2, 2),
+        ],
+        ids=["caller", "w1", "w2", "w3", "w3-on-two-threads"],
     )
-    def test_blocks_match_inline_draws_and_are_read_in_order(self, shape, workers):
+    def test_blocks_match_inline_draws_and_are_read_in_order(
+        self, shape, ahead, cores, threads, blocks_ahead
+    ):
+        blocks_ahead(ahead, cores)
         before = threading.active_count()
-        with StepNoise(5, shape, 3) as noise:
-            assert threading.active_count() == before + workers
+        with StepNoise(5, shape, 7) as noise:
+            assert threading.active_count() == before + threads
             with pytest.raises(ValueError, match="block 1"):
                 noise.block(1)
-            for i in range(3):
+            for i in range(7):
                 expected = substream(5, STEP_NOISE, i).standard_normal(shape)
                 assert np.array_equal(noise.block(i), expected)
-            with pytest.raises(ValueError, match="block 3"):
-                noise.block(3)
-        assert _live_threads_settle(before) == before
+            with pytest.raises(ValueError, match="block 7"):
+                noise.block(7)
+        assert threading.active_count() == before
 
-    def test_worker_needs_a_large_block_and_a_free_core(self, monkeypatch):
-        monkeypatch.undo()
-        pays = flowgrid.rng._prefetch_pays
+    @pytest.mark.parametrize(
+        "ahead, cores", [(1, 64), (2, 64), (3, 64), (3, 2)],
+        ids=["w1", "w2", "w3", "w3-on-two-threads"],
+    )
+    def test_held_block_survives_every_draw_in_flight(self, ahead, cores, blocks_ahead):
+        blocks_ahead(ahead, cores)
+        with StepNoise(5, (_WORKER_N, 4), 9) as noise:
+            for i in range(9):
+                block = noise.block(i)
+                kept = block.copy()
+                for pending in list(noise._pending):
+                    pending.result(timeout=60)
+                assert np.array_equal(block, kept), f"block {i} overwritten"
+
+    @pytest.mark.parametrize(
+        "cores, steps, threads",
+        [(1, 7, 0), (2, 7, 2), (64, 7, 3), (64, 2, 2), (64, 1, 1)],
+        ids=["1-core", "2-cores", "64-cores", "64-cores-2-steps", "64-cores-1-step"],
+    )
+    def test_one_draw_thread_per_free_core_up_to_three(self, cores, steps, threads, monkeypatch):
+        _set_cores(monkeypatch, cores)
+        before = threading.active_count()
+        with StepNoise(5, (_WORKER_N, 4), steps) as noise:
+            assert len(_draw_threads()) == threads
+            assert threading.active_count() == before + threads
+            for i in range(steps):
+                noise.block(i)
+        assert _draw_threads() == []
+
+    def test_threads_need_a_large_block(self, monkeypatch):
         big = flowgrid.rng._PREFETCH_MIN_VALUES
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-        assert pays(big)
-        assert not pays(big - 1)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert not pays(big)
+        assert flowgrid.rng._prefetch_pays(big)
+        assert not flowgrid.rng._prefetch_pays(big - 1)
+        _set_cores(monkeypatch, 64)
+        with StepNoise(5, (big // 4 - 1, 4), 5):
+            assert _draw_threads() == []
 
-    def test_no_steps_starts_no_thread(self):
+    def test_live_threads_take_the_free_cores(self, monkeypatch):
+        _set_cores(monkeypatch, 3)  # two free cores, then none once two threads live
+        release = threading.Event()
+        busy = [threading.Thread(target=release.wait) for _ in range(2)]
+        for thread in busy:
+            thread.start()
+        try:
+            with StepNoise(5, (_WORKER_N, 4), 5):
+                assert _draw_threads() == []
+        finally:
+            release.set()
+            for thread in busy:
+                thread.join()
+
+    def test_no_steps_starts_no_thread(self, blocks_ahead):
+        blocks_ahead(3)
         before = threading.active_count()
         with StepNoise(5, (_WORKER_N, 4), 0) as noise:
             assert threading.active_count() == before
@@ -739,14 +810,17 @@ class TestStepNoisePrefetch:
                 noise.block(0)
 
     @pytest.mark.parametrize("name", STOCHASTIC)
-    def test_nonfinite_state_stops_the_worker(self, name):
+    def test_nonfinite_state_stops_the_worker(self, name, blocks_ahead):
+        blocks_ahead(3)
         before = threading.active_count()
         with pytest.raises(NonFiniteState):
             _run_stochastic(name, _InfAtCall(4, k=5), _WORKER_N, 0)
-        assert _live_threads_settle(before) == before
+        assert threading.active_count() == before
+        assert _draw_threads() == []
 
     @pytest.mark.parametrize("name", STOCHASTIC)
-    def test_failed_draw_raises_from_the_sampler(self, name, monkeypatch):
+    def test_failed_draw_raises_from_the_sampler(self, name, monkeypatch, blocks_ahead):
+        blocks_ahead(3)
         real = flowgrid.rng.substream
 
         def failing(seed, *path):
@@ -759,18 +833,40 @@ class TestStepNoisePrefetch:
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="draw failed"):
             _run_stochastic(name, oracle, _WORKER_N, 0)
-        assert _live_threads_settle(before) == before
+        assert threading.active_count() == before
+        assert _draw_threads() == []
 
-    def test_unread_failed_draw_raises_on_exit(self, monkeypatch):
+    @pytest.mark.parametrize("read", [0, 2], ids=["none-read", "two-read"])
+    def test_unread_failed_draw_raises_on_exit(self, read, monkeypatch, blocks_ahead):
+        blocks_ahead(3)
+        real = flowgrid.rng.substream
+
+        def failing(seed, *path):
+            if path == (STEP_NOISE, 2):
+                raise RuntimeError("draw failed")
+            return real(seed, *path)
+
+        monkeypatch.setattr(flowgrid.rng, "substream", failing)
+        with pytest.raises(RuntimeError, match="draw failed"):
+            with StepNoise(0, (_WORKER_N, 4), 5) as noise:
+                for i in range(read):
+                    noise.block(i)
+        assert _draw_threads() == []
+
+    def test_failure_in_the_caller_wins_over_a_failed_draw(self, monkeypatch, blocks_ahead):
+        blocks_ahead(3)
+
         def failing(seed, *path):
             raise RuntimeError("draw failed")
 
         monkeypatch.setattr(flowgrid.rng, "substream", failing)
-        with pytest.raises(RuntimeError, match="draw failed"):
-            with StepNoise(0, (_WORKER_N, 4), 2):
-                pass
+        with pytest.raises(KeyError):
+            with StepNoise(0, (_WORKER_N, 4), 5):
+                raise KeyError("caller")
+        assert _draw_threads() == []
 
-    def test_concurrent_calls_match_serial_runs(self):
+    def test_concurrent_calls_match_serial_runs(self, blocks_ahead):
+        blocks_ahead(3)
         oracle = ExactOracle(Target.low_rank(4, 3))
         jobs = [("stoc-rf", 0), ("ddpm", 1), ("stoc-rf", 2), ("ddpm-final", 3)]
         serial = [_run_stochastic(name, oracle, _WORKER_N, seed) for name, seed in jobs]

@@ -273,6 +273,51 @@ class TestScore:
         np.testing.assert_allclose(score(tgt, 0.0, x), -x, rtol=1e-13)
 
 
+# The single-Gaussian fields build their output in one array; they must hold
+# the broadcast forms bit for bit and never hand back the caller's states.
+_ONE_GAUSSIAN = Target.gaussian([1.5, -2.0, 0.0, 3.0], [0.7, 0.0, 2.0, 0.0])
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestSingleComponentFields:
+    @pytest.mark.parametrize("t", [0.0, 0.5, 1.0 - 1e-12])
+    @pytest.mark.parametrize("shape", [(60, 4), (4,)], ids=["batch", "1-d"])
+    def test_score_is_the_broadcast_form_bit_for_bit(self, t, shape):
+        target = _ONE_GAUSSIAN
+        x = np.random.default_rng(3).normal(0.0, 2.0, shape)
+        kept = x.copy()
+        batch = np.atleast_2d(x)
+        scale = t * t * target.variances + (1.0 - t) ** 2
+        want = -(batch[:, None, :] - t * target.means[None, :, :]) / scale
+        got = score(target, t, x)
+        assert got.shape == x.shape
+        assert _bits(got) == _bits(want[:, 0, :].reshape(shape))
+        assert not np.shares_memory(got, x)
+        assert _bits(x) == _bits(kept)
+
+    @pytest.mark.parametrize("t", [0.0, 0.5, 1.0 - 1e-12])
+    @pytest.mark.parametrize("shape", [(60, 4), (4,)], ids=["batch", "1-d"])
+    def test_velocity_is_the_broadcast_form_bit_for_bit(self, t, shape):
+        target = _ONE_GAUSSIAN
+        x = np.random.default_rng(4).normal(0.0, 2.0, shape)
+        kept = x.copy()
+        a, b, _, _ = affine_field(target, t)
+        want = a * np.atleast_2d(x) + b
+        got = velocity(target, t, x)
+        assert got.shape == x.shape
+        assert _bits(got) == _bits(want.reshape(shape))
+        assert not np.shares_memory(got, x)
+        assert _bits(x) == _bits(kept)
+
+    def test_zero_variance_coordinates_stay_finite_near_one(self):
+        x = np.random.default_rng(5).normal(0.0, 2.0, (8, 4))
+        for field in (score, velocity):
+            assert np.all(np.isfinite(field(_ONE_GAUSSIAN, 1.0 - 1e-12, x)))
+
+
 class TestExchangeIdentities:
     @given(
         seed=st.integers(0, 10_000),
