@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .schedules import _freeze
 
 __all__ = ["BatchMeta", "SampleBatch"]
 
@@ -37,23 +38,20 @@ class SampleBatch:
     trajectory_times: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        data = np.asarray(self.data, dtype=np.float64)
+        data = _freeze(self.data)
         if data.ndim != 2:
             raise DomainError(f"batch data must be 2-D (n, d), got shape {data.shape}")
-        data.flags.writeable = False
         object.__setattr__(self, "data", data)
         if (self.trajectory is None) != (self.trajectory_times is None):
             raise DomainError("trajectory and trajectory_times come together")
         if self.trajectory is not None:
-            traj = np.asarray(self.trajectory, dtype=np.float64)
-            times = np.asarray(self.trajectory_times, dtype=np.float64)
+            traj = _freeze(self.trajectory)
+            times = _freeze(self.trajectory_times)
             if traj.shape != (times.size, *data.shape):
                 raise DomainError(
                     f"trajectory shape {traj.shape} does not match "
                     f"{(times.size, *data.shape)}"
                 )
-            traj.flags.writeable = False
-            times.flags.writeable = False
             object.__setattr__(self, "trajectory", traj)
             object.__setattr__(self, "trajectory_times", times)
 

@@ -40,7 +40,9 @@ def _global_flags(parser: argparse.ArgumentParser, *, suppress: bool) -> None:
     """The three cross-cutting flags, valid before or after the subcommand.
 
     Subparsers get SUPPRESS defaults so they only touch the namespace when
-    the flag actually appears after the subcommand (and then it wins).
+    the flag actually appears after the subcommand (and then it wins).  An
+    absent ``--seed`` reads None: ``experiment`` refuses any other value, and
+    :func:`main` makes it 0 for the other subcommands.
     """
     default = (lambda value: argparse.SUPPRESS if suppress else value)
 
@@ -51,7 +53,7 @@ def _global_flags(parser: argparse.ArgumentParser, *, suppress: bool) -> None:
         return value
 
     parser.add_argument(
-        "--seed", type=seed, default=default(0), help="master seed (default 0)"
+        "--seed", type=seed, default=default(None), help="master seed (default 0)"
     )
     parser.add_argument(
         "--threads",
@@ -214,6 +216,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    if args.seed is not None:
+        raise ParseError(
+            "experiment fig2 takes its seeds from the config's 'seeds' key, not --seed"
+        )
     if args.config is not None:
         spec = parse_config(args.config)
         if not isinstance(spec, ExperimentSpec):
@@ -242,6 +248,8 @@ def main(argv: list[str] | None = None) -> int:
         args = _shared_parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed the usage message
         return int(exc.code or 0)
+    if args.seed is None and args.command != "experiment":
+        args.seed = 0
     try:
         return args.handler(args)
     except (FlowgridError, OSError) as exc:

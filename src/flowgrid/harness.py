@@ -118,6 +118,9 @@ class ExperimentSpec:
         ):
             if len(values) == 0:
                 raise DomainError(f"{name} must be nonempty")
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise DomainError(f"{name} repeats {repeated[0]!r}")
         for seed in self.seeds:
             _seed(seed)
         if any(d < 1 for d in self.dims):

@@ -41,7 +41,7 @@ from .checks import CheckRecord
 from .errors import DomainError, NonFiniteState, NoRootError
 from .metrics import _moment_stats
 from .rng import INIT_NOISE, StepNoise, _thread_budget, child_seed, substream
-from .schedules import time_from_mix_weight
+from .schedules import _freeze, _knots, time_from_mix_weight
 from .targets import Target, posterior_moments, sample_target
 
 __all__ = [
@@ -270,21 +270,12 @@ class ForwardPath:
     states: np.ndarray
 
     def __post_init__(self) -> None:
-        times = np.ascontiguousarray(self.times, dtype=np.float64)
-        states = np.ascontiguousarray(self.states, dtype=np.float64)
+        times = _freeze(self.times)
+        states = _freeze(self.states)
         if states.ndim != 3 or states.shape[0] != times.size:
             raise DomainError("states must be (len(times), n, d)")
-        times.setflags(write=False)
-        states.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
-
-
-def _strictly_increasing(clock: np.ndarray, what: str) -> None:
-    if clock.ndim != 1 or clock.size == 0:
-        raise DomainError(f"{what} must be a non-empty 1-D array")
-    if clock.size > 1 and not np.all(np.diff(clock) > 0.0):
-        raise DomainError(f"{what} must be strictly increasing")
 
 
 def _brownian_at(clocks: np.ndarray, noise: StepNoise, out: np.ndarray) -> None:
@@ -327,10 +318,7 @@ def simulate_forward(
     drew it.
     """
     kind = ProcessKind(kind)
-    clock = np.asarray(clock, dtype=np.float64)
-    _strictly_increasing(clock, "clock points")
-    if not np.all(np.isfinite(clock)):
-        raise DomainError("clock points must be finite")
+    clock = _knots(clock, "clock points")
     if n < 1:
         raise DomainError("need at least one sample")
 
@@ -354,9 +342,8 @@ def simulate_forward(
         else:
             accumulated = np.array([_accumulated_rate(beta, float(v)) for v in clock])
         omega = np.exp(-2.0 * accumulated)
-        brownian_clock = (1.0 - omega) / omega
-        _strictly_increasing(
-            brownian_clock, "accumulated noise clock (check the beta profile)"
+        brownian_clock = _knots(
+            (1.0 - omega) / omega, "accumulated noise clock (check the beta profile)"
         )
         scale = np.sqrt(omega)
     else:  # pragma: no cover - enum is closed
@@ -494,10 +481,7 @@ def check_marginal_equivalence(
 @lru_cache(maxsize=8)
 def _hermite_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     nodes, weights = roots_hermitenorm(n_nodes)
-    weights = weights / math.sqrt(2.0 * math.pi)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+    return _freeze(nodes), _freeze(weights / math.sqrt(2.0 * math.pi))
 
 
 def expected_posterior_variance_moments(

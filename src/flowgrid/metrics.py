@@ -93,8 +93,9 @@ def estimate_tv(
     on the held-out half.  Rounds use independent substreams of ``seed``,
     so the estimate is reproducible and rounds could run in any order.
 
-    Raises :class:`~flowgrid.errors.DomainError` when dimensions differ or
-    either batch has fewer than 200 samples.
+    Raises :class:`~flowgrid.errors.DomainError` when dimensions differ,
+    either batch has fewer than 200 samples, or a value is NaN, infinite or
+    outside float32's finite range (the probe computes in float32).
     """
     xa = _batch_data(batch_a, "batch_a")
     xb = _batch_data(batch_b, "batch_b")
@@ -109,6 +110,11 @@ def estimate_tv(
         )
     if rounds < 1:
         raise DomainError("need at least one round")
+    # One min and one max per batch, no temporary: NaN fails both comparisons.
+    top = np.finfo(np.float32).max
+    for who, x in (("batch_a", xa), ("batch_b", xb)):
+        if x.size and not (x.min() >= -top and x.max() <= top):
+            raise DomainError(f"{who} holds a NaN, an inf or a value beyond float32's range")
 
     pooled = np.concatenate([xa, xb]).astype(np.float32)
     labels = np.concatenate(

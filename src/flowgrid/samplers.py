@@ -23,17 +23,18 @@ final step explicitly:
   weight γ_t = (1-t)/t and matching noise; ``gamma_scale=0`` switches the
   channel off and reproduces :func:`rf_euler` bit for bit.
 
-:data:`SAMPLERS` is the one table of them (function, push-forward kind, grid
-needs) and :func:`run_sampler` dispatches through it.  ``rf_euler``,
-``ddim_rf``'s default form and ``langevin_rf`` share one drift-plus-noise
-Euler step loop; the whitened recursion, the chain and the push-forward keep
-their own, because comparing them with it is the check.
+:data:`SAMPLERS` is the one table of them (function and grid needs) and
+:func:`run_sampler` dispatches through it.  ``rf_euler``, ``ddim_rf``'s
+default form and ``langevin_rf`` share one drift-plus-noise Euler step loop;
+the whitened recursion, the chain and the push-forward keep their own,
+because comparing them with it is the check.
 
 For single-Gaussian targets every one of these updates is affine in the
 state, so mean and per-coordinate variance propagate in closed form;
-:func:`gaussian_pushforward` does that propagation, with the coefficients of
-:func:`~flowgrid.targets.affine_field`, and is the reference the Monte-Carlo
-tests compare against.
+:func:`gaussian_pushforward` does that propagation in one loop, in sample
+coordinates, with one affine step per sampler built from the coefficients
+of :func:`~flowgrid.targets.affine_field`, and is the reference the
+Monte-Carlo tests compare against.
 
 Noise addressing: the initial state comes from the ``(seed, INIT_NOISE)``
 substream and step i consumes one (n, d) block from ``(seed, STEP_NOISE, i)``,
@@ -41,10 +42,10 @@ row j belonging to trajectory j.  The stochastic samplers read their blocks
 from a :class:`~flowgrid.rng.StepNoise`, which keeps blocks i+1 .. i+3 queued
 for worker threads while step i computes (when blocks are large enough and a
 core is free, one thread per free core); a block depends only on its
-address, so the values are the same as drawing it inline.  A block is valid only until the next block is read, so each step
-consumes its block before asking for the next.  Samplers never share or
-mutate state across trajectories, so results are independent of any
-parallel execution order.
+address, so the values are the same as drawing it inline.  A block is valid
+only until the next block is read, so each step consumes its block before
+asking for the next.  Samplers never share or mutate state across
+trajectories, so results are independent of any parallel execution order.
 """
 
 from __future__ import annotations
@@ -62,6 +63,8 @@ from .schedules import (
     DdpmSchedule,
     GridKind,
     TimeGrid,
+    _freeze,
+    _knots,
     build_ddpm_schedule,
     ddpm_induced_rf_grid,
     time_from_mix_weight,
@@ -126,9 +129,7 @@ class StocRfCoefficients:
 
     def __post_init__(self) -> None:
         for name in ("times", "sigma2", "r2", "eta", "psi"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
 
     @property
     def n_steps(self) -> int:
@@ -136,18 +137,14 @@ class StocRfCoefficients:
 
 
 def _positive_knots(times, *, who: str) -> np.ndarray:
-    times = np.asarray(times, dtype=np.float64)
-    if times.ndim != 1 or times.size < 2:
-        raise DomainError(f"{who} needs at least two time knots")
-    if not np.all(np.isfinite(times)):
-        raise DomainError(f"{who} received non-finite times")
+    times = _knots(times, f"the times of {who}", at_least=2)
     if times[0] <= 0.0:
         raise DomainError(
             f"{who} is undefined at t = 0 (zero signal fraction); start the "
             "grid strictly inside (0, 1) — e.g. a DDPM-induced grid"
         )
-    if times[-1] > 1.0 or not np.all(np.diff(times) > 0.0):
-        raise DomainError(f"{who} needs strictly increasing times within (0, 1]")
+    if times[-1] > 1.0:
+        raise DomainError(f"{who} needs times within (0, 1]")
     return times
 
 
@@ -208,13 +205,9 @@ def _integration_times(grid, final_step: bool) -> tuple[np.ndarray, str]:
     """Resolve a TimeGrid or raw array into the knots a sampler visits."""
     if isinstance(grid, TimeGrid):
         return grid.integration_times(final_step=final_step), grid.describe()
-    times = np.asarray(grid, dtype=np.float64)
-    if times.ndim != 1 or times.size < 1:
-        raise DomainError("a sampling grid needs a 1-D array of times")
-    if not np.all(np.isfinite(times)):
-        raise DomainError("sampling times must be finite")
-    if times[0] < 0.0 or times[-1] > 1.0 or not np.all(np.diff(times) > 0.0):
-        raise DomainError("sampling times must increase strictly within [0, 1]")
+    times = _knots(grid, "sampling times")
+    if times[0] < 0.0 or times[-1] > 1.0:
+        raise DomainError("sampling times must lie in [0, 1]")
     if final_step and times[-1] < 1.0:
         times = np.append(times, 1.0)
     return times, f"custom({times.size} knots)"
@@ -608,9 +601,7 @@ class PushforwardPath:
 
     def __post_init__(self) -> None:
         for name in ("times", "mean", "var_diag"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
 
     def terminal(self) -> tuple[np.ndarray, np.ndarray]:
         return self.mean[-1], self.var_diag[-1]
@@ -619,21 +610,19 @@ class PushforwardPath:
 @dataclass(frozen=True)
 class SamplerEntry:
     """One row of :data:`SAMPLERS`: the sampler function's name in this
-    module, the recursion :func:`gaussian_pushforward` propagates for it
-    (``"flow"`` or ``"whitened"``), and what its grid must provide, in the
-    terms of :class:`~flowgrid.schedules.GridEntry`."""
+    module and what its grid must provide, in the terms of
+    :class:`~flowgrid.schedules.GridEntry`."""
 
     function: str
-    pushforward: str
     needs: frozenset[str] = frozenset()
 
 
 SAMPLERS: dict[str, SamplerEntry] = {
-    "rf": SamplerEntry("rf_euler", "flow"),
-    "ddim-rf": SamplerEntry("ddim_rf", "flow", frozenset({"t0>0"})),
-    "stoc-rf": SamplerEntry("stoc_rf", "whitened", frozenset({"t0>0"})),
-    "ddpm": SamplerEntry("ddpm_sample", "whitened", frozenset({"schedule"})),
-    "langevin": SamplerEntry("langevin_rf", "flow", frozenset({"t0>0"})),
+    "rf": SamplerEntry("rf_euler"),
+    "ddim-rf": SamplerEntry("ddim_rf", frozenset({"t0>0"})),
+    "stoc-rf": SamplerEntry("stoc_rf", frozenset({"t0>0"})),
+    "ddpm": SamplerEntry("ddpm_sample", frozenset({"schedule"})),
+    "langevin": SamplerEntry("langevin_rf", frozenset({"t0>0"})),
 }
 
 
@@ -674,16 +663,23 @@ def gaussian_pushforward(
 
     On such targets the velocity and score are affine in the state, so every
     sampler update is an affine map plus (for the stochastic ones) Gaussian
-    noise; mean and per-coordinate variance then evolve in closed form.  The
-    returned path holds the moments at every visited knot, in sample
-    coordinates.
+    noise.  One loop moves mean and per-coordinate variance by
 
-    ``init_mean``/``init_var`` override the initial law (default standard
-    normal) *in the sampler's own state coordinates*: sample coordinates for
-    ``rf``/``ddim-rf``/``langevin``, whitened coordinates for ``stoc-rf`` and
-    ``ddpm``.  Passing the empirical moments of a concrete initial draw makes
-    the deterministic kinds track that finite ensemble exactly, which is how
-    the sampler/oracle agreement tests use this.
+        m ← lin·m + off,      v ← lin²·v + noise,
+
+    each sampler's (lin, off, noise) built from the field's coefficients
+    (a, b, p, q) of :func:`~flowgrid.targets.affine_field` and the sampler's
+    coefficient arrays.  ``stoc-rf`` and ``ddpm`` take their whitened update
+    in sample coordinates, y ← (t_{i+1}/t_i)·(y + η_iσ_i²·s(t_i, y) +
+    σ_i√ψ_i·ξ).  The returned path holds the moments at every visited knot.
+
+    ``init_mean``/``init_var`` override the initial law, in sample
+    coordinates for every sampler.  The default is each sampler's own start:
+    N(0, I) for ``rf``/``ddim-rf``/``langevin`` and N(0, σ_{t_0}²·I) for
+    ``stoc-rf``/``ddpm``, whose whitened state starts at N(0, I).  Passing
+    the empirical moments of a concrete initial draw makes the deterministic
+    kinds track that finite ensemble exactly, which is how the
+    sampler/oracle agreement tests use this.
 
     ``sampler="ddpm"`` expects the schedule's induced grid (the chain and
     the whitened flow recursion are the same affine map there, coefficient
@@ -699,40 +695,20 @@ def gaussian_pushforward(
         raise DomainError(
             "the affine push-forward exists only for single-Gaussian targets"
         )
-    entry = _sampler_entry(sampler)
+    _sampler_entry(sampler)
     times, _ = _integration_times(grid, final_step)
-    d = target.dim
-    m = np.zeros(d) if init_mean is None else np.broadcast_to(
-        np.asarray(init_mean, dtype=np.float64), (d,)
-    ).copy()
-    var = np.ones(d) if init_var is None else np.broadcast_to(
-        np.asarray(init_var, dtype=np.float64), (d,)
-    ).copy()
+    _check_start(sampler, times)
+    whitened = sampler in ("stoc-rf", "ddpm")
+    if whitened:
+        coeffs = stoc_rf_coefficients(times)  # validates t_0 > 0
+    start_var = coeffs.sigma2[0] if whitened else 1.0
+    m = np.full(target.dim, 0.0 if init_mean is None else init_mean, dtype=np.float64)
+    var = np.full(target.dim, start_var if init_var is None else init_var, dtype=np.float64)
     if np.any(var < 0.0) or not np.all(np.isfinite(var)) or not np.all(np.isfinite(m)):
         raise DomainError("initial moments must be finite with var >= 0")
 
-    if entry.pushforward == "whitened":
-        coeffs = stoc_rf_coefficients(times)  # validates t_0 > 0
-        sigma2 = coeffs.sigma2
-        sigma = np.sqrt(sigma2)
-        growth = (times[1:] * sigma[:-1]) / (times[:-1] * sigma[1:])
-        means = [sigma[0] * m]
-        vars_ = [sigma2[0] * var]
-        for i in range(times.size - 1):
-            _, _, p, q = (c[0] for c in affine_field(target, float(times[i])))
-            lin = growth[i] * (1.0 + coeffs.eta[i] * sigma2[i] * p)
-            off = growth[i] * coeffs.eta[i] * sigma[i] * q
-            m = lin * m + off
-            var = lin * lin * var + growth[i] ** 2 * coeffs.psi[i]
-            means.append(sigma[i + 1] * m)
-            vars_.append(sigma2[i + 1] * var)
-        return PushforwardPath(
-            times=times, mean=np.stack(means), var_diag=np.stack(vars_)
-        )
-
-    _check_start(sampler, times)
-    means = [m.copy()]
-    vars_ = [var.copy()]
+    means = [m]
+    vars_ = [var]
     for i in range(times.size - 1):
         t_i = float(times[i])
         step = float(times[i + 1]) - t_i
@@ -744,11 +720,16 @@ def gaussian_pushforward(
             weight = (1.0 - t_i) / t_i
             lin = 1.0 + step / t_i + step * weight * p
             off = step * weight * q
-        else:  # langevin
+        elif sampler == "langevin":
             gamma = gamma_scale * (1.0 - t_i) / t_i
             lin = 1.0 + step * (a + gamma * p)
             off = step * (b + gamma * q)
             noise = 2.0 * step * gamma
+        else:  # stoc-rf and ddpm
+            grow = float(times[i + 1]) / t_i
+            drift = coeffs.eta[i] * coeffs.sigma2[i]
+            lin, off = grow * (1.0 + drift * p), grow * drift * q
+            noise = grow * grow * coeffs.sigma2[i] * coeffs.psi[i]
         m = lin * m + off
         var = lin * lin * var + noise
         means.append(m)

@@ -55,10 +55,24 @@ class GridKind(str, enum.Enum):
         return self.value
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    a.flags.writeable = False
-    return a
+def _freeze(a) -> np.ndarray:
+    """A read-only, C-contiguous float64 view of ``a`` (copied only if ``a`` is
+    not one already); the caller's own array stays writeable."""
+    view = np.ascontiguousarray(a, dtype=np.float64).view()
+    view.flags.writeable = False
+    return view
+
+
+def _knots(times, what: str, *, at_least: int = 1) -> np.ndarray:
+    """``times`` frozen, once it is a 1-D run of at least ``at_least`` finite,
+    strictly increasing knots; ``what`` names it in the :class:`DomainError`
+    raised otherwise.  Each caller checks its own range."""
+    t = _freeze(times)
+    if t.ndim != 1 or t.size < at_least:
+        raise DomainError(f"{what} must be a 1-D array of {at_least} or more knots")
+    if not (np.all(np.isfinite(t)) and np.all(np.diff(t) > 0.0)):
+        raise DomainError(f"{what} must be finite and strictly increasing")
+    return t
 
 
 @dataclass(frozen=True)
@@ -83,16 +97,10 @@ class TimeGrid:
     growth: float | None = None
 
     def __post_init__(self) -> None:
-        t = _freeze(np.asarray(self.times))
+        t = _knots(self.times, "grid times", at_least=2)
         object.__setattr__(self, "times", t)
-        if t.ndim != 1 or t.size < 2:
-            raise DomainError("a time grid needs at least two knots")
-        if not np.all(np.isfinite(t)):
-            raise DomainError("grid times must be finite")
         if t[0] < 0.0 or t[-1] > 1.0:
             raise DomainError("grid times must lie in [0, 1]")
-        if not np.all(np.diff(t) > 0.0):
-            raise DomainError("grid times must be strictly increasing")
         if self.kind is not GridKind.DDPM_INDUCED:
             if t[0] != 0.0 or t[-1] != 1.0:
                 raise DomainError(

@@ -41,6 +41,7 @@ import numpy as np
 from .batch import BatchMeta, SampleBatch
 from .errors import DomainError
 from .rng import INIT_NOISE, substream
+from .schedules import _freeze
 
 __all__ = [
     "Target",
@@ -92,9 +93,7 @@ class Target:
         ):
             raise DomainError("intrinsic_dim must lie in [0, dim]")
         for name, arr in (("weights", w), ("means", mu), ("variances", var)):
-            arr = np.ascontiguousarray(arr)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _freeze(arr))
 
     @property
     def dim(self) -> int:

@@ -4,6 +4,7 @@ import builtins
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,6 +293,17 @@ class TestTvCommand:
         assert code == 2
         assert "flowgrid:" in err
 
+    def test_a_nan_sample_exits_2(self, capsys, tmp_path):
+        # one NaN among 300 rows used to read as a small TV and exit 0
+        a = self.make_samples(tmp_path, "a.csv", 0.0, n=300, seed=1)
+        b = self.make_samples(tmp_path, "b.csv", 0.5, n=300, seed=2)
+        lines = Path(b).read_text().splitlines()
+        lines[150] = "nan," + lines[150].split(",", 1)[1]
+        Path(b).write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "tv", "--a", a, "--b", b)
+        assert (code, out) == (2, "")
+        assert err.startswith("flowgrid: ") and "batch_b holds a NaN" in err
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "tv", "--a", "/no/such.csv", "--b", "/no/such.csv")
         assert code == 2
@@ -474,6 +486,26 @@ class TestExperimentCommand:
         code, _, err = run(capsys, "experiment", "fig2", "--config", missing)
         assert code == 2
         assert err.startswith("flowgrid: ") and f"{missing}: cannot read config file" in err
+
+    @pytest.mark.parametrize("after_subcommand", [False, True])
+    def test_seed_flag_exits_2_before_any_cell(self, capsys, monkeypatch, after_subcommand):
+        import flowgrid.cli as cli
+
+        monkeypatch.setattr(cli, "run_fig2_experiment", lambda *a, **k: pytest.fail("sweep ran"))
+        command = ["experiment", "fig2"]
+        argv = command + ["--seed", "7"] if after_subcommand else ["--seed", "7"] + command
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("flowgrid: ") and "'seeds' key" in err
+
+    def test_repeated_dims_exit_2_before_any_output(self, capsys, tmp_path):
+        config = tmp_path / "exp.cfg"
+        out_csv = tmp_path / "sweep.csv"
+        config.write_text(f"dims = 10, 10\ngrids = ushaped, ushaped\nout = {out_csv}\n")
+        code, _, err = run(capsys, "experiment", "fig2", "--config", str(config))
+        assert code == 2
+        assert err.startswith(f"flowgrid: {config}: invalid experiment spec: dims repeats 10")
+        assert not out_csv.exists()
 
     def test_negative_seed_in_config_exits_2_before_any_output(self, capsys, tmp_path):
         config = tmp_path / "exp.cfg"

@@ -42,16 +42,16 @@ def _openblas_threads():
 @st.composite
 def valid_specs(draw):
     """An ExperimentSpec drawn over every field, valid as constructed."""
-    dims = tuple(draw(st.lists(st.integers(1, 1000), min_size=1, max_size=4)))
+    dims = tuple(draw(st.lists(st.integers(1, 1000), min_size=1, unique=True, max_size=4)))
     delta = draw(st.none() | st.floats(1e-4, 0.1))
     fields = dict(
         dims=dims,
         intrinsic_dim=draw(st.integers(1, min(dims))),
-        n_steps=tuple(draw(st.lists(st.integers(20, 200).map(lambda n: 2 * n), min_size=1, max_size=3))),
+        n_steps=tuple(draw(st.lists(st.integers(20, 200).map(lambda n: 2 * n), min_size=1, unique=True, max_size=3))),
         samplers=tuple(draw(st.lists(st.sampled_from(tuple(SAMPLERS)), min_size=1, unique=True))),
         grids=tuple(draw(st.lists(st.sampled_from([k.value for k in GRIDS]), min_size=1, unique=True))),
         num_samples=draw(st.integers(200, 5000)),
-        seeds=tuple(draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=5))),
+        seeds=tuple(draw(st.lists(st.integers(0, 2**32), min_size=1, unique=True, max_size=5))),
         rounds=draw(st.integers(1, 20)),
         delta_rule=DeltaRule(delta),
         out=draw(st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True)),
@@ -102,6 +102,12 @@ class TestSpecValidation:
             (dict(num_samples=150), "at least 200"),
             (dict(rounds=0), "at least one"),
             (dict(seeds=(0, -1)), "seeds must be non-negative"),
+            # a repeat would score the same cells twice under one manifest key
+            (dict(dims=(10, 50, 10)), "dims repeats 10"),
+            (dict(n_steps=(100, 100)), "n_steps repeats 100"),
+            (dict(samplers=("rf", "rf")), "samplers repeats 'rf'"),
+            (dict(grids=("ushaped", "uniform", "ushaped")), "grids repeats 'ushaped'"),
+            (dict(seeds=(3, 3)), "seeds repeats 3"),
         ],
     )
     def test_rejects_malformed_specs(self, overrides, match):
@@ -551,6 +557,8 @@ class TestParseConfig:
             ("rounds = 3\ndelta = abc\n", r"config.txt:2: key 'delta': needs a number"),
             ("dims = 10,,20\n", r"config.txt:1: key 'dims': needs an integer, got ''"),
             ("dims = 10\nseeds = 0, -1\n", r"config.txt:2: key 'seeds': .*non-negative"),
+            ("grids = ddpm, ddpm-induced\n", "grids repeats 'ddpm-induced'"),
+            ("dims = 10, 10\ngrids = ushaped, ushaped\n", "dims repeats 10"),
         ],
     )
     def test_rejects_malformed_experiment_files(self, tmp_path, text, match):

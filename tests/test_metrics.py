@@ -167,6 +167,17 @@ class TestEstimateTv:
         with pytest.raises(DomainError, match="round"):
             estimate_tv(a, gaussian_rows(1, 1, 300, d=2), rounds=0, seed=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39, -1e39])
+    @pytest.mark.parametrize("which", ["batch_a", "batch_b"])
+    def test_rejects_values_float32_cannot_hold(self, bad, which):
+        batches = {
+            "batch_a": gaussian_rows(1, 0, 300, d=2),
+            "batch_b": gaussian_rows(1, 1, 300, d=2),
+        }
+        batches[which][17, 1] = bad
+        with pytest.raises(DomainError, match=f"{which} holds a NaN"):
+            estimate_tv(batches["batch_a"], batches["batch_b"], rounds=2, seed=0)
+
     def test_estimate_record_validation(self):
         with pytest.raises(DomainError):
             TvEstimate(value=1.2, std_error=0.0, rounds=1, per_round=(1.2,))

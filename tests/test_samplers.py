@@ -7,6 +7,7 @@ distributional claims are checked against the closed-form push-forward with
 4-standard-error Monte-Carlo bands.
 """
 
+import dataclasses
 import functools
 import math
 import os
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowgrid.rng
+from flowgrid.batch import BatchMeta, SampleBatch
 from flowgrid.errors import DomainError, NonFiniteState
 from flowgrid.rng import INIT_NOISE, STEP_NOISE, StepNoise, substream
 from flowgrid.samplers import (
@@ -39,7 +41,9 @@ from flowgrid.samplers import (
 )
 from flowgrid.schedules import (
     GRIDS,
+    DdpmSchedule,
     GridKind,
+    TimeGrid,
     build_ddpm_schedule,
     build_uniform_grid,
     build_ushaped_grid,
@@ -1081,6 +1085,79 @@ class TestGaussianPushforward:
         path = gaussian_pushforward(gauss, build_uniform_grid(4), "rf", init_mean=2.0, init_var=0.5)
         np.testing.assert_allclose(path.mean[0], 2.0)
         np.testing.assert_allclose(path.var_diag[0], 0.5)
+
+    @pytest.mark.parametrize("sampler", ["stoc-rf", "ddpm"])
+    def test_whitened_kinds_start_in_sample_coordinates(self, sampler):
+        # the whitened state starts at N(0, I), so the sample-coordinate
+        # default is N(0, σ_{t_0}²·I); naming that start changes nothing
+        target = Target.gaussian(np.array([1.0, -2.0, 0.5]), np.array([1.0, 0.3, 0.0]))
+        grid = induced_grid(60)
+        default = gaussian_pushforward(target, grid, sampler)
+        sigma2_start = interpolation_scale2(grid.times[0])
+        named = gaussian_pushforward(target, grid, sampler, init_mean=0.0, init_var=sigma2_start)
+        np.testing.assert_array_equal(named.mean, default.mean)
+        np.testing.assert_array_equal(named.var_diag, default.var_diag)
+        np.testing.assert_array_equal(default.var_diag[0], sigma2_start)
+
+
+def _array_fields(value):
+    return {
+        f.name: getattr(value, f.name)
+        for f in dataclasses.fields(value)
+        if isinstance(getattr(value, f.name), np.ndarray)
+    }
+
+
+class TestCallerArraysStayWriteable:
+    """Value types hold read-only views; the arrays passed in stay writeable."""
+
+    def build(self, kind):
+        """(value, the caller's arrays it was built from)."""
+        if kind == "target":
+            arrays = (np.array([0.4, 0.6]), np.zeros((2, 3)), np.ones((2, 3)))
+            return Target(weights=arrays[0], means=arrays[1], variances=arrays[2]), arrays
+        if kind == "time-grid":
+            times = np.linspace(0.0, 1.0, 5)
+            return TimeGrid(times, GridKind.UNIFORM), (times,)
+        if kind == "ddpm-schedule":
+            built = build_ddpm_schedule(20)
+            arrays = (built.betas.copy(), built.alphas.copy(), built.omegas.copy())
+            value = DdpmSchedule(
+                betas=arrays[0], alphas=arrays[1], omegas=arrays[2], c0=2.0, c1=6.0
+            )
+            return value, arrays
+        if kind == "sample-batch":
+            arrays = (np.ones((3, 2)), np.zeros((2, 3, 2)), np.array([0.5, 1.0]))
+            arrays[1][-1] = arrays[0]
+            meta = BatchMeta("rf", "custom", "none", 0, 1.0)
+            value = SampleBatch(
+                data=arrays[0], meta=meta, trajectory=arrays[1], trajectory_times=arrays[2]
+            )
+            return value, arrays
+        times = np.array([0.2, 0.5, 0.9])
+        if kind == "stoc-rf-coefficients":
+            return stoc_rf_coefficients(times), (times,)
+        target = Target.gaussian(np.zeros(2), np.ones(2))
+        return gaussian_pushforward(target, times, "stoc-rf"), (times,)
+
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            "target",
+            "time-grid",
+            "ddpm-schedule",
+            "sample-batch",
+            "stoc-rf-coefficients",
+            "pushforward-path",
+        ],
+    )
+    def test_only_the_value_is_read_only(self, kind):
+        value, arrays = self.build(kind)
+        assert all(a.flags.writeable for a in arrays)
+        fields = _array_fields(value)
+        assert fields and not any(a.flags.writeable for a in fields.values())
+        for a in arrays:
+            a[...] = 0.0  # the caller may still write its own array
 
 
 # ---------------------------------------------------------------------------
