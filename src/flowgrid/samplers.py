@@ -24,10 +24,12 @@ final step explicitly:
   channel off and reproduces :func:`rf_euler` bit for bit.
 
 :data:`SAMPLERS` is the one table of them (function and grid needs) and
-:func:`run_sampler` dispatches through it.  ``rf_euler``, ``ddim_rf``'s
-default form and ``langevin_rf`` share one drift-plus-noise Euler step loop;
-the whitened recursion, the chain and the push-forward keep their own,
-because comparing them with it is the check.
+:func:`run_sampler` dispatches through it.  All five run on one step loop,
+x ← drift + x [+ c·ξ] [then a post-step in place], each supplying its own
+knots, drift, noise scales, post-step and knot scales: the chain and the
+whitened recursion keep their own coefficient arithmetic, and only the code
+around it is shared, since comparing them is the check.  The push-forward
+keeps its own loop for the same reason.
 
 For single-Gaussian targets every one of these updates is affine in the
 state, so mean and per-coordinate variance propagate in closed form;
@@ -51,6 +53,7 @@ trajectories, so results are independent of any parallel execution order.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,7 +226,7 @@ def _ensure_finite(state: np.ndarray, sampler: str, t: float) -> None:
 
 def _finish(
     data: np.ndarray, frames: list[np.ndarray] | None, times: np.ndarray, sampler: str,
-    grid_label: str, oracle: FieldOracle, seed: int, terminal_time: float | None = None,
+    grid_label: str, oracle: FieldOracle, seed: int,
 ) -> SampleBatch:
     target = getattr(oracle, "target", None)
     meta = BatchMeta(
@@ -231,7 +234,7 @@ def _finish(
         grid=grid_label,
         target=target.describe() if isinstance(target, Target) else repr(oracle),
         seed=seed,
-        terminal_time=float(times[-1]) if terminal_time is None else terminal_time,
+        terminal_time=float(times[-1]),
     )
     if frames is None:
         return SampleBatch(data=data, meta=meta)
@@ -251,37 +254,73 @@ def _check_start(name: str, times: np.ndarray) -> None:
         )
 
 
+def _step_loop(
+    oracle: FieldOracle, times: np.ndarray, n: int, seed: int, record: bool, drift, *,
+    name: str, noise=None, post=None, scales=None, sample_start: bool = False,
+) -> tuple[np.ndarray, list[np.ndarray] | None]:
+    """The one step loop of every sampler; step i updates the state x by
+
+        u = drift(i, x);  u += x;  [ξ_i *= noise[i];  u += ξ_i];  [post(i, u)];  x = u
+
+    in place on the fresh array ``drift`` returns, so neither the state (a
+    frame may hold it) nor an oracle output is written.  ``noise=None``
+    draws no noise.  x starts as the (n, d) ``(seed, INIT_NOISE)`` draw,
+    divided by ``scales[0]`` if ``sample_start`` (the draw is in sample
+    coordinates); ``scales[i]·x`` is the state in sample coordinates
+    (``None``: x already is).  Returns that terminal state and, if
+    ``record``, the per-knot frames; ``name`` labels a NonFiniteState.
+    """
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise DomainError(f"the sample count must be an integer >= 1, got {n!r}")
+    x = substream(seed, INIT_NOISE).standard_normal((n, oracle.dim))
+    if sample_start:
+        x /= scales[0]
+
+    def in_sample(i: int, state: np.ndarray) -> np.ndarray:
+        return state if scales is None else scales[i] * state
+
+    frames = [in_sample(0, x)] if record else None
+    steps = times.size - 1
+    with StepNoise(seed, x.shape, 0 if noise is None else steps) as blocks:
+        for i in range(steps):
+            update = drift(i, x)
+            update += x
+            if noise is not None:
+                xi = blocks.block(i)
+                xi *= noise[i]
+                update += xi
+            if post is not None:
+                post(i, update)
+            x = update
+            _ensure_finite(x, name, float(times[i + 1]))
+            if frames is not None:
+                frames.append(in_sample(i + 1, x))
+    return in_sample(steps, x), frames
+
+
 def _euler_steps(
     oracle: FieldOracle, grid, n: int, seed: int, record: bool, final_step: bool,
     name: str, label: str, increment, noise_scale=None,
 ) -> SampleBatch:
     """Euler steps y ← y + increment(t_i, Δ_i, y) [+ noise_scale(t_i, Δ_i)·ξ_i].
 
-    ``increment`` returns step·drift as a fresh array; the loop adds y and
-    then the scaled noise block into it in place, so the operands pair as in
-    y + step·drift + c·ξ, and neither y (a recorded frame may hold it) nor an
-    oracle output is written.  ``noise_scale=None`` draws no noise.  ``name``
-    is the sampler's :data:`SAMPLERS` key, ``label`` its batch metadata name.
+    ``increment`` returns step·drift as a fresh array, so the operands pair
+    as in y + step·drift + c·ξ; ``noise_scale=None`` draws no noise.
+    ``name`` is the sampler's :data:`SAMPLERS` key, ``label`` its batch
+    metadata name.
     """
     times, grid_label = _integration_times(grid, final_step)
     _check_start(name, times)
-    y = substream(seed, INIT_NOISE).standard_normal((n, oracle.dim))
-    frames = [y] if record else None
-    steps = times.size - 1
-    with StepNoise(seed, y.shape, 0 if noise_scale is None else steps) as noise:
-        for i in range(steps):
-            t_i = float(times[i])
-            step = float(times[i + 1]) - t_i
-            update = increment(t_i, step, y)
-            update += y
-            if noise_scale is not None:
-                xi = noise.block(i)
-                xi *= noise_scale(t_i, step)
-                update += xi
-            y = update
-            _ensure_finite(y, name, float(times[i + 1]))
-            if frames is not None:
-                frames.append(y)
+    knots = [float(t) for t in times]
+    gaps = [t_next - t_i for t_i, t_next in zip(knots, knots[1:])]
+    noise = None
+    if noise_scale is not None:
+        noise = [noise_scale(t_i, step) for t_i, step in zip(knots, gaps)]
+
+    def drift(i, y):
+        return increment(knots[i], gaps[i], y)
+
+    y, frames = _step_loop(oracle, times, n, seed, record, drift, name=name, noise=noise)
     return _finish(y, frames, times, label, grid_label, oracle, seed)
 
 
@@ -346,17 +385,9 @@ def ddim_rf(
     label = f"ddim-rf[{form}]"
     if form == "scaled":
         times, grid_label = _integration_times(grid, final_step)
-        start = substream(seed, INIT_NOISE).standard_normal((n, oracle.dim))
         x, frames = _whitened_chain(
-            oracle,
-            times,
-            ddim_step_sizes(times),
-            None,
-            n,
-            seed,
-            record_trajectories,
-            sampler=label,
-            init=start,
+            oracle, times, ddim_step_sizes(times), None, n, seed, record_trajectories,
+            sampler=label, sample_start=True,
         )
         return _finish(x, frames, times, label, grid_label, oracle, seed)
     if form != "euler":
@@ -375,59 +406,40 @@ def ddim_rf(
 
 
 def _whitened_chain(
-    oracle: FieldOracle,
-    times: np.ndarray,
-    eta: np.ndarray,
-    psi: np.ndarray | None,
-    n: int,
-    seed: int,
-    record: bool,
-    *,
-    sampler: str,
-    init: np.ndarray | None = None,
+    oracle: FieldOracle, times: np.ndarray, eta: np.ndarray, psi: np.ndarray | None,
+    n: int, seed: int, record: bool, *, sampler: str, sample_start: bool = False,
 ) -> tuple[np.ndarray, list[np.ndarray] | None]:
-    """Run the scaled-coordinate recursion shared by the score samplers.
+    """The scaled-coordinate recursion shared by the score samplers.
 
     The whitened state z_i = y_{t_i}/σ_{t_i} evolves by
 
         z_{i+1} = (R_{i+1}/R_i)·( z_i + eta_i·σ_{t_i}·s(t_i, σ_{t_i} z_i)
                                       [ + √psi_i·ξ_i ] ),
 
-    the noise term present only when ``psi`` is given (the deterministic
-    variant passes None and draws nothing).  By default z_0 ~ N(0, I) — the
-    stochastic sampler's convention; ``init`` instead supplies the starting
-    points in sample coordinates (z_0 = init/σ_{t_0}), which is how the
+    on the step loop with knot scales σ and the growth R_{i+1}/R_i as its
+    post-step; the noise term is there only when ``psi`` is given (the
+    deterministic variant passes None and draws nothing).  By default
+    z_0 ~ N(0, I) — the stochastic sampler's convention; ``sample_start``
+    takes that draw as y_0 instead (z_0 = y_0/σ_{t_0}), which is how the
     deterministic variant shares its N(0, I) start with the plain Euler
-    flow.  Returns the terminal state and optional per-knot frames, both
-    mapped back to sample coordinates y = σ_t·z.
+    flow.  Returns the terminal state and optional per-knot frames, both in
+    sample coordinates y = σ_t·z.
     """
-    sigma2 = interpolation_scale2(times)
-    sigma = np.sqrt(sigma2)
+    sigma = np.sqrt(interpolation_scale2(times))
     # R_{i+1}/R_i with R = t/σ, as one positive factor per step.
     growth = (times[1:] * sigma[:-1]) / (times[:-1] * sigma[1:])
-    if init is None:
-        z = substream(seed, INIT_NOISE).standard_normal((n, oracle.dim))
-    else:
-        z = np.asarray(init, dtype=np.float64) / sigma[0]
-    frames = [sigma[0] * z] if record else None
-    steps = times.size - 1
-    with StepNoise(seed, z.shape, steps if psi is not None else 0) as noise:
-        for i in range(steps):
-            t_i = float(times[i])
-            # growth·(z + c·s + √ψ·ξ) in place, pairing the operands as that
-            # expression does so every bit is kept; the score is not written
-            inner = (eta[i] * sigma[i]) * oracle.score(t_i, sigma[i] * z)
-            inner += z
-            if psi is not None:
-                xi = noise.block(i)
-                xi *= math.sqrt(psi[i])
-                inner += xi
-            inner *= growth[i]
-            z = inner
-            _ensure_finite(z, sampler, float(times[i + 1]))
-            if frames is not None:
-                frames.append(sigma[i + 1] * z)
-    return sigma[-1] * z, frames
+
+    def drift(i, z):
+        return (eta[i] * sigma[i]) * oracle.score(float(times[i]), sigma[i] * z)
+
+    def post(i, update):
+        update *= growth[i]
+
+    noise = None if psi is None else [math.sqrt(p) for p in psi]
+    return _step_loop(
+        oracle, times, n, seed, record, drift,
+        name=sampler, noise=noise, post=post, scales=sigma, sample_start=sample_start,
+    )
 
 
 def stoc_rf(
@@ -454,14 +466,7 @@ def stoc_rf(
     times, grid_label = _integration_times(grid, final_step)
     coeffs = stoc_rf_coefficients(times)
     x, frames = _whitened_chain(
-        oracle,
-        times,
-        coeffs.eta,
-        coeffs.psi,
-        n,
-        seed,
-        record_trajectories,
-        sampler="stoc-rf",
+        oracle, times, coeffs.eta, coeffs.psi, n, seed, record_trajectories, sampler="stoc-rf"
     )
     return _finish(x, frames, times, "stoc-rf", grid_label, oracle, seed)
 
@@ -535,10 +540,13 @@ def ddpm_sample(
         ν_τ = √( β_τ·(α_τ - ω_τ) / (1 - ω_τ) ),
 
     where ŝ is the score of the matching flow marginal pulled back through
-    the scale map x = σ_{t(τ)}·y with σ_{t(τ)} = t(τ)/√ω_τ.  Outputs (and
-    recorded frames) are in sample coordinates x.  Noise block τ uses step
-    index i = N - τ, so a shared seed couples this chain step-for-step with
-    :func:`stoc_rf` on the induced grid.
+    the scale map x = σ_{t(τ)}·y with σ_{t(τ)} = t(τ)/√ω_τ.  On the step
+    loop this is drift (σ_{t(τ)}·s)·β_τ, noise scale ν_τ, post-step
+    division by √α_τ and knot scales σ; the closing step of ``final_step``
+    lands on the knot t = 1 with scale 1 (x = y exactly there).  Outputs
+    (and recorded frames) are in sample coordinates x.  Noise block τ uses
+    step index i = N - τ, so a shared seed couples this chain step-for-step
+    with :func:`stoc_rf` on the induced grid.
 
     Raises
     ------
@@ -557,38 +565,28 @@ def ddpm_sample(
     rev_omegas = omegas[:0:-1]  # ω_N ... ω_1, indexed by i = N - τ
     times = time_from_mix_weight(rev_omegas)
     sigma = times / np.sqrt(rev_omegas)
-    y = substream(seed, INIT_NOISE).standard_normal((n, oracle.dim))
-    frames = [sigma[0] * y] if record_trajectories else None
-    frame_times = [float(times[0])]
-    last_tau = 0 if final_step else 1
-    with StepNoise(seed, y.shape, n_chain - last_tau) as noise:
-        for tau in range(n_chain, last_tau, -1):
-            i = n_chain - tau
-            scale = float(sigma[i])
-            # (y + β·ŝ + ν·ξ)/√α in place, pairing the operands as written
-            update = scale * oracle.score(float(times[i]), scale * y)
-            update *= betas[tau]
-            update += y
-            nu = math.sqrt(betas[tau] * signal_gap[tau - 1] / (1.0 - omegas[tau]))
-            xi = noise.block(i)
-            xi *= nu
-            update += xi
-            update /= math.sqrt(alphas[tau])
-            y = update
-            if tau >= 2:
-                t_next, scale_next = float(times[i + 1]), float(sigma[i + 1])
-            else:  # the closing step lands on the target end, x = y exactly
-                t_next, scale_next = 1.0, 1.0
-            _ensure_finite(y, "ddpm", t_next)
-            if frames is not None:
-                frames.append(scale_next * y)
-                frame_times.append(t_next)
     # ``times`` are the induced grid's knots (``ddpm_induced_rf_grid``), so
     # the label needs no second build of that grid.
     induced = TimeGrid(times, GridKind.DDPM_INDUCED, delta=1.0 - float(times[-1]))
-    grid_label = induced.describe()
-    frame_times = np.asarray(frame_times)
-    return _finish(scale_next * y, frames, frame_times, "ddpm", grid_label, oracle, seed, t_next)
+    taus = range(n_chain, 0 if final_step else 1, -1)
+    nu = [math.sqrt(betas[tau] * signal_gap[tau - 1] / (1.0 - omegas[tau])) for tau in taus]
+    if final_step:
+        times, sigma = np.append(times, 1.0), np.append(sigma, 1.0)
+
+    def drift(i, y):
+        scale = float(sigma[i])
+        update = scale * oracle.score(float(times[i]), scale * y)
+        update *= betas[n_chain - i]
+        return update
+
+    def post(i, update):
+        update /= math.sqrt(alphas[n_chain - i])
+
+    x, frames = _step_loop(
+        oracle, times, n, seed, record_trajectories, drift,
+        name="ddpm", noise=nu, post=post, scales=sigma,
+    )
+    return _finish(x, frames, times, "ddpm", induced.describe(), oracle, seed)
 
 
 @dataclass(frozen=True)
@@ -689,7 +687,8 @@ def gaussian_pushforward(
     ------
     DomainError
         For mixture targets, unknown sampler kinds, grids that start at 0
-        for the score-driven kinds, or negative initial variances.
+        for the score-driven kinds, negative initial variances, or initial
+        moments that do not broadcast to the target's shape (d,).
     """
     if target.n_components != 1:
         raise DomainError(
@@ -702,8 +701,11 @@ def gaussian_pushforward(
     if whitened:
         coeffs = stoc_rf_coefficients(times)  # validates t_0 > 0
     start_var = coeffs.sigma2[0] if whitened else 1.0
-    m = np.full(target.dim, 0.0 if init_mean is None else init_mean, dtype=np.float64)
-    var = np.full(target.dim, start_var if init_var is None else init_var, dtype=np.float64)
+    try:
+        m = np.full(target.dim, 0.0 if init_mean is None else init_mean, dtype=np.float64)
+        var = np.full(target.dim, start_var if init_var is None else init_var, dtype=np.float64)
+    except ValueError:
+        raise DomainError(f"init_mean and init_var must broadcast to ({target.dim},)") from None
     if np.any(var < 0.0) or not np.all(np.isfinite(var)) or not np.all(np.isfinite(m)):
         raise DomainError("initial moments must be finite with var >= 0")
 
@@ -828,15 +830,8 @@ def identity_checks(seed: int = 0) -> list:
         1e-10,
     )
     zero_noise, _ = _whitened_chain(
-        oracle,
-        grid.times,
-        ddim_step_sizes(grid.times),
-        np.zeros(grid.times.size - 1),
-        128,
-        run_seed,
-        False,
-        sampler="stoc-rf",
-        init=substream(run_seed, INIT_NOISE).standard_normal((128, 4)),
+        oracle, grid.times, ddim_step_sizes(grid.times), np.zeros(grid.times.size - 1),
+        128, run_seed, False, sampler="stoc-rf", sample_start=True,
     )
     rec(
         "stoc-zero-noise-matches-ddim",

@@ -64,10 +64,11 @@ def _freeze(a) -> np.ndarray:
 
 
 def _knots(times, what: str, *, at_least: int = 1) -> np.ndarray:
-    """``times`` frozen, once it is a 1-D run of at least ``at_least`` finite,
-    strictly increasing knots; ``what`` names it in the :class:`DomainError`
-    raised otherwise.  Each caller checks its own range."""
-    t = _freeze(times)
+    """A frozen copy of ``times``, once it is a 1-D run of at least
+    ``at_least`` finite, strictly increasing knots (a copy, so a later write to
+    the caller's array cannot undo the checks); ``what`` names it in the
+    :class:`DomainError` raised otherwise.  Each caller checks its own range."""
+    t = _freeze(np.array(times, dtype=np.float64))
     if t.ndim != 1 or t.size < at_least:
         raise DomainError(f"{what} must be a 1-D array of {at_least} or more knots")
     if not (np.all(np.isfinite(t)) and np.all(np.diff(t) > 0.0)):

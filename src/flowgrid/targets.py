@@ -70,9 +70,10 @@ class Target:
     intrinsic_dim: int | None = None
 
     def __post_init__(self) -> None:
-        w = np.atleast_1d(np.asarray(self.weights, dtype=np.float64))
-        mu = np.atleast_2d(np.asarray(self.means, dtype=np.float64))
-        var = np.atleast_2d(np.asarray(self.variances, dtype=np.float64))
+        # copies, so a later write to the caller's arrays cannot undo these checks
+        w = np.atleast_1d(np.array(self.weights, dtype=np.float64))
+        mu = np.atleast_2d(np.array(self.means, dtype=np.float64))
+        var = np.atleast_2d(np.array(self.variances, dtype=np.float64))
         if w.ndim != 1 or w.size == 0:
             raise DomainError("weights must be a non-empty 1-D array")
         if mu.shape != (w.size, mu.shape[1]) or var.shape != mu.shape:

@@ -163,6 +163,18 @@ class TestSampleCommand:
         assert code == 0
         assert short == run(capsys, *argv, "ddpm-induced")[1]
 
+    @pytest.mark.parametrize("count", ["0", "-1", "-5"])
+    @pytest.mark.parametrize("sampler", ["rf", "ddpm"])
+    def test_a_bad_sample_count_exits_2(self, capsys, tmp_path, sampler, count):
+        # -5 used to end in numpy's traceback (exit 1), 0 in a bare header (exit 0)
+        target = write_target(tmp_path)
+        code, out, err = run(
+            capsys, "sample", "--sampler", sampler, "--target", target,
+            "--grid", "ddpm", "--n-steps", "30", "--num-samples", count,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("flowgrid: ") and "sample count" in err
+
     def test_trajectories_add_step_and_time_columns(self, capsys, tmp_path):
         target = write_target(tmp_path, "kind = target\ndim = 2\nmean = 1\nvar = 1\n")
         code, out, _ = run(

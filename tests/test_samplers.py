@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowgrid.rng
+import flowgrid.samplers
 from flowgrid.batch import BatchMeta, SampleBatch
 from flowgrid.errors import DomainError, NonFiniteState
 from flowgrid.rng import INIT_NOISE, STEP_NOISE, StepNoise, substream
@@ -893,6 +894,35 @@ class TestStepNoisePrefetch:
 
 
 # ---------------------------------------------------------------------------
+# the sample count, checked by the one step loop
+
+
+class TestSampleCount:
+    RUNS = {
+        "rf": lambda n: rf_euler(ExactOracle(_D1), _GRID, n, 0),
+        "ddim-rf[euler]": lambda n: ddim_rf(ExactOracle(_D1), _GRID, n, 0),
+        "ddim-rf[scaled]": lambda n: ddim_rf(ExactOracle(_D1), _GRID, n, 0, form="scaled"),
+        "stoc-rf": lambda n: stoc_rf(ExactOracle(_D1), _GRID, n, 0),
+        "ddpm": lambda n: ddpm_sample(ExactOracle(_D1), _SCHEDULE, n, 0),
+        "langevin": lambda n: langevin_rf(ExactOracle(_D1), _GRID, n, 0),
+    }
+
+    @pytest.mark.parametrize("n", [0, -1, 2.0], ids=["zero", "negative", "float"])
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_every_sampler_rejects_a_bad_count(self, name, n, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew noise for a bad sample count")
+
+        monkeypatch.setattr(flowgrid.samplers, "substream", no_draw)
+        with pytest.raises(DomainError, match="sample count must be an integer >= 1"):
+            self.RUNS[name](n)
+
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_one_sample_runs(self, name):
+        assert self.RUNS[name](np.int64(1)).data.shape == (1, 1)
+
+
+# ---------------------------------------------------------------------------
 # the shared Euler step loop
 
 
@@ -1099,6 +1129,35 @@ class TestGaussianPushforward:
         np.testing.assert_array_equal(named.var_diag, default.var_diag)
         np.testing.assert_array_equal(default.var_diag[0], sigma2_start)
 
+    @pytest.mark.parametrize("init", ["init_mean", "init_var"])
+    @pytest.mark.parametrize("shape", [(3,), (2, 5)], ids=["short", "two-rows"])
+    def test_init_moments_must_broadcast_to_the_target(self, init, shape):
+        target = Target.low_rank(5, 2)
+        with pytest.raises(DomainError, match=r"broadcast to \(5,\)"):
+            gaussian_pushforward(target, build_uniform_grid(4), "rf", **{init: np.ones(shape)})
+
+    @pytest.mark.parametrize("n_steps", [50, 100, 400])
+    @pytest.mark.parametrize("kind", list(GridKind), ids=lambda k: k.value)
+    def test_euler_is_exact_on_flat_coordinates(self, kind, n_steps):
+        # Started on the interpolation's law at t_0 (N(0, I) when t_0 = 0), a
+        # zero-variance coordinate keeps mean t·μ and variance (1-t)² at every
+        # knot: the flow step is exact there on any grid, the closing one too.
+        target = Target.low_rank(800, 8)
+        built = GRIDS[kind].build(n_steps, 1.0 / 800)
+        t0 = float(built.grid.times[0])
+        path = gaussian_pushforward(
+            target, built.grid, "rf", final_step=True, init_mean=8.0 * t0, init_var=(1.0 - t0) ** 2
+        )
+        t = path.times[:, None]
+        flat = (t.size, 792)
+        np.testing.assert_allclose(
+            path.mean[:, 8:], np.broadcast_to(8.0 * t, flat), rtol=0, atol=1e-14
+        )
+        np.testing.assert_allclose(
+            path.var_diag[:, 8:], np.broadcast_to((1.0 - t) ** 2, flat), rtol=0, atol=4e-15
+        )
+        assert path.times[-1] == 1.0
+
 
 def _array_fields(value):
     return {
@@ -1158,6 +1217,27 @@ class TestCallerArraysStayWriteable:
         assert fields and not any(a.flags.writeable for a in fields.values())
         for a in arrays:
             a[...] = 0.0  # the caller may still write its own array
+
+    @pytest.mark.parametrize(
+        "kind", ["target", "time-grid", "stoc-rf-coefficients", "pushforward-path"]
+    )
+    def test_a_later_write_to_the_caller_array_leaves_the_value(self, kind):
+        # these values check their contents, so they hold copies: a write to
+        # the caller's array afterwards cannot slip past those checks
+        value, arrays = self.build(kind)
+        before = {name: a.copy() for name, a in _array_fields(value).items()}
+        for a in arrays:
+            a[...] = -1.0
+        for name, a in _array_fields(value).items():
+            np.testing.assert_array_equal(a, before[name])
+        if kind == "time-grid":
+            assert np.all(value.step_sizes() > 0.0)
+
+    def test_raw_sampler_times_are_copied(self):
+        times = np.array([0.2, 0.5, 0.9])
+        batch = rf_euler(ExactOracle(_D1), times, 4, 0, record_trajectories=True)
+        times[...] = 0.0
+        np.testing.assert_array_equal(batch.trajectory_times, [0.2, 0.5, 0.9])
 
 
 # ---------------------------------------------------------------------------
