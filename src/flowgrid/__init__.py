@@ -12,8 +12,8 @@ The package is organized around six pieces:
 * :mod:`flowgrid.localization` — time changes tying the flow, diffusion and
   observation-process clocks together, with simulators and equivalence
   checks.
-* :mod:`flowgrid.metrics` — a pinned classifier two-sample TV estimator and
-  its 1-D Gaussian oracle.
+* :mod:`flowgrid.metrics` — a pinned classifier two-sample TV estimator,
+  its 1-D Gaussian oracle, and closed-form TV bounds for diagonal Gaussians.
 * :mod:`flowgrid.harness` — config parsing and the grid-comparison
   experiment sweep, with a CLI in :mod:`flowgrid.cli`.
 """
@@ -52,6 +52,7 @@ from .localization import (
 from .metrics import (
     TvEstimate,
     estimate_tv,
+    gaussian_tv_bounds,
     moment_stats,
     tv_oracle_gaussian_1d,
 )
@@ -138,6 +139,7 @@ __all__ = [
     "sl_time_from_rf",
     "TvEstimate",
     "estimate_tv",
+    "gaussian_tv_bounds",
     "moment_stats",
     "tv_oracle_gaussian_1d",
     "DeltaRule",

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import time
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -121,6 +122,17 @@ class ExperimentSpec:
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
                 raise DomainError(f"{name} repeats {repeated[0]!r}")
+        # Counts must be integers here, not in the first cell's error row.
+        for name, values in (
+            ("dims", self.dims),
+            ("intrinsic_dim", (self.intrinsic_dim,)),
+            ("n_steps", self.n_steps),
+            ("num_samples", (self.num_samples,)),
+            ("rounds", (self.rounds,)),
+        ):
+            bad = [v for v in values if not isinstance(v, numbers.Integral)]
+            if bad:
+                raise DomainError(f"{name} takes integers only; got {bad[0]!r}")
         for seed in self.seeds:
             _seed(seed)
         if any(d < 1 for d in self.dims):

@@ -20,7 +20,9 @@ clock (:func:`covariance_ode_residual`).
 Conventions: clock-change maps accept scalars or arrays and validate their
 domain; a non-unit noising profile ``beta`` (a positive callable of τ) is
 supported by numerically inverting its accumulated rate, and ``beta=None``
-always means the unit-rate closed forms.
+always means the unit-rate closed forms.  Only that inversion needs scipy's
+``quad`` and ``brentq``, so they are imported on first use and the unit-rate
+paths, the check suites included, never load them.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 from scipy.special import roots_hermitenorm
 
 from .checks import CheckRecord
@@ -104,12 +104,16 @@ def sl_time_from_rf(t):
 
 
 def _accumulated_rate(beta: BetaProfile, tau: float) -> float:
+    from scipy.integrate import quad  # on first use: only non-unit profiles need it
+
     value, _ = quad(beta, 0.0, tau, epsabs=1e-13, epsrel=1e-13, limit=200)
     return value
 
 
 def _solve_noising_time(level: float, beta: BetaProfile) -> float:
     """Find τ with ∫₀^τ β(u) du = level (level > 0)."""
+    from scipy.optimize import brentq  # on first use, like quad above
+
     hi = 1.0
     for _ in range(80):
         if _accumulated_rate(beta, hi) >= level:

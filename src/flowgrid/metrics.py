@@ -1,4 +1,5 @@
-"""Two-sample total-variation estimation and its 1-D Gaussian oracle.
+"""Two-sample total-variation estimation, its 1-D Gaussian oracle, and
+closed-form TV bounds for diagonal Gaussians.
 
 The estimator is deliberately plain: a linear logistic probe trained by
 full-batch gradient descent on a random 50/50 split of the pooled, labeled
@@ -13,22 +14,34 @@ and the acceptance tests calibrate the resulting band against
 Hyperparameters are fixed (500 iterations, step 0.1, L2 weight 1e−4,
 training-split standardization) so that estimates are deterministic given
 (batches, rounds, seed).
+
+:func:`gaussian_tv_bounds` brackets TV between diagonal Gaussians through
+the Hellinger distance, with numpy alone.  Only the 1-D oracle needs
+``scipy.integrate``, which it imports on first use so that sweeps never
+load it; ``expit`` comes from ``scipy.special`` at import, since the probe
+calls it every iteration and a numpy stand-in is not bit-exact.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import expit
 
 from .batch import SampleBatch
 from .errors import DomainError
 from .rng import substream
 
-__all__ = ["TvEstimate", "estimate_tv", "tv_oracle_gaussian_1d", "moment_stats"]
+__all__ = [
+    "TvEstimate",
+    "estimate_tv",
+    "tv_oracle_gaussian_1d",
+    "gaussian_tv_bounds",
+    "moment_stats",
+]
 
 TV_ROUND_STREAM = 2
 """Stream role for the per-round train/test splits (0/1 are sampler roles)."""
@@ -108,8 +121,8 @@ def estimate_tv(
             f"need at least {_MIN_SAMPLES} samples per batch; "
             f"got {xa.shape[0]} and {xb.shape[0]}"
         )
-    if rounds < 1:
-        raise DomainError("need at least one round")
+    if not isinstance(rounds, numbers.Integral) or rounds < 1:
+        raise DomainError(f"rounds must be an integer >= 1, got {rounds!r}")
     # One min and one max per batch, no temporary: NaN fails both comparisons.
     top = np.finfo(np.float32).max
     for who, x in (("batch_a", xa), ("batch_b", xb)):
@@ -194,6 +207,8 @@ def tv_oracle_gaussian_1d(mu1: float, v1: float, mu2: float, v2: float) -> float
         q = math.exp(-0.5 * (x - mu2) ** 2 / v2) / math.sqrt(2.0 * math.pi * v2)
         return abs(p - q)
 
+    from scipy.integrate import quad  # on first use: keeps it out of every sweep process
+
     cuts = _density_crossings(mu1, v1, mu2, v2)
     edges = [-math.inf, *cuts, math.inf]
     total = 0.0
@@ -201,6 +216,47 @@ def tv_oracle_gaussian_1d(mu1: float, v1: float, mu2: float, v2: float) -> float
         piece, _ = quad(gap, lo, hi, epsabs=1e-12, limit=200)
         total += piece
     return 0.5 * total
+
+
+def gaussian_tv_bounds(mean_p, var_p, mean_q, var_q) -> tuple[float, float]:
+    """Closed-form bounds on TV between two diagonal Gaussians.
+
+    With the squared Hellinger distance H² = 1 − ∏ⱼ BCⱼ, where
+
+        BCⱼ = √(2σσ′/(σ² + σ′²)) · exp(−(μ − μ′)²/(4(σ² + σ′²)))
+
+    per coordinate, returns ``(H², H·√(2 − H²))``, which bracket TV.  The
+    arguments are per-coordinate means and variances (scalars broadcast).
+    Zero variances are taken as limits: two point masses give BCⱼ = 1 at
+    equal means and 0 otherwise, and a point mass against a proper
+    Gaussian gives 0.  Symmetric in p and q.
+    """
+    try:
+        mp, vp, mq, vq = np.broadcast_arrays(
+            *(np.asarray(a, dtype=np.float64) for a in (mean_p, var_p, mean_q, var_q))
+        )
+    except ValueError:
+        raise DomainError("means and variances must broadcast to one shape") from None
+    if not (np.all(np.isfinite(mp)) and np.all(np.isfinite(mq))):
+        raise DomainError("means must be finite")
+    if not (np.all(np.isfinite(vp) & (vp >= 0.0)) and np.all(np.isfinite(vq) & (vq >= 0.0))):
+        raise DomainError("variances must be finite and non-negative")
+    zero_p, zero_q = vp == 0.0, vq == 0.0
+    proper = ~(zero_p | zero_q)
+    total = np.where(proper, vp + vq, 1.0)
+    gap = mp - mq
+    # 2σσ′/(σ² + σ′²) = 1 − (σ − σ′)²/(σ² + σ′²): log1p keeps near-equal
+    # variances accurate where 1 − BC is tiny.  The ratio is capped at 1,
+    # which rounding can pass when one variance is vanishingly small; there
+    # the factor underflows to 0, its limit.
+    spread = np.where(proper, np.sqrt(vp) - np.sqrt(vq), 0.0)
+    ratio = np.minimum(spread * spread / total, 1.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        log_bc = 0.5 * np.log1p(-ratio) - gap * gap / (4.0 * total)
+    point_match = zero_p & zero_q & (gap == 0.0)
+    log_bc = np.where(proper, log_bc, np.where(point_match, 0.0, -np.inf))
+    h2 = min(1.0, max(0.0, float(-np.expm1(np.sum(log_bc)))))
+    return h2, math.sqrt(h2 * (2.0 - h2))
 
 
 def moment_stats(batch: SampleBatch | np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -108,11 +108,24 @@ class TestSpecValidation:
             (dict(samplers=("rf", "rf")), "samplers repeats 'rf'"),
             (dict(grids=("ushaped", "uniform", "ushaped")), "grids repeats 'ushaped'"),
             (dict(seeds=(3, 3)), "seeds repeats 3"),
+            # a fractional count would build, then fail in the first cell
+            (dict(dims=(10.5,), intrinsic_dim=8), "dims takes integers only; got 10.5"),
+            (dict(intrinsic_dim=8.0), "intrinsic_dim takes integers only"),
+            (dict(n_steps=(100, 200.0)), "n_steps takes integers only; got 200.0"),
+            (dict(num_samples=2000.5), "num_samples takes integers only"),
+            (dict(rounds=2.5), "rounds takes integers only"),
         ],
     )
     def test_rejects_malformed_specs(self, overrides, match):
         with pytest.raises(DomainError, match=match):
             ExperimentSpec(**overrides)
+
+    def test_numpy_integer_counts_are_accepted(self):
+        spec = ExperimentSpec(
+            dims=(np.int64(10),), intrinsic_dim=np.int32(8), n_steps=(np.int64(40),),
+            num_samples=np.int64(300), rounds=np.int16(2),
+        )
+        assert spec.dims == (10,) and spec.rounds == 2
 
     def test_delta_rule(self):
         rule = DeltaRule()

@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 
 from flowgrid.batch import BatchMeta, SampleBatch
 from flowgrid.errors import DomainError
-from flowgrid.metrics import TvEstimate, estimate_tv, moment_stats, tv_oracle_gaussian_1d
+from flowgrid.metrics import (
+    TvEstimate,
+    estimate_tv,
+    gaussian_tv_bounds,
+    moment_stats,
+    tv_oracle_gaussian_1d,
+)
 from flowgrid.rng import substream
 from flowgrid.targets import Target, sample_target
 
@@ -166,6 +172,13 @@ class TestEstimateTv:
             estimate_tv(a, gaussian_rows(1, 1, 150, d=2), rounds=2, seed=0)
         with pytest.raises(DomainError, match="round"):
             estimate_tv(a, gaussian_rows(1, 1, 300, d=2), rounds=0, seed=0)
+        with pytest.raises(DomainError, match="rounds must be an integer"):
+            estimate_tv(a, gaussian_rows(1, 1, 300, d=2), rounds=2.5, seed=0)
+
+    def test_numpy_integer_rounds_read_like_ints(self):
+        a = gaussian_rows(9, 0, 300)
+        b = gaussian_rows(9, 1, 300) + 0.3
+        assert estimate_tv(a, b, rounds=np.int64(2), seed=1) == estimate_tv(a, b, rounds=2, seed=1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39, -1e39])
     @pytest.mark.parametrize("which", ["batch_a", "batch_b"])
@@ -185,6 +198,93 @@ class TestEstimateTv:
             TvEstimate(value=0.5, std_error=-0.1, rounds=1, per_round=(0.5,))
         with pytest.raises(DomainError):
             TvEstimate(value=0.5, std_error=0.0, rounds=2, per_round=(0.5,))
+
+
+class TestGaussianTvBounds:
+    @given(
+        mu=st.floats(-4.0, 4.0),
+        v1=st.floats(0.05, 20.0),
+        v2=st.floats(0.05, 20.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_brackets_the_1d_oracle(self, mu, v1, v2):
+        lower, upper = gaussian_tv_bounds(0.0, v1, mu, v2)
+        tv = tv_oracle_gaussian_1d(0.0, v1, mu, v2)
+        assert 0.0 <= lower <= upper <= 1.0
+        assert lower - 1e-9 <= tv <= upper + 1e-9
+
+    @given(
+        data=st.lists(
+            st.tuples(st.floats(-5.0, 5.0), st.floats(0.0, 9.0),
+                      st.floats(-5.0, 5.0), st.floats(0.0, 9.0)),
+            min_size=1, max_size=6,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_symmetric_in_p_and_q(self, data):
+        mp, vp, mq, vq = (np.array(c) for c in zip(*data))
+        assert gaussian_tv_bounds(mp, vp, mq, vq) == gaussian_tv_bounds(mq, vq, mp, vp)
+
+    def test_identical_laws_read_zero(self):
+        assert gaussian_tv_bounds([0.3, -1.0], [2.0, 0.5], [0.3, -1.0], [2.0, 0.5]) == (0.0, 0.0)
+
+    def test_zero_variance_limits(self):
+        # two equal point masses, then flat coordinates next to a proper one
+        assert gaussian_tv_bounds(1.5, 0.0, 1.5, 0.0) == (0.0, 0.0)
+        assert gaussian_tv_bounds([0.0, 2.0], [1.0, 0.0], [0.0, 2.0], [1.0, 0.0]) == (0.0, 0.0)
+        # distinct point masses, and a point mass against a proper Gaussian
+        assert gaussian_tv_bounds(1.5, 0.0, 1.5 + 1e-12, 0.0) == (1.0, 1.0)
+        assert gaussian_tv_bounds(0.0, 0.0, 0.0, 2.0) == (1.0, 1.0)
+        assert gaussian_tv_bounds([0.0, 0.0], [1.0, 3.0], [0.0, 0.0], [1.0, 0.0]) == (1.0, 1.0)
+        # a vanishing variance against a proper one: rounding must not give NaN
+        assert gaussian_tv_bounds(0.0, 2.0, 0.0, 5e-324) == (1.0, 1.0)
+
+    def test_coordinate_factors_multiply(self):
+        mp, vp = np.array([0.0, 1.0, -2.0]), np.array([1.0, 0.5, 3.0])
+        mq, vq = np.array([0.4, 1.0, -1.5]), np.array([2.0, 0.25, 3.0])
+        affinity = 1.0
+        for j in range(3):
+            h2, _ = gaussian_tv_bounds(mp[j], vp[j], mq[j], vq[j])
+            affinity *= 1.0 - h2
+        lower, upper = gaussian_tv_bounds(mp, vp, mq, vq)
+        assert lower == pytest.approx(1.0 - affinity, rel=1e-12)
+        assert upper == pytest.approx(math.sqrt(lower * (2.0 - lower)), rel=1e-12)
+        # the closed form, written out once for the first coordinate
+        s = vp[0] + vq[0]
+        bc = math.sqrt(2.0 * math.sqrt(vp[0] * vq[0]) / s)
+        bc *= math.exp(-((mp[0] - mq[0]) ** 2) / (4.0 * s))
+        h2, _ = gaussian_tv_bounds(mp[0], vp[0], mq[0], vq[0])
+        assert h2 == pytest.approx(1.0 - bc, rel=1e-12)
+
+    def test_reads_the_rf_pushforward_against_the_blurred_target(self):
+        # rf at d = 800, N = 100, δ = 1/800 on the benchmark target: the
+        # U-shaped cell sits at [0.0046, 0.096], the uniform one at [1, 1]
+        from flowgrid.samplers import gaussian_pushforward
+        from flowgrid.schedules import GRIDS, GridKind
+
+        d, delta = 800, 1.0 / 800
+        target = Target.low_rank(d, 8)
+        blurred_mean = (1.0 - delta) * target.means[0]
+        blurred_var = (1.0 - delta) ** 2 * target.variances[0] + delta**2
+        readings = {}
+        for kind in (GridKind.USHAPED, GridKind.UNIFORM):
+            path = gaussian_pushforward(target, GRIDS[kind].build(100, delta).grid, "rf")
+            readings[kind] = gaussian_tv_bounds(
+                path.mean[-1], path.var_diag[-1], blurred_mean, blurred_var
+            )
+        lower, upper = readings[GridKind.USHAPED]
+        assert round(lower, 4) == 0.0046 and round(upper, 3) == 0.096
+        assert readings[GridKind.UNIFORM] == (1.0, 1.0)
+
+    def test_rejects_bad_parameters(self):
+        with pytest.raises(DomainError, match="non-negative"):
+            gaussian_tv_bounds(0.0, -1.0, 0.0, 1.0)
+        with pytest.raises(DomainError, match="non-negative"):
+            gaussian_tv_bounds(0.0, 1.0, 0.0, math.nan)
+        with pytest.raises(DomainError, match="means"):
+            gaussian_tv_bounds(math.inf, 1.0, 0.0, 1.0)
+        with pytest.raises(DomainError, match="broadcast"):
+            gaussian_tv_bounds([0.0, 1.0], [1.0, 1.0, 1.0], 0.0, 1.0)
 
 
 class TestMomentStats:
