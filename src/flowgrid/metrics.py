@@ -106,6 +106,14 @@ def estimate_tv(
     on the held-out half.  Rounds use independent substreams of ``seed``,
     so the estimate is reproducible and rounds could run in any order.
 
+    In memory the probe holds the pooled batches, cast straight to one
+    (n, d) float32 array with n = n_a + n_b; one (n - n//2, d) float32
+    buffer that takes a round's training rows (standardized in place) and
+    then its test rows; and vectors of length n//2 and d for the gradient
+    loop.  Computing the training half's standard deviation briefly adds an
+    (n//2, d) temporary.  The peak is therefore about twice the pool's bytes
+    whatever the number of rounds.
+
     Raises :class:`~flowgrid.errors.DomainError` when dimensions differ,
     either batch has fewer than 200 samples, or a value is NaN, infinite or
     outside float32's finite range (the probe computes in float32).
@@ -129,39 +137,55 @@ def estimate_tv(
         if x.size and not (x.min() >= -top and x.max() <= top):
             raise DomainError(f"{who} holds a NaN, an inf or a value beyond float32's range")
 
-    pooled = np.concatenate([xa, xb]).astype(np.float32)
+    pooled = np.concatenate([xa, xb], dtype=np.float32)
     labels = np.concatenate(
         [np.zeros(xa.shape[0], dtype=np.int8), np.ones(xb.shape[0], dtype=np.int8)]
     )
-    n = pooled.shape[0]
+    n, d = pooled.shape
     half = n // 2
+    m = np.float32(half)
+    # One buffer holds a round's standardized training rows, then its test rows.
+    rows = np.empty((n - half, d), dtype=np.float32)
+    x_train = rows[:half]
+    residual = np.empty(half, dtype=np.float32)
+    grad_w = np.empty(d, dtype=np.float32)
+    decay = np.empty(d, dtype=np.float32)
 
     readings = []
     for r in range(rounds):
         rng = substream(seed, TV_ROUND_STREAM, r)
         order = rng.permutation(n)
         train, test = order[:half], order[half:]
-        x_train, y_train = pooled[train], labels[train]
-        x_test, y_test = pooled[test], labels[test]
-
+        # mode="clip" writes straight into ``out`` (the default mode buffers
+        # it); a permutation's indices are all in range, so nothing is clipped.
+        np.take(pooled, train, axis=0, out=x_train, mode="clip")
         center = x_train.mean(axis=0)
         scale = x_train.std(axis=0) + np.float32(1e-8)
-        x_train = (x_train - center) / scale
-        x_test = (x_test - center) / scale
+        x_train -= center
+        x_train /= scale
 
-        weights = np.zeros(pooled.shape[1], dtype=np.float32)
+        weights = np.zeros(d, dtype=np.float32)
         bias = np.float32(0.0)
-        y_float = y_train.astype(np.float32)
-        m = np.float32(x_train.shape[0])
+        y_float = labels[train].astype(np.float32)
         for _ in range(_ITERATIONS):
-            residual = expit(x_train @ weights + bias) - y_float
-            grad_w = x_train.T @ residual / m + np.float32(_L2_WEIGHT) * weights
-            grad_b = residual.mean()
-            weights -= np.float32(_STEP_SIZE) * grad_w
-            bias -= np.float32(_STEP_SIZE) * grad_b
+            # residual = expit(x·w + b) - y
+            np.matmul(x_train, weights, out=residual)
+            residual += bias
+            expit(residual, out=residual)
+            residual -= y_float
+            # w -= step·(xᵀ·residual/m + λ·w);  b -= step·mean(residual)
+            np.matmul(x_train.T, residual, out=grad_w)
+            grad_w /= m
+            grad_w += np.multiply(np.float32(_L2_WEIGHT), weights, out=decay)
+            grad_w *= np.float32(_STEP_SIZE)
+            weights -= grad_w
+            bias -= np.float32(_STEP_SIZE) * (np.add.reduce(residual) / m)
 
+        x_test = np.take(pooled, test, axis=0, out=rows, mode="clip")
+        x_test -= center
+        x_test /= scale
         pred = (x_test @ weights + bias > 0.0).astype(np.int8)
-        readings.append(max(0.0, 2.0 * _balanced_accuracy(pred, y_test) - 1.0))
+        readings.append(max(0.0, 2.0 * _balanced_accuracy(pred, labels[test]) - 1.0))
 
     value = float(np.clip(np.mean(readings), 0.0, 1.0))
     std_error = (

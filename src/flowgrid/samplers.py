@@ -25,8 +25,9 @@ final step explicitly:
 
 :data:`SAMPLERS` is the one table of them (function and grid needs) and
 :func:`run_sampler` dispatches through it.  All five run on one step loop,
-x ← drift + x [+ c·ξ] [then a post-step in place], each supplying its own
-knots, drift, noise scales, post-step and knot scales: the chain and the
+x ← drift + x [+ c·ξ] [then a post-step], in buffers that are reused every
+step and that the oracle fills through ``out``.  Each sampler supplies its
+own knots, drift, noise scales, post-step and knot scales: the chain and the
 whitened recursion keep their own coefficient arithmetic, and only the code
 around it is shared, since comparing them is the check.  The push-forward
 keeps its own loop for the same reason.
@@ -72,7 +73,7 @@ from .schedules import (
     ddpm_induced_rf_grid,
     time_from_mix_weight,
 )
-from .targets import FieldOracle, Target, affine_field
+from .targets import FieldOracle, Target, _field_writer, affine_field
 
 __all__ = [
     "StocRfCoefficients",
@@ -216,8 +217,8 @@ def _integration_times(grid, final_step: bool) -> tuple[np.ndarray, str]:
     return times, f"custom({times.size} knots)"
 
 
-def _ensure_finite(state: np.ndarray, sampler: str, t: float) -> None:
-    if not np.all(np.isfinite(state)):
+def _ensure_finite(state: np.ndarray, flags: np.ndarray, sampler: str, t: float) -> None:
+    if not np.isfinite(state, out=flags).all():
         raise NonFiniteState(
             f"{sampler} produced a non-finite state at t = {t:.6g}; "
             "the field/grid pairing is unstable"
@@ -257,18 +258,27 @@ def _check_start(name: str, times: np.ndarray) -> None:
 def _step_loop(
     oracle: FieldOracle, times: np.ndarray, n: int, seed: int, record: bool, drift, *,
     name: str, noise=None, post=None, scales=None, sample_start: bool = False,
+    scratch: bool = False,
 ) -> tuple[np.ndarray, list[np.ndarray] | None]:
     """The one step loop of every sampler; step i updates the state x by
 
-        u = drift(i, x);  u += x;  [ξ_i *= noise[i];  u += ξ_i];  [post(i, u)];  x = u
+        drift(i, x, u, work);  u += x;  [ξ_i *= noise[i];  u += ξ_i];  [post(i, u)];
+        x, u = u, x
 
-    in place on the fresh array ``drift`` returns, so neither the state (a
-    frame may hold it) nor an oracle output is written.  ``noise=None``
-    draws no noise.  x starts as the (n, d) ``(seed, INIT_NOISE)`` draw,
-    divided by ``scales[0]`` if ``sample_start`` (the draw is in sample
-    coordinates); ``scales[i]·x`` is the state in sample coordinates
-    (``None``: x already is).  Returns that terminal state and, if
-    ``record``, the per-knot frames; ``name`` labels a NonFiniteState.
+    on two (n, d) buffers that trade roles every step, so a step allocates
+    no (n, d) array.  ``drift`` writes its term into the update buffer u, the
+    oracle filling u through ``out`` (or an adapter copying into it, see
+    :func:`~flowgrid.targets._field_writer`), and never writes x; ``work``
+    is a third (n, d) buffer for a term it cannot form in u (σ·z, y/t, the
+    velocity beside the score), allocated only if ``scratch`` and None
+    otherwise.  ``noise=None`` draws no noise.  x starts as the (n, d)
+    ``(seed, INIT_NOISE)`` draw, divided by ``scales[0]`` if
+    ``sample_start`` (the draw is in sample coordinates); ``scales[i]·x`` is
+    the state in sample coordinates (``None``: x already is).  Returns that
+    terminal state and, if ``record``, the per-knot frames; ``name`` labels
+    a NonFiniteState.  A frame ``scales[i]·x`` is a fresh array, but without
+    scales a frame is the state buffer itself: then every recorded step
+    takes a fresh update buffer rather than write one that a frame holds.
     """
     if not isinstance(n, numbers.Integral) or n < 1:
         raise DomainError(f"the sample count must be an integer >= 1, got {n!r}")
@@ -280,10 +290,13 @@ def _step_loop(
         return state if scales is None else scales[i] * state
 
     frames = [in_sample(0, x)] if record else None
+    update = np.empty_like(x)
+    work = np.empty_like(x) if scratch else None
+    flags = np.empty(x.shape, dtype=bool)
     steps = times.size - 1
     with StepNoise(seed, x.shape, 0 if noise is None else steps) as blocks:
         for i in range(steps):
-            update = drift(i, x)
+            drift(i, x, update, work)
             update += x
             if noise is not None:
                 xi = blocks.block(i)
@@ -291,23 +304,26 @@ def _step_loop(
                 update += xi
             if post is not None:
                 post(i, update)
-            x = update
-            _ensure_finite(x, name, float(times[i + 1]))
+            x, update = update, x
+            _ensure_finite(x, flags, name, float(times[i + 1]))
             if frames is not None:
                 frames.append(in_sample(i + 1, x))
+                if scales is None:  # that frame is x itself: the next step writes elsewhere
+                    update = np.empty_like(x)
     return in_sample(steps, x), frames
 
 
 def _euler_steps(
     oracle: FieldOracle, grid, n: int, seed: int, record: bool, final_step: bool,
-    name: str, label: str, increment, noise_scale=None,
+    name: str, label: str, increment, noise_scale=None, scratch: bool = False,
 ) -> SampleBatch:
     """Euler steps y ← y + increment(t_i, Δ_i, y) [+ noise_scale(t_i, Δ_i)·ξ_i].
 
-    ``increment`` returns step·drift as a fresh array, so the operands pair
-    as in y + step·drift + c·ξ; ``noise_scale=None`` draws no noise.
-    ``name`` is the sampler's :data:`SAMPLERS` key, ``label`` its batch
-    metadata name.
+    ``increment(t, step, y, out, work)`` writes step·drift into ``out``, so
+    the operands pair as in y + step·drift + c·ξ; ``work`` is the step
+    loop's scratch buffer (None unless ``scratch``).  ``noise_scale=None``
+    draws no noise.  ``name`` is the sampler's :data:`SAMPLERS` key,
+    ``label`` its batch metadata name.
     """
     times, grid_label = _integration_times(grid, final_step)
     _check_start(name, times)
@@ -317,15 +333,23 @@ def _euler_steps(
     if noise_scale is not None:
         noise = [noise_scale(t_i, step) for t_i, step in zip(knots, gaps)]
 
-    def drift(i, y):
-        return increment(knots[i], gaps[i], y)
+    def drift(i, y, out, work):
+        increment(knots[i], gaps[i], y, out, work)
 
-    y, frames = _step_loop(oracle, times, n, seed, record, drift, name=name, noise=noise)
+    y, frames = _step_loop(
+        oracle, times, n, seed, record, drift, name=name, noise=noise, scratch=scratch
+    )
     return _finish(y, frames, times, label, grid_label, oracle, seed)
 
 
 def _flow_increment(oracle: FieldOracle):
-    return lambda t, step, y: step * oracle.velocity(t, y)
+    velocity = _field_writer(oracle.velocity)
+
+    def increment(t, step, y, out, work):
+        velocity(t, y, out=out)
+        out *= step  # step·v: a product of two floats commutes exactly
+
+    return increment
 
 
 def rf_euler(
@@ -393,15 +417,18 @@ def ddim_rf(
     if form != "euler":
         raise DomainError(f"unknown update form {form!r}: use 'euler' or 'scaled'")
 
-    def increment(t, step, y):
+    score = _field_writer(oracle.score)
+
+    def increment(t, step, y, out, work):
         # step·(y/t + ((1-t)/t)·s), the sum taken in the other order: it commutes
-        update = ((1.0 - t) / t) * oracle.score(t, y)
-        update += y / t
-        update *= step
-        return update
+        score(t, y, out=out)
+        out *= (1.0 - t) / t
+        out += np.divide(y, t, out=work)
+        out *= step
 
     return _euler_steps(
-        oracle, grid, n, seed, record_trajectories, final_step, "ddim-rf", label, increment
+        oracle, grid, n, seed, record_trajectories, final_step, "ddim-rf", label, increment,
+        scratch=True,
     )
 
 
@@ -429,8 +456,11 @@ def _whitened_chain(
     # R_{i+1}/R_i with R = t/σ, as one positive factor per step.
     growth = (times[1:] * sigma[:-1]) / (times[:-1] * sigma[1:])
 
-    def drift(i, z):
-        return (eta[i] * sigma[i]) * oracle.score(float(times[i]), sigma[i] * z)
+    score = _field_writer(oracle.score)
+
+    def drift(i, z, out, work):
+        score(float(times[i]), np.multiply(sigma[i], z, out=work), out=out)
+        out *= eta[i] * sigma[i]
 
     def post(i, update):
         update *= growth[i]
@@ -439,6 +469,7 @@ def _whitened_chain(
     return _step_loop(
         oracle, times, n, seed, record, drift,
         name=sampler, noise=noise, post=post, scales=sigma, sample_start=sample_start,
+        scratch=True,
     )
 
 
@@ -502,23 +533,27 @@ def langevin_rf(
     def gamma(t):
         return gamma_scale * (1.0 - t) / t
 
-    def increment(t, step, y):
-        # step·(v + γ·s), the operands paired as written
-        v = oracle.velocity(t, y)
-        update = gamma(t) * oracle.score(t, y)
-        update += v
-        update *= step
-        return update
-
     def noise_scale(t, step):
         return math.sqrt(2.0 * step * gamma(t))
 
-    if gamma_scale == 0.0:  # the channel is off: no score call and no noise
+    channel = gamma_scale != 0.0
+    if channel:
+        velocity, score = _field_writer(oracle.velocity), _field_writer(oracle.score)
+
+        def increment(t, step, y, out, work):
+            # step·(v + γ·s), the operands paired as written
+            velocity(t, y, out=work)
+            score(t, y, out=out)
+            out *= gamma(t)
+            out += work
+            out *= step
+
+    else:  # the channel is off: no score call and no noise
         increment, noise_scale = _flow_increment(oracle), None
     label = f"langevin(gamma_scale={gamma_scale:.6g})"
     return _euler_steps(
         oracle, grid, n, seed, record_trajectories, final_step,
-        "langevin", label, increment, noise_scale,
+        "langevin", label, increment, noise_scale, scratch=channel,
     )
 
 
@@ -573,18 +608,20 @@ def ddpm_sample(
     if final_step:
         times, sigma = np.append(times, 1.0), np.append(sigma, 1.0)
 
-    def drift(i, y):
+    score = _field_writer(oracle.score)
+
+    def drift(i, y, out, work):
         scale = float(sigma[i])
-        update = scale * oracle.score(float(times[i]), scale * y)
-        update *= betas[n_chain - i]
-        return update
+        score(float(times[i]), np.multiply(scale, y, out=work), out=out)
+        out *= scale
+        out *= betas[n_chain - i]
 
     def post(i, update):
         update /= math.sqrt(alphas[n_chain - i])
 
     x, frames = _step_loop(
         oracle, times, n, seed, record_trajectories, drift,
-        name="ddpm", noise=nu, post=post, scales=sigma,
+        name="ddpm", noise=nu, post=post, scales=sigma, scratch=True,
     )
     return _finish(x, frames, times, "ddpm", induced.describe(), oracle, seed)
 

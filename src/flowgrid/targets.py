@@ -33,6 +33,7 @@ which hold exactly for the closed forms and are enforced by tests.
 from __future__ import annotations
 
 import enum
+import inspect
 from dataclasses import dataclass, replace
 from typing import Protocol, runtime_checkable
 
@@ -170,6 +171,26 @@ def _as_batch(x, dim: int) -> tuple[np.ndarray, bool]:
     return x, squeezed
 
 
+def _out_rows(out, x: np.ndarray, squeezed: bool) -> np.ndarray | None:
+    """The caller's ``out`` as rows of the batch ``x``, once it is a
+    writeable C-contiguous float64 array of the caller's state shape."""
+    if out is None:
+        return None
+    shape = x.shape[1:] if squeezed else x.shape
+    if not (
+        isinstance(out, np.ndarray)
+        and out.dtype == np.float64
+        and out.shape == shape
+        and out.flags.c_contiguous
+        and out.flags.writeable
+    ):
+        got = f"{out.dtype} {out.shape}" if isinstance(out, np.ndarray) else type(out).__name__
+        raise DomainError(
+            f"out must be a writeable C-contiguous float64 array of shape {shape}, got {got}"
+        )
+    return out[None, :] if squeezed else out
+
+
 def _marginal_scale(target: Target, t: float) -> np.ndarray:
     """Per-coordinate marginal variance of X_t given each component, (m, d)."""
     return t * t * target.variances + (1.0 - t) ** 2
@@ -229,26 +250,33 @@ def affine_field(target: Target, t: float) -> tuple[np.ndarray, ...]:
     return a, b, -1.0 / d_scale, t * target.means / d_scale
 
 
-def velocity(target: Target, t: float, x) -> np.ndarray:
+def velocity(target: Target, t: float, x, out=None) -> np.ndarray:
     """Exact interpolation velocity E[X₁ - X₀ | X_t = x].
 
     Evaluated through the per-component affine coefficients of
     :func:`affine_field`, so zero-variance coordinates stay exact all the way
     to t → 1 — the naive (posterior mean - x)/(1-t) route cancels there.
+
+    ``out``, if given, receives the field and is returned: a writeable
+    C-contiguous float64 array of ``x``'s shape (:class:`DomainError`
+    otherwise), which may be ``x`` itself.  The bits are the same either way.
     """
     a, b, _, _ = affine_field(target, t)
     x, squeezed = _as_batch(x, target.dim)
+    rows = _out_rows(out, x, squeezed)
     if target.n_components == 1:
-        out = np.multiply(a[0], x)
-        out += b[0]
+        rows = np.multiply(a[0], x, out=rows)
+        rows += b[0]
     else:
         resp = np.exp(_log_responsibilities(target, float(t), x))  # (n, m)
         fields = a[None, :, :] * x[:, None, :] + b[None, :, :]  # (n, m, d)
-        out = np.sum(resp[:, :, None] * fields, axis=1)
-    return out[0] if squeezed else out
+        rows = np.sum(resp[:, :, None] * fields, axis=1, out=rows)
+    if out is not None:
+        return out
+    return rows[0] if squeezed else rows
 
 
-def score(target: Target, t: float, x) -> np.ndarray:
+def score(target: Target, t: float, x, out=None) -> np.ndarray:
     """Score of the X_t marginal, ∇ log p_t(x).
 
     The responsibility-weighted per-component Gaussian score
@@ -256,20 +284,23 @@ def score(target: Target, t: float, x) -> np.ndarray:
     :func:`velocity` through s = (t·v - x)/(1-t) is an exact identity.
     It is evaluated in this form, not as p·x + q from :func:`affine_field`:
     the two round differently, and the score-driven samplers' outputs are
-    pinned bit for bit to this one.
+    pinned bit for bit to this one.  ``out`` is as for :func:`velocity`.
     """
     t = _check_time(t)
     x, squeezed = _as_batch(x, target.dim)
+    rows = _out_rows(out, x, squeezed)
     d_scale = _marginal_scale(target, t)
     if target.n_components == 1:  # -(x - t·μ)/scale, in one array
-        out = np.subtract(x, t * target.means[0])
-        np.negative(out, out=out)
-        out /= d_scale[0]
+        rows = np.subtract(x, t * target.means[0], out=rows)
+        np.negative(rows, out=rows)
+        rows /= d_scale[0]
     else:
         grads = -(x[:, None, :] - t * target.means[None, :, :]) / d_scale  # (n, m, d)
         resp = np.exp(_log_responsibilities(target, t, x))
-        out = np.sum(resp[:, :, None] * grads, axis=1)
-    return out[0] if squeezed else out
+        rows = np.sum(resp[:, :, None] * grads, axis=1, out=rows)
+    if out is not None:
+        return out
+    return rows[0] if squeezed else rows
 
 
 class PerturbationKind(str, enum.Enum):
@@ -299,7 +330,15 @@ class PerturbationSpec:
 
 @runtime_checkable
 class FieldOracle(Protocol):
-    """What samplers need: a velocity field and a matching score field."""
+    """What samplers need: a velocity field and a matching score field.
+
+    Each method returns its field at the (n, d) states ``x``.  A method may
+    also take an ``out`` keyword, as :class:`ExactOracle`'s do: it then
+    writes the field into ``out`` (a C-contiguous float64 array of ``x``'s
+    shape, never ``x`` itself when a sampler calls) and returns it, so a
+    sampler step allocates no (n, d) array.  A method without ``out`` returns a
+    fresh array; the samplers copy it into their buffer and never write it.
+    """
 
     @property
     def dim(self) -> int: ...
@@ -307,6 +346,29 @@ class FieldOracle(Protocol):
     def velocity(self, t: float, x: np.ndarray) -> np.ndarray: ...
 
     def score(self, t: float, x: np.ndarray) -> np.ndarray: ...
+
+
+def _takes_out(method) -> bool:
+    try:
+        parameters = inspect.signature(method).parameters
+    except (TypeError, ValueError):  # no signature to read: call it without ``out``
+        return False
+    out = parameters.get("out")
+    return out is not None and out.kind in (out.POSITIONAL_OR_KEYWORD, out.KEYWORD_ONLY)
+
+
+def _field_writer(method):
+    """``method`` itself if it takes ``out``, else an adapter with the same
+    ``(t, x, *, out)`` call that copies the method's fresh result into
+    ``out`` and never writes the array the method returned."""
+    if _takes_out(method):
+        return method
+
+    def copied(t: float, x: np.ndarray, *, out: np.ndarray) -> np.ndarray:
+        np.copyto(out, method(t, x))
+        return out
+
+    return copied
 
 
 class ExactOracle:
@@ -319,11 +381,11 @@ class ExactOracle:
     def dim(self) -> int:
         return self.target.dim
 
-    def velocity(self, t: float, x: np.ndarray) -> np.ndarray:
-        return velocity(self.target, t, x)
+    def velocity(self, t: float, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return velocity(self.target, t, x, out=out)
 
-    def score(self, t: float, x: np.ndarray) -> np.ndarray:
-        return score(self.target, t, x)
+    def score(self, t: float, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return score(self.target, t, x, out=out)
 
     def __repr__(self) -> str:
         return f"ExactOracle({self.target.describe()})"
@@ -334,12 +396,14 @@ class _PerturbedOracle:
 
     The score is always (t·v̂(x) - x)/(1-t): the perturbed pair then
     satisfies the same exchange identity as the exact pair, so score-driven
-    samplers see a perturbation consistent with velocity-driven ones.
+    samplers see a perturbation consistent with velocity-driven ones.  Both
+    methods take ``out`` as :func:`velocity` does, whatever the base oracle.
     """
 
     def __init__(self, base: FieldOracle, spec: PerturbationSpec):
         self.base = base
         self.spec = spec
+        self._base_velocity = _field_writer(base.velocity)
         if spec.kind is PerturbationKind.ADDITIVE_FIELD:
             rng = substream(spec.seed, INIT_NOISE)
             d = base.dim
@@ -353,24 +417,39 @@ class _PerturbedOracle:
     def dim(self) -> int:
         return self.base.dim
 
-    def velocity(self, t: float, x: np.ndarray) -> np.ndarray:
-        v = self.base.velocity(t, x)
+    def velocity(self, t: float, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        x, squeezed = _as_batch(x, self.dim)
+        rows = _out_rows(out, x, squeezed)
         kind, m = self.spec.kind, self.spec.magnitude
-        if kind is PerturbationKind.SCALE_BIAS:
-            return (1.0 + m) * v + m
-        # additive-field: a fixed smooth unit-norm direction field scaled to
-        # magnitude m — the field error ||v̂ - v|| equals m at every point,
-        # hence exactly m in root-mean-square under any state distribution.
-        x2d = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        w = np.sqrt(self.dim) * self._anchor + 0.5 * np.cos(
-            x2d @ self._freqs.T + self._rates * t + self._phases
-        )
-        g = m * w / np.linalg.norm(w, axis=1, keepdims=True)
-        return v + g.reshape(np.shape(v))
+        if kind is PerturbationKind.ADDITIVE_FIELD:
+            # a fixed smooth unit-norm direction field scaled to magnitude m —
+            # the field error ||v̂ - v|| equals m at every point, hence exactly
+            # m in root-mean-square under any state distribution.  Taken before
+            # v is written, since ``out`` may be ``x``.
+            w = np.sqrt(self.dim) * self._anchor + 0.5 * np.cos(
+                x @ self._freqs.T + self._rates * t + self._phases
+            )
+            g = m * w / np.linalg.norm(w, axis=1, keepdims=True)
+        v = self._base_velocity(t, x, out=np.empty(x.shape) if rows is None else rows)
+        if kind is PerturbationKind.SCALE_BIAS:  # (1+m)·v + m
+            v *= 1.0 + m
+            v += m
+        else:
+            v += g
+        if out is not None:
+            return out
+        return v[0] if squeezed else v
 
-    def score(self, t: float, x: np.ndarray) -> np.ndarray:
+    def score(self, t: float, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         t = _check_time(t)
-        return (t * self.velocity(t, x) - np.asarray(x, dtype=np.float64)) / (1.0 - t)
+        x = np.asarray(x, dtype=np.float64)
+        if out is not None and np.may_share_memory(out, x):
+            x = x.copy()  # read again below, after ``out`` is written
+        s = self.velocity(t, x, out=out)  # (t·v̂ - x)/(1-t)
+        s *= t
+        s -= x
+        s /= 1.0 - t
+        return s
 
     def __repr__(self) -> str:
         return (

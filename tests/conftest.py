@@ -1,9 +1,17 @@
 """Shared test fixtures."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import flowgrid
 from flowgrid.rng import INIT_NOISE, substream
+
+_SRC = str(Path(flowgrid.__file__).resolve().parents[1])
 
 
 def _gathered_sample(target, n, seed):
@@ -21,3 +29,20 @@ def _gathered_sample(target, n, seed):
 def gathered_sample():
     """The gather-based target draw that ``sample_target`` must match bit for bit."""
     return _gathered_sample
+
+
+@pytest.fixture
+def fresh_python(tmp_path):
+    """Runs ``code`` in a new interpreter that imports this flowgrid, in a
+    temporary directory, and returns the finished process."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [_SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )}
+
+    def run(code: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+
+    return run

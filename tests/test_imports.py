@@ -8,28 +8,10 @@ their pinned values.  Each check runs in a fresh interpreter, since this
 one has long since imported everything.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-import flowgrid
-
-_SRC = str(Path(flowgrid.__file__).resolve().parents[1])
 _DEFERRED = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg")
 
 
-def _fresh(code: str, cwd) -> subprocess.CompletedProcess:
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [_SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    )}
-    return subprocess.run(
-        [sys.executable, "-c", code], cwd=cwd, env=env,
-        capture_output=True, text=True, timeout=300,
-    )
-
-
-def test_sweep_and_check_suites_leave_quadrature_and_root_finder_unloaded(tmp_path):
+def test_sweep_and_check_suites_leave_quadrature_and_root_finder_unloaded(fresh_python):
     code = f"""
 import sys
 import flowgrid, flowgrid.cli
@@ -52,11 +34,11 @@ gaussian_tv_bounds([0.0, 1.0], [1.0, 0.0], [0.5, 1.0], [2.0, 0.0])
 loaded = sorted(set({_DEFERRED!r}) & set(sys.modules))
 assert not loaded, loaded
 """
-    done = _fresh(code, tmp_path)
+    done = fresh_python(code)
     assert done.returncode == 0, done.stderr
 
 
-def test_on_demand_imports_give_the_pinned_values(tmp_path):
+def test_on_demand_imports_give_the_pinned_values(fresh_python):
     code = f"""
 import hashlib, sys
 import numpy as np
@@ -74,5 +56,5 @@ digest = hashlib.sha256(path.states.tobytes()).hexdigest()
 assert digest == "30bf0704dbe1ef280494c8128f483257c042485a47e3267778bdcc00727bd048", digest
 assert {{"scipy.integrate", "scipy.optimize"}} <= set(sys.modules)
 """
-    done = _fresh(code, tmp_path)
+    done = fresh_python(code)
     assert done.returncode == 0, done.stderr

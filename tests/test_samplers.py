@@ -9,6 +9,7 @@ distributional claims are checked against the closed-form push-forward with
 
 import dataclasses
 import functools
+import hashlib
 import math
 import os
 import sys
@@ -51,7 +52,7 @@ from flowgrid.schedules import (
     ddpm_induced_rf_grid,
     time_from_mix_weight,
 )
-from flowgrid.targets import ExactOracle, Target
+from flowgrid.targets import ExactOracle, PerturbationSpec, Target, perturb_field
 
 
 def point_mass(c):
@@ -1006,6 +1007,119 @@ class TestEulerStepLoop:
         assert batch.meta.target == _D1.describe()
         assert batch.meta.seed == 1
         assert batch.meta.terminal_time == float(_GRID.integration_times()[-1])
+
+
+# ---------------------------------------------------------------------------
+# the step loop's buffer ring
+#
+# The loop reuses two state buffers and a scratch buffer across steps, and
+# the oracle fills them through ``out``.  Recorded frames must still be
+# distinct arrays, recording must not change the batch, a perturbed oracle
+# must give the bits it gave before the buffers, and an oracle without
+# ``out`` goes through an adapter that gives the ExactOracle's bits and
+# never writes the arrays the oracle returned.
+
+_RING_RUNS = {
+    "rf": lambda o, n, **kw: rf_euler(o, _GRID, n, 4, **kw),
+    "ddim-rf[euler]": lambda o, n, **kw: ddim_rf(o, _GRID, n, 4, **kw),
+    "ddim-rf[scaled]": lambda o, n, **kw: ddim_rf(o, _GRID, n, 4, form="scaled", **kw),
+    "stoc-rf": lambda o, n, **kw: stoc_rf(o, _GRID, n, 4, **kw),
+    "ddpm": lambda o, n, **kw: ddpm_sample(o, _SCHEDULE, n, 4, **kw),
+    "langevin": lambda o, n, **kw: langevin_rf(o, _GRID, n, 4, **kw),
+}
+
+
+# Bits of ``data`` from the samplers before the buffer ring, on a schedule of 30
+# equal β = 0.08 and single-Gaussian targets: the pins then rest on IEEE
+# arithmetic and libm's cos alone (no exp/log, and a 1-D additive field whose
+# matrix product is one multiplication), not on a BLAS kernel's sums.
+_PIN_BETAS = np.concatenate([[0.0], np.full(30, 0.08)])
+_PIN_SCHEDULE = DdpmSchedule(
+    betas=_PIN_BETAS, alphas=1.0 - _PIN_BETAS, omegas=np.cumprod(1.0 - _PIN_BETAS),
+    c0=0.0, c1=0.0,
+)
+_PIN_GRID = ddpm_induced_rf_grid(_PIN_SCHEDULE)
+_PIN_RUNS = {
+    "rf": lambda o: rf_euler(o, _PIN_GRID, 64, 5),
+    "ddim-rf[euler]": lambda o: ddim_rf(o, _PIN_GRID, 64, 5),
+    "ddim-rf[scaled]": lambda o: ddim_rf(o, _PIN_GRID, 64, 5, form="scaled"),
+    "stoc-rf": lambda o: stoc_rf(o, _PIN_GRID, 64, 5),
+    "ddpm": lambda o: ddpm_sample(o, _PIN_SCHEDULE, 64, 5),
+    "langevin": lambda o: langevin_rf(o, _PIN_GRID, 64, 5),
+}
+_PIN_TARGETS = {
+    "scale-bias": Target.gaussian([2.0, -1.0, 0.5, 3.0], [1.0, 0.5, 2.0, 0.0]),
+    "additive-field": Target.gaussian([1.5], [0.3]),
+}
+_PINNED_SHA256 = {
+    ("scale-bias", "rf"): "b4f859ac799313701df7e233c3efb8570e11615e7bb5e68cfe9056561c5d7734",
+    ("scale-bias", "ddim-rf[euler]"):
+        "5e96add49e033d762a48b4ad434c53467edd0a2ab25974bcb618f56e66c24721",
+    ("scale-bias", "ddim-rf[scaled]"):
+        "6259f0174ed7519624ae86b975efd70422b4357358d7f43756682162e3b39a2b",
+    ("scale-bias", "stoc-rf"): "0a0dcd040edce4bcd3a3885e584ade8c16403064d8e8c38201161cb688c3ca72",
+    ("scale-bias", "ddpm"): "ee82b32d9c9ef198b3f94a96c865541e3d2fafd681c9d9c4e580a0eb6592f647",
+    ("scale-bias", "langevin"): "0c443236cbcd152d94f7fe4cec733bbb15cd5948eeb2b0dba2b7079d26f57ee4",
+    ("additive-field", "rf"): "263fd200ce8865ca4f8fd33d5fd43deb79408033d0fe8b26d335aeba03266350",
+    ("additive-field", "ddim-rf[euler]"):
+        "621173c09fd8eb91ab8614ce34518dc67f486841c462984f53c12d398b02765a",
+    ("additive-field", "ddim-rf[scaled]"):
+        "c0b7371d3cca6cb0332c0a163a1321267db39663da50a8f6d4e01792e1598e4b",
+    ("additive-field", "stoc-rf"):
+        "52d3886defea13f98306beda49169ce5f127ea344c35d65c8ca823bda3bc8954",
+    ("additive-field", "ddpm"): "61160c0257f1784d4b22e849bacae542be9cb10713fa77ec985bedf71a647529",
+    ("additive-field", "langevin"):
+        "074e9a5a35774d5887a82ec6111458cf8a7c75329bba45abb4152021737284ea",
+}
+
+
+class TestBufferRing:
+    @pytest.mark.parametrize("n", [37, 3500], ids=["caller-draws", "worker-draws"])
+    @pytest.mark.parametrize("name", list(_RING_RUNS))
+    def test_frames_share_no_memory(self, name, n, monkeypatch):
+        loops = []
+        step_loop = flowgrid.samplers._step_loop
+
+        def kept_loop(*args, **kwargs):
+            loops.append(step_loop(*args, **kwargs))
+            return loops[-1]
+
+        monkeypatch.setattr(flowgrid.samplers, "_step_loop", kept_loop)
+        batch = _RING_RUNS[name](ExactOracle(_D5_MIXTURE), n, record_trajectories=True)
+        (_, frames), = loops
+        assert len(frames) == batch.trajectory.shape[0]
+        for i, frame in enumerate(frames):
+            assert not any(np.shares_memory(frame, later) for later in frames[i + 1:])
+            assert np.array_equal(frame, batch.trajectory[i])
+        assert not np.shares_memory(batch.data, batch.trajectory)
+        assert np.array_equal(batch.trajectory[-1], batch.data)
+
+    @pytest.mark.parametrize("name", list(_RING_RUNS))
+    def test_recording_leaves_the_batch_bitwise_unchanged(self, name):
+        oracle = ExactOracle(_D5_MIXTURE)
+        plain = _RING_RUNS[name](oracle, 300)
+        recorded = _RING_RUNS[name](oracle, 300, record_trajectories=True)
+        assert plain.data.tobytes() == recorded.data.tobytes()
+
+    @pytest.mark.parametrize("name", list(_PIN_RUNS))
+    @pytest.mark.parametrize("kind", list(_PIN_TARGETS))
+    def test_perturbed_oracle_gives_the_pinned_bits(self, kind, name):
+        spec = PerturbationSpec(kind, 0.2, 7)
+        oracle = perturb_field(ExactOracle(_PIN_TARGETS[kind]), spec)
+        digest = hashlib.sha256(_PIN_RUNS[name](oracle).data.tobytes()).hexdigest()
+        assert digest == _PINNED_SHA256[kind, name]
+
+    @pytest.mark.parametrize("target", [_D1, _D5_MIXTURE], ids=["d1", "d5-mixture"])
+    @pytest.mark.parametrize("name", list(_RING_RUNS))
+    def test_adapter_for_an_oracle_without_out_gives_the_exact_bits(self, name, target):
+        exact = _RING_RUNS[name](ExactOracle(target), 300, record_trajectories=True)
+        keeping = _KeepingOracle(target)  # its methods take no ``out``
+        adapted = _RING_RUNS[name](keeping, 300, record_trajectories=True)
+        assert exact.data.tobytes() == adapted.data.tobytes()
+        assert exact.trajectory.tobytes() == adapted.trajectory.tobytes()
+        assert keeping.outputs
+        for out, copy in keeping.outputs:
+            assert np.array_equal(out, copy)
 
 
 class TestSamplerTable:

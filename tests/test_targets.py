@@ -6,6 +6,7 @@ posterior moments, and Monte Carlo for the sampling/blur laws.  The
 velocity/score exchange identities are property-tested over random mixtures.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -316,6 +317,75 @@ class TestSingleComponentFields:
         x = np.random.default_rng(5).normal(0.0, 2.0, (8, 4))
         for field in (score, velocity):
             assert np.all(np.isfinite(field(_ONE_GAUSSIAN, 1.0 - 1e-12, x)))
+
+
+# ``out`` receives a field in place: the same bits as a fresh result, and a
+# typed error for a buffer the field cannot be written into as rows of x.
+_D3_MIXTURE = Target(
+    weights=np.array([0.3, 0.7]),
+    means=np.array([[1.0, -2.0, 0.5], [-1.0, 0.0, 2.0]]),
+    variances=np.array([[0.5, 0.0, 1.0], [1.5, 0.2, 0.0]]),
+)
+_FIELDS = {
+    "velocity-gaussian": lambda: functools.partial(velocity, _ONE_GAUSSIAN),
+    "score-gaussian": lambda: functools.partial(score, _ONE_GAUSSIAN),
+    "velocity-mixture": lambda: functools.partial(velocity, _D3_MIXTURE),
+    "score-mixture": lambda: functools.partial(score, _D3_MIXTURE),
+    "oracle-score-mixture": lambda: ExactOracle(_D3_MIXTURE).score,
+    "scale-bias-velocity-mixture": lambda: perturb_field(
+        ExactOracle(_D3_MIXTURE), PerturbationSpec("scale-bias", 0.2, 1)
+    ).velocity,
+    "additive-field-score-gaussian": lambda: perturb_field(
+        ExactOracle(_ONE_GAUSSIAN), PerturbationSpec("additive-field", 0.3, 2)
+    ).score,
+}
+
+
+def _field_and_states(name, rows, seed):
+    """The named field and states for it: ``rows`` of them, or one 1-D state."""
+    dim = 3 if name.endswith("mixture") else 4
+    shape = (dim,) if rows is None else (rows, dim)
+    return _FIELDS[name](), np.random.default_rng(seed).normal(0.0, 2.0, shape)
+
+
+class TestOutBuffer:
+    @pytest.mark.parametrize("rows", [40, None], ids=["batch", "1-d"])
+    @pytest.mark.parametrize("name", list(_FIELDS))
+    def test_out_holds_the_fresh_bits(self, name, rows):
+        field, x = _field_and_states(name, rows, 7)
+        kept = x.copy()
+        for t in (0.0, 0.4, 0.95):
+            want = field(t, x)
+            out = np.full_like(x, np.nan)
+            assert field(t, x, out=out) is out
+            assert _bits(out) == _bits(want)
+            assert _bits(x) == _bits(kept)
+
+    @pytest.mark.parametrize("name", list(_FIELDS))
+    def test_out_may_be_x(self, name):
+        field, x = _field_and_states(name, 30, 8)
+        want = field(0.6, x)
+        assert field(0.6, x, out=x) is x
+        assert _bits(x) == _bits(want)
+
+    @pytest.mark.parametrize(
+        "make_out",
+        [
+            lambda x: np.empty(x.shape, dtype=np.float32),
+            lambda x: np.empty((x.shape[0] + 1, x.shape[1])),
+            lambda x: np.empty(x.shape[1]),
+            lambda x: np.empty(x.shape, order="F"),
+            lambda x: np.empty((x.shape[0], 2 * x.shape[1]))[:, ::2],
+            lambda x: np.lib.stride_tricks.as_strided(np.empty(x.shape), writeable=False),
+            lambda x: x.tolist(),
+        ],
+        ids=["float32", "rows", "1-d", "fortran", "strided", "read-only", "list"],
+    )
+    @pytest.mark.parametrize("name", list(_FIELDS))
+    def test_a_bad_out_is_a_domain_error(self, name, make_out):
+        field, x = _field_and_states(name, 6, 9)
+        with pytest.raises(DomainError, match="out must be a writeable C-contiguous float64"):
+            field(0.5, x, out=make_out(x))
 
 
 class TestExchangeIdentities:
