@@ -11,6 +11,15 @@ from .schedules import _freeze
 
 __all__ = ["BatchMeta", "SampleBatch"]
 
+_BLOCK_BYTES = 1 << 19
+"""Byte budget of one row block in the blur and in the probe's column std."""
+
+
+def _block_rows(row_bytes: int) -> int:
+    """Rows per block: as many rows of ``row_bytes`` as the budget holds, and at
+    least one, however wide a row is."""
+    return max(1, _BLOCK_BYTES // max(1, row_bytes))
+
 
 @dataclass(frozen=True)
 class BatchMeta:

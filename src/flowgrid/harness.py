@@ -43,7 +43,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import DomainError, ParseError
-from .metrics import estimate_tv
+from .metrics import _to_float32, estimate_tv
 from .rng import _share_cores, _usable_cores, child_seed
 from .samplers import SAMPLERS, run_sampler
 from .schedules import GRID_FLAGS, GRIDS, GridKind, default_delta
@@ -230,13 +230,20 @@ def _run_cell(
     def cell_seed(role: int) -> int:
         return child_seed(seed, d, n_steps, sampler_idx, grid_idx, role)
 
+    # Each stage's float64 batch is cast to the probe's float32 as soon as
+    # the stage ends, so no float64 (n, d) batch stays alive across the probe.
     stage_start = time.perf_counter()
-    batch = run_sampler(sampler, oracle, built, spec.num_samples, cell_seed(0))
+    batch = _to_float32(
+        run_sampler(sampler, oracle, built, spec.num_samples, cell_seed(0)).data, "batch_a"
+    )
     sampled = time.perf_counter()
-    reference = blur_samples(
-        sample_target(target, spec.num_samples, cell_seed(1)),
-        built.delta,
-        cell_seed(2),
+    reference = _to_float32(
+        blur_samples(
+            sample_target(target, spec.num_samples, cell_seed(1)),
+            built.delta,
+            cell_seed(2),
+        ).data,
+        "batch_b",
     )
     referenced = time.perf_counter()
     estimate = estimate_tv(batch, reference, rounds=spec.rounds, seed=cell_seed(3))

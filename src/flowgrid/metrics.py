@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .batch import SampleBatch
+from .batch import SampleBatch, _block_rows
 from .errors import DomainError
 from .rng import substream
 
@@ -82,6 +82,52 @@ def _batch_data(batch: SampleBatch | np.ndarray, who: str) -> np.ndarray:
     return data
 
 
+def _to_float32(x: np.ndarray, who: str, out: np.ndarray | None = None) -> np.ndarray:
+    """``x`` cast to float32, into ``out`` when given, once it is checked.
+
+    The check comes first: a NaN, an inf or a value beyond float32's finite
+    range raises :class:`~flowgrid.errors.DomainError` naming ``who``
+    (before the cast could turn it into inf with an overflow warning).  It
+    takes one min and one max, no temporary; NaN fails both comparisons.
+    A float32 ``x`` is returned as it is when there is no ``out``.
+    """
+    top = np.finfo(np.float32).max
+    if x.size and not (x.min() >= -top and x.max() <= top):
+        raise DomainError(f"{who} holds a NaN, an inf or a value beyond float32's range")
+    if out is None:
+        return x.astype(np.float32, copy=False)
+    np.copyto(out, x, casting="same_kind")
+    return out
+
+
+def _column_std(x: np.ndarray, center: np.ndarray, squares: np.ndarray) -> np.ndarray:
+    """``x.std(axis=0)`` bit for bit, with no temporary the size of ``x``.
+
+    ``x`` is a C-contiguous float32 (m, d) array and ``center`` its
+    ``x.mean(axis=0)``.  numpy's ``_var`` squares ``x - mean`` into one
+    (m, d) temporary and sums it along axis 0; for d > 1 that sum runs row
+    after row (numpy sums pairwise only along the fast axis).  Here the rows
+    go through ``squares``, a (rows + 1, d) buffer: its first row carries
+    the running sum, the others take one block of squared deviations, and
+    one axis-0 sum of the buffer continues the row-after-row order.  The
+    division is numpy's own, by the count as an ``np.intp``.  For d = 1 the
+    sum runs pairwise, and the temporary is a column: numpy does it.
+    """
+    m, d = x.shape
+    if d == 1:
+        return x.std(axis=0)
+    total = np.zeros(d, dtype=x.dtype)
+    block = squares.shape[0] - 1
+    for start in range(0, m, block):
+        rows = squares[: min(block, m - start) + 1]
+        rows[0] = total
+        np.subtract(x[start : start + rows.shape[0] - 1], center, out=rows[1:])
+        np.square(rows[1:], out=rows[1:])
+        np.add.reduce(rows, axis=0, out=total)
+    np.true_divide(total, np.intp(m), out=total, casting="unsafe")
+    return np.sqrt(total, out=total)
+
+
 def _balanced_accuracy(pred: np.ndarray, labels: np.ndarray) -> float:
     acc = 0.0
     for cls in (0, 1):
@@ -109,10 +155,12 @@ def estimate_tv(
     In memory the probe holds the pooled batches, cast straight to one
     (n, d) float32 array with n = n_a + n_b; one (n - n//2, d) float32
     buffer that takes a round's training rows (standardized in place) and
-    then its test rows; and vectors of length n//2 and d for the gradient
-    loop.  Computing the training half's standard deviation briefly adds an
-    (n//2, d) temporary.  The peak is therefore about twice the pool's bytes
-    whatever the number of rounds.
+    then its test rows; one row block of at most 512 KiB in which the
+    training half's column standard deviation is summed; and vectors of
+    length n//2 and d for the gradient loop.  The peak is therefore about
+    1.5 times the pool's bytes whatever the number of rounds, besides the
+    caller's batches: passing float32 arrays rather than float64 ones
+    halves those.
 
     Raises :class:`~flowgrid.errors.DomainError` when dimensions differ,
     either batch has fewer than 200 samples, or a value is NaN, infinite or
@@ -131,22 +179,19 @@ def estimate_tv(
         )
     if not isinstance(rounds, numbers.Integral) or rounds < 1:
         raise DomainError(f"rounds must be an integer >= 1, got {rounds!r}")
-    # One min and one max per batch, no temporary: NaN fails both comparisons.
-    top = np.finfo(np.float32).max
-    for who, x in (("batch_a", xa), ("batch_b", xb)):
-        if x.size and not (x.min() >= -top and x.max() <= top):
-            raise DomainError(f"{who} holds a NaN, an inf or a value beyond float32's range")
 
-    pooled = np.concatenate([xa, xb], dtype=np.float32)
-    labels = np.concatenate(
-        [np.zeros(xa.shape[0], dtype=np.int8), np.ones(xb.shape[0], dtype=np.int8)]
-    )
-    n, d = pooled.shape
+    na = xa.shape[0]
+    n, d = na + xb.shape[0], xa.shape[1]
+    pooled = np.empty((n, d), dtype=np.float32)
+    _to_float32(xa, "batch_a", out=pooled[:na])
+    _to_float32(xb, "batch_b", out=pooled[na:])
+    labels = np.concatenate([np.zeros(na, dtype=np.int8), np.ones(n - na, dtype=np.int8)])
     half = n // 2
     m = np.float32(half)
     # One buffer holds a round's standardized training rows, then its test rows.
     rows = np.empty((n - half, d), dtype=np.float32)
     x_train = rows[:half]
+    squares = np.empty((min(half, _block_rows(d * 4)) + 1, d), dtype=np.float32)
     residual = np.empty(half, dtype=np.float32)
     grad_w = np.empty(d, dtype=np.float32)
     decay = np.empty(d, dtype=np.float32)
@@ -160,7 +205,8 @@ def estimate_tv(
         # it); a permutation's indices are all in range, so nothing is clipped.
         np.take(pooled, train, axis=0, out=x_train, mode="clip")
         center = x_train.mean(axis=0)
-        scale = x_train.std(axis=0) + np.float32(1e-8)
+        scale = _column_std(x_train, center, squares)
+        scale += np.float32(1e-8)
         x_train -= center
         x_train /= scale
 

@@ -226,7 +226,7 @@ def _ensure_finite(state: np.ndarray, flags: np.ndarray, sampler: str, t: float)
 
 
 def _finish(
-    data: np.ndarray, frames: list[np.ndarray] | None, times: np.ndarray, sampler: str,
+    data: np.ndarray, frames: np.ndarray | None, times: np.ndarray, sampler: str,
     grid_label: str, oracle: FieldOracle, seed: int,
 ) -> SampleBatch:
     target = getattr(oracle, "target", None)
@@ -239,12 +239,7 @@ def _finish(
     )
     if frames is None:
         return SampleBatch(data=data, meta=meta)
-    return SampleBatch(
-        data=data,
-        meta=meta,
-        trajectory=np.stack(frames),
-        trajectory_times=times,
-    )
+    return SampleBatch(data=data, meta=meta, trajectory=frames, trajectory_times=times)
 
 
 def _check_start(name: str, times: np.ndarray) -> None:
@@ -259,7 +254,7 @@ def _step_loop(
     oracle: FieldOracle, times: np.ndarray, n: int, seed: int, record: bool, drift, *,
     name: str, noise=None, post=None, scales=None, sample_start: bool = False,
     scratch: bool = False,
-) -> tuple[np.ndarray, list[np.ndarray] | None]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """The one step loop of every sampler; step i updates the state x by
 
         drift(i, x, u, work);  u += x;  [ξ_i *= noise[i];  u += ξ_i];  [post(i, u)];
@@ -275,27 +270,36 @@ def _step_loop(
     ``(seed, INIT_NOISE)`` draw, divided by ``scales[0]`` if
     ``sample_start`` (the draw is in sample coordinates); ``scales[i]·x`` is
     the state in sample coordinates (``None``: x already is).  Returns that
-    terminal state and, if ``record``, the per-knot frames; ``name`` labels
-    a NonFiniteState.  A frame ``scales[i]·x`` is a fresh array, but without
-    scales a frame is the state buffer itself: then every recorded step
-    takes a fresh update buffer rather than write one that a frame holds.
+    terminal state and, if ``record``, the (steps + 1, n, d) array of the
+    per-knot states in sample coordinates, whose last frame equals the
+    returned state; ``name`` labels a NonFiniteState.  The frames are one
+    array allocated up front.  With scales, frame i is written as
+    ``scales[i]·x``; without, frame i + 1 is step i's update buffer, so the
+    states are the frames and no step copies one.
     """
     if not isinstance(n, numbers.Integral) or n < 1:
         raise DomainError(f"the sample count must be an integer >= 1, got {n!r}")
-    x = substream(seed, INIT_NOISE).standard_normal((n, oracle.dim))
+    steps = times.size - 1
+    shape = (n, oracle.dim)
+    frames = np.empty((steps + 1, *shape)) if record else None
+    in_frames = record and scales is None  # each state is written in its frame
+    draw = substream(seed, INIT_NOISE)
+    x = draw.standard_normal(out=frames[0]) if in_frames else draw.standard_normal(shape)
     if sample_start:
         x /= scales[0]
 
-    def in_sample(i: int, state: np.ndarray) -> np.ndarray:
-        return state if scales is None else scales[i] * state
+    def keep(i: int, state: np.ndarray) -> None:
+        if record and not in_frames:
+            np.multiply(scales[i], state, out=frames[i])
 
-    frames = [in_sample(0, x)] if record else None
-    update = np.empty_like(x)
+    keep(0, x)
+    update = None if in_frames else np.empty_like(x)
     work = np.empty_like(x) if scratch else None
-    flags = np.empty(x.shape, dtype=bool)
-    steps = times.size - 1
-    with StepNoise(seed, x.shape, 0 if noise is None else steps) as blocks:
+    flags = np.empty(shape, dtype=bool)
+    with StepNoise(seed, shape, 0 if noise is None else steps) as blocks:
         for i in range(steps):
+            if in_frames:
+                update = frames[i + 1]
             drift(i, x, update, work)
             update += x
             if noise is not None:
@@ -306,11 +310,10 @@ def _step_loop(
                 post(i, update)
             x, update = update, x
             _ensure_finite(x, flags, name, float(times[i + 1]))
-            if frames is not None:
-                frames.append(in_sample(i + 1, x))
-                if scales is None:  # that frame is x itself: the next step writes elsewhere
-                    update = np.empty_like(x)
-    return in_sample(steps, x), frames
+            keep(i + 1, x)
+    if record:  # the batch's data is a copy: it shares no memory with its trajectory
+        return frames[steps].copy(), frames
+    return (x if scales is None else scales[steps] * x), None
 
 
 def _euler_steps(
@@ -435,7 +438,7 @@ def ddim_rf(
 def _whitened_chain(
     oracle: FieldOracle, times: np.ndarray, eta: np.ndarray, psi: np.ndarray | None,
     n: int, seed: int, record: bool, *, sampler: str, sample_start: bool = False,
-) -> tuple[np.ndarray, list[np.ndarray] | None]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """The scaled-coordinate recursion shared by the score samplers.
 
     The whitened state z_i = y_{t_i}/σ_{t_i} evolves by

@@ -39,7 +39,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .batch import BatchMeta, SampleBatch
+from .batch import BatchMeta, SampleBatch, _block_rows
 from .errors import DomainError
 from .rng import INIT_NOISE, substream
 from .schedules import _freeze
@@ -492,14 +492,27 @@ def blur_samples(batch: SampleBatch, delta: float, seed: int) -> SampleBatch:
     """Contract toward 0 and add noise: x ↦ (1-δ)·x + δ·Z, Z ~ N(0, I).
 
     This is the law a sampler stopped at time 1-δ is compared against;
-    δ = 0 returns the data unchanged.
+    δ = 0 returns the batch itself.  Z is the ``(seed, INIT_NOISE)`` draw
+    of the batch's shape, taken in sequential row blocks into one small
+    buffer (the same values as one draw), and each block's δ·Z is added to
+    (1-δ)·x, computed once: every element gets the same two roundings as
+    the whole-array expression, and no (n, d) array besides the result is
+    made.
     """
     if not 0.0 <= delta < 1.0:
         raise DomainError(f"blur level must lie in [0, 1), got {delta!r}")
     if delta == 0.0:
         return batch
     rng = substream(seed, INIT_NOISE)
-    data = (1.0 - delta) * batch.data + delta * rng.standard_normal(batch.data.shape)
+    data = (1.0 - delta) * batch.data
+    n, d = data.shape
+    rows = _block_rows(d * data.itemsize)
+    noise = np.empty((min(n, rows), d))
+    for start in range(0, n, rows):
+        z = noise[: min(rows, n - start)]
+        rng.standard_normal(out=z)
+        z *= delta
+        data[start : start + z.shape[0]] += z
     meta = replace(
         batch.meta,
         sampler=f"{batch.meta.sampler}+blur(delta={delta:.6g})",

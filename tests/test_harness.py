@@ -25,6 +25,7 @@ from flowgrid import (
     run_fig2_experiment,
     sampler_fits_grid,
 )
+from flowgrid.batch import SampleBatch
 from flowgrid.cli import main as cli_main
 from flowgrid.harness import CSV_HEADER, _git_blob_sha1
 from flowgrid.samplers import SAMPLERS, run_sampler
@@ -218,6 +219,20 @@ class TestRunExperiment:
         text = (tmp_path / "rows.csv").read_text().splitlines()
         assert text[0] == CSV_HEADER
         assert text[1] == row.csv_line()
+
+    @pytest.mark.filterwarnings("error")  # no overflow warning from the float32 cast
+    def test_a_batch_float32_cannot_hold_fails_the_cell_by_name(self, tmp_path, monkeypatch):
+        import flowgrid.harness as harness
+
+        def overflowing(*args):
+            batch = run_sampler(*args)
+            data = np.array(batch.data)
+            data[3, 1] = 1e39
+            return SampleBatch(data=data, meta=batch.meta)
+
+        monkeypatch.setattr(harness, "run_sampler", overflowing)
+        with pytest.raises(DomainError, match="batch_a holds a NaN, an inf or a value beyond"):
+            run_fig2_experiment(tiny_spec(tmp_path))
 
     def test_incompatible_cells_are_skipped(self, tmp_path):
         spec = tiny_spec(

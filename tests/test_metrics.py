@@ -12,10 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flowgrid.batch
 from flowgrid.batch import BatchMeta, SampleBatch
 from flowgrid.errors import DomainError
 from flowgrid.metrics import (
     TvEstimate,
+    _column_std,
+    _to_float32,
     estimate_tv,
     gaussian_tv_bounds,
     moment_stats,
@@ -180,6 +183,7 @@ class TestEstimateTv:
         b = gaussian_rows(9, 1, 300) + 0.3
         assert estimate_tv(a, b, rounds=np.int64(2), seed=1) == estimate_tv(a, b, rounds=2, seed=1)
 
+    @pytest.mark.filterwarnings("error")  # the check comes before the cast's overflow warning
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39, -1e39])
     @pytest.mark.parametrize("which", ["batch_a", "batch_b"])
     def test_rejects_values_float32_cannot_hold(self, bad, which):
@@ -190,6 +194,38 @@ class TestEstimateTv:
         batches[which][17, 1] = bad
         with pytest.raises(DomainError, match=f"{which} holds a NaN"):
             estimate_tv(batches["batch_a"], batches["batch_b"], rounds=2, seed=0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e39, -1e39])
+    def test_the_float32_cast_checks_before_it_casts(self, bad):
+        x = gaussian_rows(2, 0, 10, d=3)
+        x[4, 2] = bad
+        with pytest.raises(DomainError, match="batch_b holds a NaN"):
+            _to_float32(x, "batch_b")
+        with pytest.raises(DomainError, match="batch_a holds a NaN"):
+            _to_float32(x, "batch_a", out=np.empty(x.shape, dtype=np.float32))
+
+    def test_the_float32_cast_keeps_every_bit_of_numpys_cast(self):
+        x = gaussian_rows(3, 0, 50, d=4) * 1e30
+        assert _to_float32(x, "x").tobytes() == x.astype(np.float32).tobytes()
+        out = np.empty(x.shape, dtype=np.float32)
+        assert _to_float32(x, "x", out=out) is out
+        assert out.tobytes() == x.astype(np.float32).tobytes()
+        single = x.astype(np.float32)
+        assert _to_float32(single, "x") is single
+
+    def test_float32_batches_read_like_float64_ones(self):
+        a = gaussian_rows(4, 0, 300, d=6)
+        b = gaussian_rows(4, 1, 300, d=6) + 0.2
+        single = estimate_tv(a.astype(np.float32), b.astype(np.float32), rounds=3, seed=5)
+        assert single == estimate_tv(a, b, rounds=3, seed=5)
+
+    def test_the_row_block_size_leaves_the_readings_unchanged(self, monkeypatch):
+        a = gaussian_rows(6, 0, 301, d=7)
+        b = gaussian_rows(6, 1, 300, d=7) * 1.3
+        whole = estimate_tv(a, b, rounds=3, seed=2)
+        monkeypatch.setattr(flowgrid.batch, "_BLOCK_BYTES", 3 * 7 * 4)  # three rows
+        assert estimate_tv(a, b, rounds=3, seed=2) == whole
 
     def test_estimate_record_validation(self):
         with pytest.raises(DomainError):
@@ -313,3 +349,50 @@ class TestMomentStats:
     def test_rejects_single_sample(self):
         with pytest.raises(DomainError):
             moment_stats(np.ones((1, 3)))
+
+
+def _block_std(x: np.ndarray, block_rows: int) -> np.ndarray:
+    squares = np.empty((min(block_rows, x.shape[0]) + 1, x.shape[1]), dtype=np.float32)
+    return _column_std(x, x.mean(axis=0), squares)
+
+
+class TestColumnStd:
+    """The probe's row-block column std is ``x.std(axis=0)`` bit for bit."""
+
+    @staticmethod
+    def _rows(seed, m, d):
+        return (8.0 + 3.0 * gaussian_rows(seed, 0, m, d=d)).astype(np.float32)
+
+    @pytest.mark.parametrize("m, block", [(1000, 163), (999, 7), (1001, 1000), (5, 2), (3, 1)])
+    @pytest.mark.parametrize("d", [2, 3, 800])
+    def test_rows_that_do_not_fill_the_last_block(self, m, block, d):
+        x = self._rows(m + d, m, d)
+        assert _block_std(x, block).tobytes() == x.std(axis=0).tobytes()
+
+    @pytest.mark.parametrize("block", [1, 16, 200])
+    def test_constant_and_zero_variance_columns(self, block):
+        x = self._rows(1, 1000, 12)
+        x[:, 0] = 8.0  # a flat coordinate, as on a uniform-grid cell
+        x[:, 5] = 0.0
+        x[:, 7] = -1e-30
+        x[::2, 9] = 3.0
+        x[1::2, 9] = -3.0
+        want = x.std(axis=0)
+        assert want[0] == want[5] == want[7] == 0.0
+        assert _block_std(x, block).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 50, 800])
+    def test_the_probes_smallest_training_half(self, d):
+        # 200 samples per batch: the training half of the 400 pooled rows
+        x = self._rows(d, 200, d)
+        for block in (1, 13, 81, 200):
+            assert _block_std(x, block).tobytes() == x.std(axis=0).tobytes()
+
+    def test_wide_spread_columns(self):
+        x = self._rows(7, 2000, 40) * np.logspace(-15, 15, 40, dtype=np.float32)
+        assert _block_std(x, 81).tobytes() == x.std(axis=0).tobytes()
+
+    def test_a_single_column(self):
+        # numpy sums one column pairwise, so the helper leaves it to numpy
+        x = self._rows(3, 5000, 1)
+        assert _block_std(x, 64).tobytes() == x.std(axis=0).tobytes()

@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flowgrid.batch
 from flowgrid import DomainError
+from flowgrid.rng import INIT_NOISE, substream
 from flowgrid.targets import (
     ExactOracle,
     PerturbationKind,
@@ -573,6 +575,21 @@ class TestBlur:
     def test_zero_level_is_identity(self):
         batch = sample_target(Target.low_rank(2, 1), 50, seed=0)
         assert blur_samples(batch, 0.0, seed=1) is batch
+
+    @pytest.mark.parametrize(
+        "budget",
+        [1 << 19, 3 * 5 * 8, 4 * 5 * 8 - 1, 8],
+        ids=["one-block", "three-rows", "three-rows-just-under-four", "row-over-budget"],
+    )
+    @pytest.mark.parametrize("n", [1, 10, 37])
+    def test_row_blocks_give_the_one_draw_bits(self, n, budget, monkeypatch):
+        monkeypatch.setattr(flowgrid.batch, "_BLOCK_BYTES", budget)
+        batch = sample_target(Target.low_rank(5, 2), n, seed=3)
+        delta = 0.0125
+        got = blur_samples(batch, delta, seed=9).data
+        z = substream(9, INIT_NOISE).standard_normal((n, 5))
+        want = (1.0 - delta) * batch.data + delta * z
+        assert got.tobytes() == want.tobytes()
 
     def test_moments(self):
         tgt = Target.gaussian([0.0], [1.0])
