@@ -158,6 +158,14 @@ def _load_target(path: str) -> Target:
     return parsed
 
 
+def _write_rows(sink, rows: np.ndarray, prefix: str = "") -> None:
+    """One CSV line per row of ``rows``: ``prefix`` and the shortest repr of
+    each value, which reads back as the same float.  Rows are converted one
+    at a time, so no list of the whole array is built."""
+    for row in rows:
+        sink.write(prefix + ",".join(map(repr, row.tolist())) + "\n")
+
+
 def _cmd_sample(args) -> int:
     target = _load_target(args.target)
     delta = args.delta if args.delta is not None else default_delta(args.n_steps, target.dim)
@@ -170,16 +178,13 @@ def _cmd_sample(args) -> int:
         )
         if not args.record_trajectories:
             sink.write(coords + "\n")
-            for row in batch.data:
-                sink.write(",".join(repr(float(x)) for x in row) + "\n")
+            _write_rows(sink, batch.data)
         else:
             sink.write("step,t," + coords + "\n")
             for step, (t, frame) in enumerate(
                 zip(batch.trajectory_times, batch.trajectory)
             ):
-                prefix = f"{step},{float(t)!r},"
-                for row in frame:
-                    sink.write(prefix + ",".join(repr(float(x)) for x in row) + "\n")
+                _write_rows(sink, frame, f"{step},{float(t)!r},")
     return 0
 
 

@@ -46,7 +46,7 @@ from .errors import DomainError, ParseError
 from .metrics import _to_float32, estimate_tv
 from .rng import _share_cores, _usable_cores, child_seed
 from .samplers import SAMPLERS, run_sampler
-from .schedules import GRID_FLAGS, GRIDS, GridKind, default_delta
+from .schedules import GRID_FLAGS, GRIDS, GridKind, _count, default_delta
 from .targets import ExactOracle, Target, blur_samples, sample_target
 
 __all__ = [
@@ -130,7 +130,10 @@ class ExperimentSpec:
             ("num_samples", (self.num_samples,)),
             ("rounds", (self.rounds,)),
         ):
-            bad = [v for v in values if not isinstance(v, numbers.Integral)]
+            bad = [
+                v for v in values
+                if isinstance(v, bool) or not isinstance(v, numbers.Integral)
+            ]
             if bad:
                 raise DomainError(f"{name} takes integers only; got {bad[0]!r}")
         for seed in self.seeds:
@@ -414,8 +417,7 @@ def run_fig2_experiment(
     spec, the CSV's git-style blob hash, and per-cell wall times and stage
     times — the one place timing information is persisted.
     """
-    if threads < 1:
-        raise DomainError(f"threads must be at least 1; got {threads}")
+    _count(threads, "threads", 1)
     out_path = Path(spec.out)
     _check_out_directory(out_path)
 

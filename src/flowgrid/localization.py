@@ -41,7 +41,7 @@ from .checks import CheckRecord
 from .errors import DomainError, NonFiniteState, NoRootError
 from .metrics import _moment_stats
 from .rng import INIT_NOISE, StepNoise, _thread_budget, child_seed, substream
-from .schedules import _freeze, _knots, time_from_mix_weight
+from .schedules import _count, _freeze, _knots, time_from_mix_weight
 from .targets import Target, posterior_moments, sample_target
 
 __all__ = [
@@ -322,9 +322,8 @@ def simulate_forward(
     drew it.
     """
     kind = ProcessKind(kind)
+    _count(n, "the sample count", 1)
     clock = _knots(clock, "clock points")
-    if n < 1:
-        raise DomainError("need at least one sample")
 
     # Each kind's states are a per-point affine map of X₁ and the Brownian
     # value at a derived clock: ``scale`` times (X₁ + B) for RF and DDPM.
@@ -425,8 +424,7 @@ def check_marginal_equivalence(
     no more than there are jobs.  Every record is the same, bit for bit,
     whatever the number of workers.
     """
-    if n < 2:
-        raise DomainError("need at least two samples per process")
+    _count(n, "the sample count per process", 2)
     s_values = _validated(s_points, name="precision clock s", lower=0.0, upper=None)
     jobs = []  # (process, its clock, the factor that rescales its state, seed)
     for i, s in enumerate(s_values):
@@ -504,8 +502,7 @@ def expected_posterior_variance_moments(
         raise DomainError("posterior-variance moments are defined for 1-D targets")
     if not 0.0 < t < 1.0:
         raise DomainError(f"flow time must lie in (0, 1); got {t!r}")
-    if quad_nodes < 3:
-        raise DomainError("need at least 3 quadrature nodes")
+    _count(quad_nodes, "quad_nodes", 3)
     nodes, weights = _hermite_rule(quad_nodes)
     first = second = 0.0
     omt2 = (1.0 - t) ** 2

@@ -25,7 +25,6 @@ calls it every iteration and a numpy stand-in is not bit-exact.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +33,7 @@ from scipy.special import expit
 from .batch import SampleBatch, _block_rows
 from .errors import DomainError
 from .rng import substream
+from .schedules import _count
 
 __all__ = [
     "TvEstimate",
@@ -177,8 +177,7 @@ def estimate_tv(
             f"need at least {_MIN_SAMPLES} samples per batch; "
             f"got {xa.shape[0]} and {xb.shape[0]}"
         )
-    if not isinstance(rounds, numbers.Integral) or rounds < 1:
-        raise DomainError(f"rounds must be an integer >= 1, got {rounds!r}")
+    _count(rounds, "rounds", 1)
 
     na = xa.shape[0]
     n, d = na + xb.shape[0], xa.shape[1]

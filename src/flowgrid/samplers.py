@@ -54,7 +54,6 @@ trajectories, so results are independent of any parallel execution order.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,13 +66,14 @@ from .schedules import (
     DdpmSchedule,
     GridKind,
     TimeGrid,
+    _count,
     _freeze,
     _knots,
     build_ddpm_schedule,
     ddpm_induced_rf_grid,
     time_from_mix_weight,
 )
-from .targets import FieldOracle, Target, _field_writer, affine_field
+from .targets import FieldOracle, Target, affine_field
 
 __all__ = [
     "StocRfCoefficients",
@@ -262,8 +262,7 @@ def _step_loop(
 
     on two (n, d) buffers that trade roles every step, so a step allocates
     no (n, d) array.  ``drift`` writes its term into the update buffer u, the
-    oracle filling u through ``out`` (or an adapter copying into it, see
-    :func:`~flowgrid.targets._field_writer`), and never writes x; ``work``
+    oracle filling u through ``out``, and never writes x; ``work``
     is a third (n, d) buffer for a term it cannot form in u (σ·z, y/t, the
     velocity beside the score), allocated only if ``scratch`` and None
     otherwise.  ``noise=None`` draws no noise.  x starts as the (n, d)
@@ -277,8 +276,7 @@ def _step_loop(
     ``scales[i]·x``; without, frame i + 1 is step i's update buffer, so the
     states are the frames and no step copies one.
     """
-    if not isinstance(n, numbers.Integral) or n < 1:
-        raise DomainError(f"the sample count must be an integer >= 1, got {n!r}")
+    _count(n, "the sample count", 1)
     steps = times.size - 1
     shape = (n, oracle.dim)
     frames = np.empty((steps + 1, *shape)) if record else None
@@ -346,10 +344,8 @@ def _euler_steps(
 
 
 def _flow_increment(oracle: FieldOracle):
-    velocity = _field_writer(oracle.velocity)
-
     def increment(t, step, y, out, work):
-        velocity(t, y, out=out)
+        oracle.velocity(t, y, out=out)
         out *= step  # step·v: a product of two floats commutes exactly
 
     return increment
@@ -420,11 +416,9 @@ def ddim_rf(
     if form != "euler":
         raise DomainError(f"unknown update form {form!r}: use 'euler' or 'scaled'")
 
-    score = _field_writer(oracle.score)
-
     def increment(t, step, y, out, work):
         # step·(y/t + ((1-t)/t)·s), the sum taken in the other order: it commutes
-        score(t, y, out=out)
+        oracle.score(t, y, out=out)
         out *= (1.0 - t) / t
         out += np.divide(y, t, out=work)
         out *= step
@@ -459,10 +453,8 @@ def _whitened_chain(
     # R_{i+1}/R_i with R = t/σ, as one positive factor per step.
     growth = (times[1:] * sigma[:-1]) / (times[:-1] * sigma[1:])
 
-    score = _field_writer(oracle.score)
-
     def drift(i, z, out, work):
-        score(float(times[i]), np.multiply(sigma[i], z, out=work), out=out)
+        oracle.score(float(times[i]), np.multiply(sigma[i], z, out=work), out=out)
         out *= eta[i] * sigma[i]
 
     def post(i, update):
@@ -541,12 +533,10 @@ def langevin_rf(
 
     channel = gamma_scale != 0.0
     if channel:
-        velocity, score = _field_writer(oracle.velocity), _field_writer(oracle.score)
-
         def increment(t, step, y, out, work):
             # step·(v + γ·s), the operands paired as written
-            velocity(t, y, out=work)
-            score(t, y, out=out)
+            oracle.velocity(t, y, out=work)
+            oracle.score(t, y, out=out)
             out *= gamma(t)
             out += work
             out *= step
@@ -611,11 +601,9 @@ def ddpm_sample(
     if final_step:
         times, sigma = np.append(times, 1.0), np.append(sigma, 1.0)
 
-    score = _field_writer(oracle.score)
-
     def drift(i, y, out, work):
         scale = float(sigma[i])
-        score(float(times[i]), np.multiply(scale, y, out=work), out=out)
+        oracle.score(float(times[i]), np.multiply(scale, y, out=work), out=out)
         out *= scale
         out *= betas[n_chain - i]
 

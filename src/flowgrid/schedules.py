@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -74,6 +75,14 @@ def _knots(times, what: str, *, at_least: int = 1) -> np.ndarray:
     if not (np.all(np.isfinite(t)) and np.all(np.diff(t) > 0.0)):
         raise DomainError(f"{what} must be finite and strictly increasing")
     return t
+
+
+def _count(value, what: str, minimum: int):
+    """``value`` once it is an integer, not a bool, of at least ``minimum``;
+    ``what`` names it in the :class:`DomainError` raised otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise DomainError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -162,9 +171,7 @@ def solve_growth(n_steps: int, delta: float) -> float:
 
 
 def _validate_ushaped_args(n_steps: int, delta: float, *, closed_right: bool) -> None:
-    if not isinstance(n_steps, (int, np.integer)):
-        raise DomainError("n_steps must be an integer")
-    if n_steps < 4 or n_steps % 2 != 0:
+    if _count(n_steps, "n_steps", 4) % 2 != 0:
         raise DomainError(
             f"U-shaped grids need an even number of steps >= 4, got {n_steps}"
         )
@@ -182,8 +189,7 @@ def build_uniform_grid(n_steps: int) -> TimeGrid:
     DomainError
         If ``n_steps`` < 1.
     """
-    if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
-        raise DomainError(f"n_steps must be a positive integer, got {n_steps!r}")
+    _count(n_steps, "n_steps", 1)
     times = np.arange(n_steps + 1, dtype=np.float64) / n_steps
     return TimeGrid(times=times, kind=GridKind.UNIFORM)
 
@@ -255,9 +261,7 @@ def build_ddpm_schedule(n_steps: int, c0: float = 2.0, c1: float = 6.0) -> DdpmS
         If N < 2, or any β_τ falls outside (0, 1) — e.g. c1 >= N/log(N),
         or a non-positive c0/c1.
     """
-    if not isinstance(n_steps, (int, np.integer)) or n_steps < 2:
-        raise DomainError(f"n_steps must be an integer >= 2, got {n_steps!r}")
-    n = int(n_steps)
+    n = int(_count(n_steps, "n_steps", 2))
     b = c1 * math.log(n) / n
     betas = np.zeros(n + 1, dtype=np.float64)
     betas[1] = float(n) ** (-c0)
@@ -315,12 +319,10 @@ def ddpm_induced_rf_grid(schedule: DdpmSchedule) -> TimeGrid:
 
 def default_delta(n_steps: int, dim: int | None = None) -> float:
     """Endpoint gap used when none is given: min{1/N, 1/d} (1/N if no dim)."""
-    if n_steps < 1:
-        raise DomainError("n_steps must be positive")
+    _count(n_steps, "n_steps", 1)
     if dim is None:
         return 1.0 / n_steps
-    if dim < 1:
-        raise DomainError("dim must be positive")
+    _count(dim, "dim", 1)
     return min(1.0 / n_steps, 1.0 / dim)
 
 

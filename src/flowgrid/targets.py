@@ -33,7 +33,6 @@ which hold exactly for the closed forms and are enforced by tests.
 from __future__ import annotations
 
 import enum
-import inspect
 from dataclasses import dataclass, replace
 from typing import Protocol, runtime_checkable
 
@@ -42,7 +41,7 @@ import numpy as np
 from .batch import BatchMeta, SampleBatch, _block_rows
 from .errors import DomainError
 from .rng import INIT_NOISE, substream
-from .schedules import _freeze
+from .schedules import _count, _freeze
 
 __all__ = [
     "Target",
@@ -90,9 +89,8 @@ class Target:
             raise DomainError("variances must be non-negative and finite")
         if not np.all(np.isfinite(mu)):
             raise DomainError("means must be finite")
-        if self.intrinsic_dim is not None and not (
-            0 <= self.intrinsic_dim <= mu.shape[1]
-        ):
+        k = self.intrinsic_dim
+        if k is not None and _count(k, "intrinsic_dim", 0) > mu.shape[1]:
             raise DomainError("intrinsic_dim must lie in [0, dim]")
         for name, arr in (("weights", w), ("means", mu), ("variances", var)):
             object.__setattr__(self, name, _freeze(arr))
@@ -131,7 +129,7 @@ class Target:
     ) -> "Target":
         """The benchmark family: mean 8·𝟙, unit variance on the first
         ``intrinsic_dim`` coordinates and zero variance on the rest."""
-        if not 0 <= intrinsic_dim <= dim:
+        if _count(intrinsic_dim, "intrinsic_dim", 0) > _count(dim, "dim", 0):
             raise DomainError("intrinsic_dim must lie in [0, dim]")
         var = np.zeros(dim)
         var[:intrinsic_dim] = var_value
@@ -171,13 +169,15 @@ def _as_batch(x, dim: int) -> tuple[np.ndarray, bool]:
     return x, squeezed
 
 
-def _out_rows(out, x: np.ndarray, squeezed: bool) -> np.ndarray | None:
-    """The caller's ``out`` as rows of the batch ``x``, once it is a
-    writeable C-contiguous float64 array of the caller's state shape."""
-    if out is None:
-        return None
+def _field_out(x, dim: int, out) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``x`` as (n, d) rows, the (n, d) rows a field is written into, and the
+    array to return: ``out`` once it is a writeable C-contiguous float64
+    array of the caller's state shape, else a fresh array of that shape."""
+    x, squeezed = _as_batch(x, dim)
     shape = x.shape[1:] if squeezed else x.shape
-    if not (
+    if out is None:
+        out = np.empty(shape)
+    elif not (
         isinstance(out, np.ndarray)
         and out.dtype == np.float64
         and out.shape == shape
@@ -188,7 +188,7 @@ def _out_rows(out, x: np.ndarray, squeezed: bool) -> np.ndarray | None:
         raise DomainError(
             f"out must be a writeable C-contiguous float64 array of shape {shape}, got {got}"
         )
-    return out[None, :] if squeezed else out
+    return x, (out[None, :] if squeezed else out), out
 
 
 def _marginal_scale(target: Target, t: float) -> np.ndarray:
@@ -262,18 +262,15 @@ def velocity(target: Target, t: float, x, out=None) -> np.ndarray:
     otherwise), which may be ``x`` itself.  The bits are the same either way.
     """
     a, b, _, _ = affine_field(target, t)
-    x, squeezed = _as_batch(x, target.dim)
-    rows = _out_rows(out, x, squeezed)
+    x, rows, out = _field_out(x, target.dim, out)
     if target.n_components == 1:
-        rows = np.multiply(a[0], x, out=rows)
+        np.multiply(a[0], x, out=rows)
         rows += b[0]
     else:
         resp = np.exp(_log_responsibilities(target, float(t), x))  # (n, m)
         fields = a[None, :, :] * x[:, None, :] + b[None, :, :]  # (n, m, d)
-        rows = np.sum(resp[:, :, None] * fields, axis=1, out=rows)
-    if out is not None:
-        return out
-    return rows[0] if squeezed else rows
+        np.sum(resp[:, :, None] * fields, axis=1, out=rows)
+    return out
 
 
 def score(target: Target, t: float, x, out=None) -> np.ndarray:
@@ -287,20 +284,17 @@ def score(target: Target, t: float, x, out=None) -> np.ndarray:
     pinned bit for bit to this one.  ``out`` is as for :func:`velocity`.
     """
     t = _check_time(t)
-    x, squeezed = _as_batch(x, target.dim)
-    rows = _out_rows(out, x, squeezed)
+    x, rows, out = _field_out(x, target.dim, out)
     d_scale = _marginal_scale(target, t)
     if target.n_components == 1:  # -(x - t·μ)/scale, in one array
-        rows = np.subtract(x, t * target.means[0], out=rows)
+        np.subtract(x, t * target.means[0], out=rows)
         np.negative(rows, out=rows)
         rows /= d_scale[0]
     else:
         grads = -(x[:, None, :] - t * target.means[None, :, :]) / d_scale  # (n, m, d)
         resp = np.exp(_log_responsibilities(target, t, x))
-        rows = np.sum(resp[:, :, None] * grads, axis=1, out=rows)
-    if out is not None:
-        return out
-    return rows[0] if squeezed else rows
+        np.sum(resp[:, :, None] * grads, axis=1, out=rows)
+    return out
 
 
 class PerturbationKind(str, enum.Enum):
@@ -332,43 +326,19 @@ class PerturbationSpec:
 class FieldOracle(Protocol):
     """What samplers need: a velocity field and a matching score field.
 
-    Each method returns its field at the (n, d) states ``x``.  A method may
-    also take an ``out`` keyword, as :class:`ExactOracle`'s do: it then
-    writes the field into ``out`` (a C-contiguous float64 array of ``x``'s
-    shape, never ``x`` itself when a sampler calls) and returns it, so a
-    sampler step allocates no (n, d) array.  A method without ``out`` returns a
-    fresh array; the samplers copy it into their buffer and never write it.
+    Each method writes its field at the (n, d) states ``x`` into ``out`` and
+    returns ``out``.  The samplers pass ``out`` by keyword, a C-contiguous
+    float64 array of ``x``'s shape and never ``x`` itself, so a sampler step
+    allocates no (n, d) array.  A method that takes no ``out`` fails at a
+    sampler's first call with :class:`TypeError`.
     """
 
     @property
     def dim(self) -> int: ...
 
-    def velocity(self, t: float, x: np.ndarray) -> np.ndarray: ...
+    def velocity(self, t: float, x: np.ndarray, out: np.ndarray) -> np.ndarray: ...
 
-    def score(self, t: float, x: np.ndarray) -> np.ndarray: ...
-
-
-def _takes_out(method) -> bool:
-    try:
-        parameters = inspect.signature(method).parameters
-    except (TypeError, ValueError):  # no signature to read: call it without ``out``
-        return False
-    out = parameters.get("out")
-    return out is not None and out.kind in (out.POSITIONAL_OR_KEYWORD, out.KEYWORD_ONLY)
-
-
-def _field_writer(method):
-    """``method`` itself if it takes ``out``, else an adapter with the same
-    ``(t, x, *, out)`` call that copies the method's fresh result into
-    ``out`` and never writes the array the method returned."""
-    if _takes_out(method):
-        return method
-
-    def copied(t: float, x: np.ndarray, *, out: np.ndarray) -> np.ndarray:
-        np.copyto(out, method(t, x))
-        return out
-
-    return copied
+    def score(self, t: float, x: np.ndarray, out: np.ndarray) -> np.ndarray: ...
 
 
 class ExactOracle:
@@ -397,13 +367,13 @@ class _PerturbedOracle:
     The score is always (t·v̂(x) - x)/(1-t): the perturbed pair then
     satisfies the same exchange identity as the exact pair, so score-driven
     samplers see a perturbation consistent with velocity-driven ones.  Both
-    methods take ``out`` as :func:`velocity` does, whatever the base oracle.
+    methods take ``out`` as :func:`velocity` does; the base oracle writes
+    its velocity straight into it.
     """
 
     def __init__(self, base: FieldOracle, spec: PerturbationSpec):
         self.base = base
         self.spec = spec
-        self._base_velocity = _field_writer(base.velocity)
         if spec.kind is PerturbationKind.ADDITIVE_FIELD:
             rng = substream(spec.seed, INIT_NOISE)
             d = base.dim
@@ -418,8 +388,7 @@ class _PerturbedOracle:
         return self.base.dim
 
     def velocity(self, t: float, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        x, squeezed = _as_batch(x, self.dim)
-        rows = _out_rows(out, x, squeezed)
+        x, rows, out = _field_out(x, self.dim, out)
         kind, m = self.spec.kind, self.spec.magnitude
         if kind is PerturbationKind.ADDITIVE_FIELD:
             # a fixed smooth unit-norm direction field scaled to magnitude m —
@@ -430,15 +399,13 @@ class _PerturbedOracle:
                 x @ self._freqs.T + self._rates * t + self._phases
             )
             g = m * w / np.linalg.norm(w, axis=1, keepdims=True)
-        v = self._base_velocity(t, x, out=np.empty(x.shape) if rows is None else rows)
+        self.base.velocity(t, x, out=rows)
         if kind is PerturbationKind.SCALE_BIAS:  # (1+m)·v + m
-            v *= 1.0 + m
-            v += m
+            rows *= 1.0 + m
+            rows += m
         else:
-            v += g
-        if out is not None:
-            return out
-        return v[0] if squeezed else v
+            rows += g
+        return out
 
     def score(self, t: float, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         t = _check_time(t)
@@ -467,8 +434,7 @@ def perturb_field(oracle: FieldOracle, spec: PerturbationSpec) -> FieldOracle:
 
 def sample_target(target: Target, n: int, seed: int) -> SampleBatch:
     """Draw n exact samples of the target (component pick + Gaussian draw)."""
-    if n < 1:
-        raise DomainError("need at least one sample")
+    _count(n, "the sample count", 1)
     rng = substream(seed, INIT_NOISE)
     data = rng.standard_normal((n, target.dim))
     if target.n_components == 1:

@@ -11,6 +11,10 @@ import pytest
 
 from flowgrid.checks import CheckRecord
 from flowgrid.cli import build_parser, main
+from flowgrid.harness import parse_config
+from flowgrid.samplers import run_sampler
+from flowgrid.schedules import GRIDS, GridKind, default_delta
+from flowgrid.targets import ExactOracle
 
 
 def run(capsys, *argv):
@@ -201,6 +205,30 @@ class TestSampleCommand:
         assert [row[0] for row in body[:4]] == ["0", "0", "0", "1"]
         t_of_step = {row[0]: row[1] for row in body}
         assert float(t_of_step["4"]) == pytest.approx(0.8)
+
+    @pytest.mark.parametrize("record", [False, True], ids=["data", "trajectories"])
+    def test_values_read_back_bit_for_bit(self, capsys, tmp_path, record):
+        target = write_target(tmp_path)
+        flags = ["--record-trajectories"] if record else []
+        code, out, _ = run(
+            capsys, "--seed", "3", "sample", "--sampler", "stoc-rf", "--target", target,
+            "--grid", "ddpm", "--n-steps", "20", "--num-samples", "30", *flags,
+        )
+        assert code == 0
+        rows = np.array([[float(v) for v in line.split(",")] for line in out.splitlines()[1:]])
+        built = GRIDS[GridKind.DDPM_INDUCED].build(20, default_delta(20, 4))
+        batch = run_sampler(
+            "stoc-rf", ExactOracle(parse_config(target)), built, 30, 3,
+            record_trajectories=record,
+        )
+        if not record:
+            assert rows.tobytes() == batch.data.tobytes()
+            return
+        frames = batch.trajectory
+        assert rows[:, 0].tolist() == np.repeat(np.arange(frames.shape[0]), 30).tolist()
+        assert rows[:, 1].tobytes() == np.repeat(batch.trajectory_times, 30).tobytes()
+        assert rows[:, 2:].tobytes() == frames.reshape(-1, 4).tobytes()
+        assert frames[-1].tobytes() == batch.data.tobytes()
 
     def test_every_sampler_runs_on_the_induced_grid(self, capsys, tmp_path):
         target = write_target(tmp_path)

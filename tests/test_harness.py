@@ -494,8 +494,9 @@ class TestRunExperiment:
 
     def test_rejects_bad_invocations(self, tmp_path):
         spec = tiny_spec(tmp_path)
-        with pytest.raises(DomainError, match="thread"):
-            run_fig2_experiment(spec, threads=0)
+        for threads in (0, 1.5, True):
+            with pytest.raises(DomainError, match="thread"):
+                run_fig2_experiment(spec, threads=threads)
         missing = tiny_spec(tmp_path, out=str(tmp_path / "absent" / "rows.csv"))
         with pytest.raises(DomainError, match="does not exist"):
             run_fig2_experiment(missing)

@@ -74,8 +74,9 @@ class _ExplodingOracle:
     def dim(self):
         return self._dim
 
-    def velocity(self, t, x):
-        return np.full_like(x, np.inf) if t > 0.5 else np.zeros_like(x)
+    def velocity(self, t, x, out):
+        out.fill(np.inf if t > 0.5 else 0.0)
+        return out
 
     score = velocity
 
@@ -661,12 +662,14 @@ class _InfAtCall:
     def dim(self):
         return self._dim
 
-    def velocity(self, t, x):
-        return np.zeros_like(x)
+    def velocity(self, t, x, out):
+        out.fill(0.0)
+        return out
 
-    def score(self, t, x):
+    def score(self, t, x, out):
         self.calls += 1
-        return np.full_like(x, np.inf) if self.calls == self._k else np.zeros_like(x)
+        out.fill(np.inf if self.calls == self._k else 0.0)
+        return out
 
 
 STOCHASTIC = ("stoc-rf", "ddpm", "ddpm-final", "langevin")
@@ -927,28 +930,6 @@ class TestSampleCount:
 # the shared Euler step loop
 
 
-class _KeepingOracle:
-    """The exact fields, keeping every output with a copy taken at return."""
-
-    def __init__(self, target):
-        self.exact = ExactOracle(target)
-        self.outputs = []
-
-    @property
-    def dim(self):
-        return self.exact.dim
-
-    def _keep(self, out):
-        self.outputs.append((out, out.copy()))
-        return out
-
-    def velocity(self, t, x):
-        return self._keep(self.exact.velocity(t, x))
-
-    def score(self, t, x):
-        return self._keep(self.exact.score(t, x))
-
-
 class TestEulerStepLoop:
     @pytest.mark.parametrize("final_step", [False, True], ids=["stop-short", "final-step"])
     @pytest.mark.parametrize("target", [_D1, _D5_MIXTURE], ids=["d1", "d5-mixture"])
@@ -977,20 +958,6 @@ class TestEulerStepLoop:
         assert np.array_equal(batch.trajectory_times, grid.integration_times(final_step))
         assert np.array_equal(run(oracle, grid, 300, 7, final_step=final_step).data, data)
 
-    @pytest.mark.parametrize("name", ["rf", "ddim-rf", "langevin", "langevin-off"])
-    def test_oracle_outputs_are_never_written(self, name):
-        oracle = _KeepingOracle(_D5_MIXTURE)
-        if name == "rf":
-            rf_euler(oracle, _GRID, 50, 3, record_trajectories=True)
-        elif name == "ddim-rf":
-            ddim_rf(oracle, _GRID, 50, 3, record_trajectories=True)
-        else:
-            gamma_scale = 0.0 if name == "langevin-off" else 1.0
-            langevin_rf(oracle, _GRID, 50, 3, gamma_scale=gamma_scale, record_trajectories=True)
-        assert oracle.outputs
-        for out, copy in oracle.outputs:
-            assert np.array_equal(out, copy)
-
     @pytest.mark.parametrize(
         "run, label",
         [
@@ -1016,8 +983,7 @@ class TestEulerStepLoop:
 # the oracle fills them through ``out``.  Recorded frames must still be
 # distinct arrays, recording must not change the batch, a perturbed oracle
 # must give the bits it gave before the buffers, and an oracle without
-# ``out`` goes through an adapter that gives the ExactOracle's bits and
-# never writes the arrays the oracle returned.
+# ``out`` breaks the contract at its first call.
 
 _RING_RUNS = {
     "rf": lambda o, n, **kw: rf_euler(o, _GRID, n, 4, **kw),
@@ -1109,17 +1075,22 @@ class TestBufferRing:
         digest = hashlib.sha256(_PIN_RUNS[name](oracle).data.tobytes()).hexdigest()
         assert digest == _PINNED_SHA256[kind, name]
 
-    @pytest.mark.parametrize("target", [_D1, _D5_MIXTURE], ids=["d1", "d5-mixture"])
     @pytest.mark.parametrize("name", list(_RING_RUNS))
-    def test_adapter_for_an_oracle_without_out_gives_the_exact_bits(self, name, target):
-        exact = _RING_RUNS[name](ExactOracle(target), 300, record_trajectories=True)
-        keeping = _KeepingOracle(target)  # its methods take no ``out``
-        adapted = _RING_RUNS[name](keeping, 300, record_trajectories=True)
-        assert exact.data.tobytes() == adapted.data.tobytes()
-        assert exact.trajectory.tobytes() == adapted.trajectory.tobytes()
-        assert keeping.outputs
-        for out, copy in keeping.outputs:
-            assert np.array_equal(out, copy)
+    def test_an_oracle_without_out_fails_at_its_first_call(self, name):
+        class NoOut:
+            dim = 1
+            calls = 0
+
+            def velocity(self, t, x):
+                self.calls += 1
+                return np.zeros_like(x)
+
+            score = velocity
+
+        oracle = NoOut()
+        with pytest.raises(TypeError, match="out"):
+            _RING_RUNS[name](oracle, 8)
+        assert oracle.calls == 0
 
 
 class TestSamplerTable:

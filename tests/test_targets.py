@@ -337,6 +337,12 @@ _FIELDS = {
     "scale-bias-velocity-mixture": lambda: perturb_field(
         ExactOracle(_D3_MIXTURE), PerturbationSpec("scale-bias", 0.2, 1)
     ).velocity,
+    "scale-bias-score-gaussian": lambda: perturb_field(
+        ExactOracle(_ONE_GAUSSIAN), PerturbationSpec("scale-bias", 0.2, 1)
+    ).score,
+    "additive-field-velocity-mixture": lambda: perturb_field(
+        ExactOracle(_D3_MIXTURE), PerturbationSpec("additive-field", 0.3, 2)
+    ).velocity,
     "additive-field-score-gaussian": lambda: perturb_field(
         ExactOracle(_ONE_GAUSSIAN), PerturbationSpec("additive-field", 0.3, 2)
     ).score,
