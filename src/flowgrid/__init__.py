@@ -89,6 +89,7 @@ from .targets import (
     blur_samples,
     perturb_field,
     posterior_moments,
+    sample_blurred_target,
     sample_target,
     score,
     velocity,
@@ -121,6 +122,7 @@ __all__ = [
     "blur_samples",
     "perturb_field",
     "posterior_moments",
+    "sample_blurred_target",
     "sample_target",
     "score",
     "velocity",

@@ -12,13 +12,38 @@ from .schedules import _freeze
 __all__ = ["BatchMeta", "SampleBatch"]
 
 _BLOCK_BYTES = 1 << 19
-"""Byte budget of one row block in the blur and in the probe's column std."""
+"""Byte budget of one row block: the noise-free samplers' state buffers, the
+reference draw and its blur, and the probe's column std each work in blocks
+of this many bytes."""
 
 
 def _block_rows(row_bytes: int) -> int:
     """Rows per block: as many rows of ``row_bytes`` as the budget holds, and at
     least one, however wide a row is."""
     return max(1, _BLOCK_BYTES // max(1, row_bytes))
+
+
+def _bounded(x: np.ndarray, top: float) -> bool:
+    """Whether every value of ``x`` lies in [-top, top]: one min and one max,
+    no temporary.  A NaN propagates through both and fails the comparisons,
+    so with ``top`` the largest float64 this is "every value is finite"."""
+    return not x.size or bool(x.min() >= -top and x.max() <= top)
+
+
+def _to_float32(x: np.ndarray, who: str, out: np.ndarray | None = None) -> np.ndarray:
+    """``x`` cast to float32, into ``out`` when given, once it is checked.
+
+    The check comes first: a NaN, an inf or a value beyond float32's finite
+    range raises :class:`~flowgrid.errors.DomainError` naming ``who``
+    (before the cast could turn it into inf with an overflow warning).
+    A float32 ``x`` is returned as it is when there is no ``out``.
+    """
+    if not _bounded(x, np.finfo(np.float32).max):
+        raise DomainError(f"{who} holds a NaN, an inf or a value beyond float32's range")
+    if out is None:
+        return x.astype(np.float32, copy=False)
+    np.copyto(out, x, casting="same_kind")
+    return out
 
 
 @dataclass(frozen=True)

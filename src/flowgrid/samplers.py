@@ -30,7 +30,12 @@ step and that the oracle fills through ``out``.  Each sampler supplies its
 own knots, drift, noise scales, post-step and knot scales: the chain and the
 whitened recursion keep their own coefficient arithmetic, and only the code
 around it is shared, since comparing them is the check.  The push-forward
-keeps its own loop for the same reason.
+keeps its own loop for the same reason.  Trajectories never interact, so
+the loop runs row blocks outer and steps inner: a sampler that draws no
+noise (``rf``, both ``ddim-rf`` forms, ``langevin`` with γ = 0) takes its
+rows through every step in blocks of at most 512 KiB, which stay in cache,
+and holds one (n, d) array, its result; a sampler that draws noise runs
+all rows as one block.  The bits are the same either way.
 
 For single-Gaussian targets every one of these updates is affine in the
 state, so mean and per-coordinate variance propagate in closed form;
@@ -40,8 +45,9 @@ of :func:`~flowgrid.targets.affine_field`, and is the reference the
 Monte-Carlo tests compare against.
 
 Noise addressing: the initial state comes from the ``(seed, INIT_NOISE)``
-substream and step i consumes one (n, d) block from ``(seed, STEP_NOISE, i)``,
-row j belonging to trajectory j.  The stochastic samplers read their blocks
+substream, read row block after row block (the values of one (n, d) draw),
+and step i consumes one (n, d) block from ``(seed, STEP_NOISE, i)``, row j
+belonging to trajectory j.  The stochastic samplers read their blocks
 from a :class:`~flowgrid.rng.StepNoise`, which keeps blocks i+1 .. i+3 queued
 for worker threads while step i computes (when blocks are large enough and a
 core is free, one thread per free core); a block depends only on its
@@ -58,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import BatchMeta, SampleBatch
+from .batch import BatchMeta, SampleBatch, _block_rows, _bounded
 from .errors import DomainError, NonFiniteState
 from .rng import INIT_NOISE, StepNoise, substream
 from .schedules import (
@@ -92,6 +98,9 @@ __all__ = [
     "SAMPLERS",
     "run_sampler",
 ]
+
+_FLOAT_MAX = np.finfo(np.float64).max
+"""Largest finite float64: a state within ±this everywhere is finite."""
 
 
 def interpolation_scale2(t):
@@ -217,14 +226,6 @@ def _integration_times(grid, final_step: bool) -> tuple[np.ndarray, str]:
     return times, f"custom({times.size} knots)"
 
 
-def _ensure_finite(state: np.ndarray, flags: np.ndarray, sampler: str, t: float) -> None:
-    if not np.isfinite(state, out=flags).all():
-        raise NonFiniteState(
-            f"{sampler} produced a non-finite state at t = {t:.6g}; "
-            "the field/grid pairing is unstable"
-        )
-
-
 def _finish(
     data: np.ndarray, frames: np.ndarray | None, times: np.ndarray, sampler: str,
     grid_label: str, oracle: FieldOracle, seed: int,
@@ -260,58 +261,93 @@ def _step_loop(
         drift(i, x, u, work);  u += x;  [ξ_i *= noise[i];  u += ξ_i];  [post(i, u)];
         x, u = u, x
 
-    on two (n, d) buffers that trade roles every step, so a step allocates
-    no (n, d) array.  ``drift`` writes its term into the update buffer u, the
-    oracle filling u through ``out``, and never writes x; ``work``
-    is a third (n, d) buffer for a term it cannot form in u (σ·z, y/t, the
-    velocity beside the score), allocated only if ``scratch`` and None
-    otherwise.  ``noise=None`` draws no noise.  x starts as the (n, d)
-    ``(seed, INIT_NOISE)`` draw, divided by ``scales[0]`` if
-    ``sample_start`` (the draw is in sample coordinates); ``scales[i]·x`` is
-    the state in sample coordinates (``None``: x already is).  Returns that
-    terminal state and, if ``record``, the (steps + 1, n, d) array of the
-    per-knot states in sample coordinates, whose last frame equals the
-    returned state; ``name`` labels a NonFiniteState.  The frames are one
-    array allocated up front.  With scales, frame i is written as
-    ``scales[i]·x``; without, frame i + 1 is step i's update buffer, so the
-    states are the frames and no step copies one.
+    on two buffers that trade roles every step, so a step allocates no
+    array.  Rows never interact, so the loop runs blocks outer and steps
+    inner.  A sampler that draws no noise (``noise=None``) takes
+    ``_block_rows(d * 8)`` rows at a time through every step, in buffers of
+    at most 512 KiB that stay in cache, and writes each block's terminal
+    state into the (n, d) result; one that draws noise runs all n rows as
+    one block, since each :class:`~flowgrid.rng.StepNoise` block holds
+    every row.  ``drift`` writes its term into the update buffer u, the
+    oracle filling u through ``out``, and never writes x; ``work`` is a
+    third buffer of the block's shape for a term it cannot form in u (σ·z,
+    y/t, the velocity beside the score), allocated only if ``scratch`` and
+    None otherwise.
+
+    x starts as the block's rows of the ``(seed, INIT_NOISE)`` draw, read
+    block after block from one generator (the values of one (n, d) draw),
+    divided by ``scales[0]`` if ``sample_start`` (the draw is in sample
+    coordinates); ``scales[i]·x`` is the state in sample coordinates
+    (``None``: x already is).  After each step the state must be finite,
+    checked by one min and one max; a block that fails stops there, later
+    blocks run only up to that step, and :class:`NonFiniteState`, labelled
+    ``name``, names the earliest failing knot over all rows.
+
+    Returns the terminal state and, if ``record``, the (steps + 1, n, d)
+    array of the per-knot states in sample coordinates, whose last frame
+    equals the returned state.  The frames are one array allocated up
+    front.  With scales, frame i is written as ``scales[i]·x``; without,
+    frame i + 1 is step i's update buffer, so the states are the frames and
+    no step copies one.
     """
     _count(n, "the sample count", 1)
-    steps = times.size - 1
-    shape = (n, oracle.dim)
-    frames = np.empty((steps + 1, *shape)) if record else None
+    steps, d = times.size - 1, oracle.dim
+    frames = np.empty((steps + 1, n, d)) if record else None
     in_frames = record and scales is None  # each state is written in its frame
+    rows = n if noise is not None else min(n, _block_rows(d * 8))
+    states = None if in_frames else (np.empty((rows, d)), np.empty((rows, d)))
+    spare = np.empty((rows, d)) if scratch else None
+    result = np.empty((n, d)) if rows < n and not record else None
     draw = substream(seed, INIT_NOISE)
-    x = draw.standard_normal(out=frames[0]) if in_frames else draw.standard_normal(shape)
-    if sample_start:
-        x /= scales[0]
+    failed = steps  # the earliest step whose state is not finite, in any block
 
-    def keep(i: int, state: np.ndarray) -> None:
+    def keep(i: int, block: slice, state: np.ndarray) -> None:
         if record and not in_frames:
-            np.multiply(scales[i], state, out=frames[i])
+            np.multiply(scales[i], state, out=frames[i, block])
 
-    keep(0, x)
-    update = None if in_frames else np.empty_like(x)
-    work = np.empty_like(x) if scratch else None
-    flags = np.empty(shape, dtype=bool)
-    with StepNoise(seed, shape, 0 if noise is None else steps) as blocks:
-        for i in range(steps):
+    with StepNoise(seed, (n, d), 0 if noise is None else steps) as blocks:
+        for start in range(0, n, rows):
+            size = min(rows, n - start)
+            block = slice(start, start + size)
             if in_frames:
-                update = frames[i + 1]
-            drift(i, x, update, work)
-            update += x
-            if noise is not None:
-                xi = blocks.block(i)
-                xi *= noise[i]
-                update += xi
-            if post is not None:
-                post(i, update)
-            x, update = update, x
-            _ensure_finite(x, flags, name, float(times[i + 1]))
-            keep(i + 1, x)
+                x, update = frames[0, block], None
+            else:
+                x, update = states[0][:size], states[1][:size]
+            work = None if spare is None else spare[:size]
+            draw.standard_normal(out=x)
+            if sample_start:
+                x /= scales[0]
+            keep(0, block, x)
+            for i in range(failed):
+                if in_frames:
+                    update = frames[i + 1, block]
+                drift(i, x, update, work)
+                update += x
+                if noise is not None:
+                    xi = blocks.block(i)
+                    xi *= noise[i]
+                    update += xi
+                if post is not None:
+                    post(i, update)
+                x, update = update, x
+                if not _bounded(x, _FLOAT_MAX):
+                    failed = i
+                    break
+                keep(i + 1, block, x)
+            if failed == steps and not record:
+                final = x if scales is None else np.multiply(scales[steps], x, out=x)
+                if result is None:  # one block: its buffer is the result
+                    result = final
+                else:
+                    result[block] = final
+    if failed < steps:
+        raise NonFiniteState(
+            f"{name} produced a non-finite state at t = {float(times[failed + 1]):.6g}; "
+            "the field/grid pairing is unstable"
+        )
     if record:  # the batch's data is a copy: it shares no memory with its trajectory
         return frames[steps].copy(), frames
-    return (x if scales is None else scales[steps] * x), None
+    return result, None
 
 
 def _euler_steps(

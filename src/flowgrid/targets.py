@@ -38,7 +38,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .batch import BatchMeta, SampleBatch, _block_rows
+from .batch import BatchMeta, SampleBatch, _block_rows, _to_float32
 from .errors import DomainError
 from .rng import INIT_NOISE, substream
 from .schedules import _count, _freeze
@@ -57,6 +57,7 @@ __all__ = [
     "perturb_field",
     "sample_target",
     "blur_samples",
+    "sample_blurred_target",
 ]
 
 
@@ -331,6 +332,16 @@ class FieldOracle(Protocol):
     float64 array of ``x``'s shape and never ``x`` itself, so a sampler step
     allocates no (n, d) array.  A method that takes no ``out`` fails at a
     sampler's first call with :class:`TypeError`.
+
+    A field's row j depends on row j of ``x`` alone, bit for bit:
+    ``f(t, x)[a:b]`` equals ``f(t, x[a:b])``, so the noise-free samplers may
+    run their rows in blocks.  The oracles here keep that, with one
+    exception: the ``additive-field`` perturbation at d > 1 forms
+    ``x @ freqs.T``, a BLAS matrix product whose kernel and sums depend on
+    the row count, so its bits may differ with the number of rows (at
+    d = 200 with OpenBLAS on a 2-vCPU x86 VM, the first 4, 5 or 6 of 333
+    rows gave other bits alone than in the whole).  At d = 1 that product
+    is one multiplication a value.
     """
 
     @property
@@ -438,9 +449,7 @@ def sample_target(target: Target, n: int, seed: int) -> SampleBatch:
     rng = substream(seed, INIT_NOISE)
     data = rng.standard_normal((n, target.dim))
     if target.n_components == 1:
-        # In place, with the same two operations per element as the gather.
-        data *= np.sqrt(target.variances[0])
-        data += target.means[0]
+        _place(data, target)
     else:
         comps = rng.choice(target.n_components, size=n, p=target.weights)
         data = target.means[comps] + np.sqrt(target.variances[comps]) * data
@@ -454,34 +463,102 @@ def sample_target(target: Target, n: int, seed: int) -> SampleBatch:
     return SampleBatch(data=data, meta=meta)
 
 
+def _place(rows: np.ndarray, target: Target) -> None:
+    """Standard normal rows to a single-Gaussian target's law, in place, with
+    the same two operations per element as a mixture's gather."""
+    rows *= np.sqrt(target.variances[0])
+    rows += target.means[0]
+
+
+def _check_blur(delta: float) -> None:
+    if not 0.0 <= delta < 1.0:
+        raise DomainError(f"blur level must lie in [0, 1), got {delta!r}")
+
+
+def _blur_rows(rows: np.ndarray, delta: float, rng: np.random.Generator, noise: np.ndarray) -> None:
+    """rows ← (1-δ)·rows + δ·Z in place, Z the next ``len(rows)`` rows of
+    ``rng``'s standard normal draw, taken into the front of ``noise``.  Every
+    element gets the two roundings of the whole-array expression."""
+    rows *= 1.0 - delta  # (1-δ)·x: a product of two floats commutes exactly
+    z = noise[: rows.shape[0]]
+    rng.standard_normal(out=z)
+    z *= delta
+    rows += z
+
+
 def blur_samples(batch: SampleBatch, delta: float, seed: int) -> SampleBatch:
     """Contract toward 0 and add noise: x ↦ (1-δ)·x + δ·Z, Z ~ N(0, I).
 
     This is the law a sampler stopped at time 1-δ is compared against;
     δ = 0 returns the batch itself.  Z is the ``(seed, INIT_NOISE)`` draw
     of the batch's shape, taken in sequential row blocks into one small
-    buffer (the same values as one draw), and each block's δ·Z is added to
-    (1-δ)·x, computed once: every element gets the same two roundings as
-    the whole-array expression, and no (n, d) array besides the result is
-    made.
+    buffer (the same values as one draw), and the result is a copy of the
+    batch blurred block by block in place: every element gets the same two
+    roundings as the whole-array expression, and no (n, d) array besides
+    the result is made.  A sweep cell does not call it: it blurs its
+    reference with :func:`sample_blurred_target`, straight into the probe's
+    float32 pool.
     """
-    if not 0.0 <= delta < 1.0:
-        raise DomainError(f"blur level must lie in [0, 1), got {delta!r}")
+    _check_blur(delta)
     if delta == 0.0:
         return batch
     rng = substream(seed, INIT_NOISE)
-    data = (1.0 - delta) * batch.data
+    data = np.array(batch.data)
     n, d = data.shape
     rows = _block_rows(d * data.itemsize)
     noise = np.empty((min(n, rows), d))
     for start in range(0, n, rows):
-        z = noise[: min(rows, n - start)]
-        rng.standard_normal(out=z)
-        z *= delta
-        data[start : start + z.shape[0]] += z
+        _blur_rows(data[start : start + rows], delta, rng, noise)
     meta = replace(
         batch.meta,
         sampler=f"{batch.meta.sampler}+blur(delta={delta:.6g})",
         terminal_time=batch.meta.terminal_time * (1.0 - delta),
     )
     return SampleBatch(data=data, meta=meta)
+
+
+def sample_blurred_target(
+    target: Target, delta: float, target_seed: int, blur_seed: int, out: np.ndarray
+) -> np.ndarray:
+    """Write a blurred target draw into the float32 rows of ``out`` and return it.
+
+    Row for row these are the bits of
+    ``blur_samples(sample_target(target, n, target_seed), delta, blur_seed).data``
+    cast to float32, with (n, d) ``out``'s shape: the sweep cell's
+    reference batch.  Both draws are read in sequential row blocks from
+    their two generators (the values of one (n, d) draw each), through two
+    float64 buffers of at most 512 KiB, and each block is range-checked and
+    cast into its rows of ``out``; no (n, d) float64 array is made.
+
+    Raises :class:`DomainError` for a mixture target (its component picks
+    follow the whole normal draw, so its rows cannot be streamed), a δ
+    outside [0, 1), an ``out`` that is not a writeable C-contiguous (n, d)
+    float32 array with n >= 1 and d the target's dimension, or a value
+    beyond float32's range.
+    """
+    if target.n_components != 1:
+        raise DomainError("a blurred target is streamed only for single-Gaussian targets")
+    _check_blur(delta)
+    d = target.dim
+    if not (
+        isinstance(out, np.ndarray)
+        and out.dtype == np.float32
+        and out.ndim == 2
+        and out.shape[1] == d
+        and out.flags.c_contiguous
+        and out.flags.writeable
+    ):
+        raise DomainError(f"out must be a writeable C-contiguous (n, {d}) float32 array")
+    n = _count(out.shape[0], "the sample count", 1)
+    draw, blur = substream(target_seed, INIT_NOISE), substream(blur_seed, INIT_NOISE)
+    rows = _block_rows(d * 8)
+    block = np.empty((min(n, rows), d))
+    noise = np.empty_like(block) if delta else None
+    for start in range(0, n, rows):
+        x = block[: min(rows, n - start)]
+        draw.standard_normal(out=x)
+        _place(x, target)
+        if delta:
+            _blur_rows(x, delta, blur, noise)
+        _to_float32(x, "the reference batch", out=out[start : start + x.shape[0]])
+    return out

@@ -1,15 +1,16 @@
-"""What a sampler step, a probe round, a sweep cell and a recorded
-trajectory allocate.
+"""What a sampler step, a sampler run, a probe round, a sweep cell and a
+recorded trajectory allocate.
 
 The step loop keeps its states in reused buffers that the oracle fills in
-place, and writes recorded frames into one preallocated trajectory.  The TV
-probe pools its batches straight to float32, gathers each round's rows into
-one buffer and sums the column standard deviation in row blocks; a sweep
-cell hands it float32 batches and blurs its reference in row blocks.  Without the buffers a sampler's speed
-depended on glibc's dynamic mmap threshold: fresh (n, d) arrays every step
-are served by mmap, and each one faults its pages in again, unless some
-larger temporary freed earlier had raised the threshold, as the probe's
-float64 pool used to.
+place, runs a noise-free sampler's rows in blocks, and writes recorded
+frames into one preallocated trajectory.  The TV probe reads its batches in
+place when they are the halves of one float32 pool, gathers each round's
+rows into one buffer and sums the column standard deviation in row blocks;
+a sweep cell streams its sampler batch and its reference into that pool.
+Without the buffers a sampler's speed depended on glibc's dynamic mmap
+threshold: fresh (n, d) arrays every step are served by mmap, and each one
+faults its pages in again, unless some larger temporary freed earlier had
+raised the threshold, as the probe's float64 pool used to.
 """
 
 import tracemalloc
@@ -20,7 +21,7 @@ import pytest
 from flowgrid.harness import ExperimentSpec, _run_cell
 from flowgrid.metrics import estimate_tv
 from flowgrid.samplers import rf_euler, stoc_rf
-from flowgrid.schedules import build_ddpm_schedule, ddpm_induced_rf_grid
+from flowgrid.schedules import build_ddpm_schedule, build_ushaped_grid, ddpm_induced_rf_grid
 from flowgrid.targets import ExactOracle, Target
 
 
@@ -74,15 +75,35 @@ def test_the_probe_holds_its_float32_pool_and_one_row_buffer():
     assert peak < 1.6 * pool_bytes
 
 
+def test_the_probe_reads_the_halves_of_one_pool_in_place():
+    pool = np.random.default_rng(2).standard_normal((4000, 800)).astype(np.float32)
+    peak = _traced_peak(lambda: estimate_tv(pool[:2000], pool[2000:], rounds=1))
+    # The row buffer and the standard deviation's row block: 0.55x.  Copying
+    # the halves into a pool of the probe's own made it 1.55x.
+    assert peak < 0.6 * pool.nbytes
+
+
+def test_a_noise_free_sampler_holds_one_output_array():
+    oracle = ExactOracle(Target.low_rank(800, 8))
+    grid = build_ushaped_grid(20, 1 / 800)
+    output_bytes = 2000 * 800 * 8
+    peak = _traced_peak(lambda: rf_euler(oracle, grid, 2000, 3))
+    # The output and two row blocks of state: 1.08x.  Two (n, d) state
+    # buffers, a bool finite-check buffer and no row blocks made it 2.13x.
+    assert peak < 1.1 * output_bytes
+
+
 def test_a_sweep_cell_hands_the_probe_float32_batches():
     spec = ExperimentSpec(dims=(800,), n_steps=(20,), rounds=1, seeds=(3,))
     pool_bytes = 2 * spec.num_samples * 800 * 4
     peak = _traced_peak(lambda: _run_cell(spec, 800, 20, "rf", "ushaped", 3, 0, 1))
-    # Peaks of 2.5x in the blur (the float32 sampler batch, the target draw
-    # and the blurred batch) and in the probe (both float32 batches, the
-    # pool and the row buffer).  Float64 batches kept alive across the probe,
-    # a whole-array blur and the standard deviation's temporary made it 4.0x.
-    assert peak < 2.75 * pool_bytes
+    # 1.55x, reached three times: the sampler's float64 output beside its
+    # float32 cast, that cast beside the pool, and the pool beside the
+    # probe's row buffer.  Float32 batches held beside a pool of the probe's
+    # own, a float64 target draw and blur, and a sampler with two (n, d)
+    # state buffers made it 2.55x; float64 batches kept alive across the
+    # probe, a whole-array blur and the standard deviation's temporary 4.0x.
+    assert peak < 1.6 * pool_bytes
 
 
 @pytest.mark.parametrize("sampler", [rf_euler, stoc_rf])

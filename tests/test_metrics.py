@@ -220,6 +220,26 @@ class TestEstimateTv:
         single = estimate_tv(a.astype(np.float32), b.astype(np.float32), rounds=3, seed=5)
         assert single == estimate_tv(a, b, rounds=3, seed=5)
 
+    def test_the_halves_of_one_pool_read_like_separate_batches(self):
+        # Read in place (test_allocation measures that), or, reversed or
+        # apart, copied into a pool of the probe's own: the readings agree.
+        a = gaussian_rows(7, 0, 300, d=5).astype(np.float32)
+        b = (gaussian_rows(7, 1, 301, d=5) + 0.3).astype(np.float32)
+        pool = np.concatenate([a, b])
+        for (x, y), (xa, xb) in (
+            ((pool[:300], pool[300:]), (a, b)),
+            ((pool[300:], pool[:300]), (b, a)),
+            ((pool[:300], pool[301:]), (a, b[1:])),
+        ):
+            assert estimate_tv(x, y, rounds=3, seed=2) == estimate_tv(xa, xb, rounds=3, seed=2)
+
+    @pytest.mark.parametrize("which", ["batch_a", "batch_b"])
+    def test_the_halves_of_one_pool_are_range_checked(self, which):
+        pool = gaussian_rows(8, 0, 600, d=3).astype(np.float32)
+        pool[17 if which == "batch_a" else 317, 1] = np.inf
+        with pytest.raises(DomainError, match=f"{which} holds a NaN"):
+            estimate_tv(pool[:300], pool[300:], rounds=1, seed=0)
+
     def test_the_row_block_size_leaves_the_readings_unchanged(self, monkeypatch):
         a = gaussian_rows(6, 0, 301, d=7)
         b = gaussian_rows(6, 1, 300, d=7) * 1.3

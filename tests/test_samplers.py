@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flowgrid.batch
 import flowgrid.rng
 import flowgrid.samplers
 from flowgrid.batch import BatchMeta, SampleBatch
@@ -1091,6 +1092,95 @@ class TestBufferRing:
         with pytest.raises(TypeError, match="out"):
             _RING_RUNS[name](oracle, 8)
         assert oracle.calls == 0
+
+
+# ---------------------------------------------------------------------------
+# row blocks
+#
+# A sampler that draws no noise takes its rows through every step one block
+# at a time.  Its bits must not depend on the blocks: pinned below on a
+# target wide enough for many blocks (the digests are those of the samplers
+# that ran all rows at once), and compared on a patched block budget.  The
+# finite check must still name the earliest failing knot over all rows.
+
+_BLOCK_RUNS = {
+    "rf": lambda o, n, **kw: rf_euler(o, _PIN_GRID, n, 5, **kw),
+    "ddim-rf[euler]": lambda o, n, **kw: ddim_rf(o, _PIN_GRID, n, 5, **kw),
+    "ddim-rf[scaled]": lambda o, n, **kw: ddim_rf(o, _PIN_GRID, n, 5, form="scaled", **kw),
+    "langevin(0)": lambda o, n, **kw: langevin_rf(o, _PIN_GRID, n, 5, gamma_scale=0.0, **kw),
+}
+# Target.low_rank(300, 8), n = 2000: 218 rows a block, ten blocks.
+_BLOCK_PINS = {
+    "rf": "028ea1361ddde5411d440569fdb22ff86b7ca1b100f6cd484bf252e3e6aca8a2",
+    "ddim-rf[euler]": "a84dd5e5893c3dcffa2e11347bed5bf1029e5df6635fa1e52c83bb4d855d0bdf",
+    "ddim-rf[scaled]": "0b20091dae6f5a1c9f223bffeae663431982b0c27c296b8f19e8a423147f2155",
+    "langevin(0)": "028ea1361ddde5411d440569fdb22ff86b7ca1b100f6cd484bf252e3e6aca8a2",
+}
+
+
+class _RowSigns:
+    """Stands in for the initial draw: +1 on rows before ``cut`` and -1 from
+    it on, counted row after row across calls like a generator's stream."""
+
+    def __init__(self, cut):
+        self._cut = cut
+        self._row = 0
+
+    def standard_normal(self, size=None, out=None):
+        out = np.empty(size) if out is None else out
+        rows = self._row + np.arange(out.shape[0])
+        out[...] = np.where(rows < self._cut, 1.0, -1.0)[:, None]
+        self._row += out.shape[0]
+        return out
+
+
+class _SignedExplosion:
+    """Zero on every row until it turns infinite: from t > 0.35 on rows
+    whose first coordinate is negative, from t > 0.65 on all rows."""
+
+    dim = 64
+
+    def velocity(self, t, x, out):
+        out.fill(np.inf if t > 0.65 else 0.0)
+        if t > 0.35:
+            out[x[:, 0] < 0.0] = np.inf
+        return out
+
+    score = velocity
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("name", list(_BLOCK_RUNS))
+    def test_many_blocks_give_the_pinned_bits(self, name):
+        batch = _BLOCK_RUNS[name](ExactOracle(Target.low_rank(300, 8)), 2000)
+        assert hashlib.sha256(batch.data.tobytes()).hexdigest() == _BLOCK_PINS[name]
+
+    @pytest.mark.parametrize("record", [False, True], ids=["plain", "recorded"])
+    @pytest.mark.parametrize("name", list(_BLOCK_RUNS))
+    def test_the_bits_do_not_depend_on_the_block_size(self, name, record, monkeypatch):
+        oracle = ExactOracle(_D5_MIXTURE)
+        whole = _BLOCK_RUNS[name](oracle, 300, record_trajectories=record)
+        monkeypatch.setattr(flowgrid.batch, "_BLOCK_BYTES", 7 * 5 * 8)  # 7 rows a block
+        blocked = _BLOCK_RUNS[name](oracle, 300, record_trajectories=record)
+        assert blocked.data.tobytes() == whole.data.tobytes()
+        if record:
+            assert blocked.trajectory.tobytes() == whole.trajectory.tobytes()
+
+    @pytest.mark.parametrize("name", list(_BLOCK_RUNS))
+    def test_later_rows_failing_earlier_name_the_earlier_knot(self, name, monkeypatch):
+        # 64 coordinates: 1024 rows a block, so rows 2048 on are the third block.
+        monkeypatch.setattr(flowgrid.samplers, "substream", lambda *address: _RowSigns(2048))
+        times = np.linspace(0.1, 0.9, 9)
+        run = {
+            "rf": lambda o: rf_euler(o, times, 3000, 0),
+            "ddim-rf[euler]": lambda o: ddim_rf(o, times, 3000, 0),
+            "ddim-rf[scaled]": lambda o: ddim_rf(o, times, 3000, 0, form="scaled"),
+            "langevin(0)": lambda o: langevin_rf(o, times, 3000, 0, gamma_scale=0.0),
+        }[name]
+        # The first blocks fail at the step from t = 0.7, the last one at the
+        # step from t = 0.4, which lands on t = 0.5.
+        with pytest.raises(NonFiniteState, match=r"at t = 0\.5;"):
+            run(_SignedExplosion())
 
 
 class TestSamplerTable:

@@ -26,6 +26,7 @@ from flowgrid.targets import (
     blur_samples,
     perturb_field,
     posterior_moments,
+    sample_blurred_target,
     sample_target,
     score,
     velocity,
@@ -396,6 +397,34 @@ class TestOutBuffer:
             field(0.5, x, out=make_out(x))
 
 
+# The noise-free samplers run their rows in blocks, so a field's rows must
+# not depend on the rows beside them.  The additive field at d > 1 is the
+# documented exception (a BLAS product of the states, blocked by row count);
+# at d = 1 its product is one multiplication a value.
+_BLOCK_INVARIANT_FIELDS = [name for name in _FIELDS if not name.startswith("additive-field")]
+
+
+class TestRowBlockInvariance:
+    @pytest.mark.parametrize("name", _BLOCK_INVARIANT_FIELDS)
+    def test_a_block_of_rows_gives_the_bits_of_the_whole(self, name):
+        field, x = _field_and_states(name, 333, 10)
+        for t in (0.0, 0.4, 0.95):
+            whole = field(t, x)
+            for a, b in ((0, 1), (0, 218), (5, 6), (100, 333), (218, 333)):
+                assert _bits(field(t, x[a:b])) == _bits(whole[a:b]), (t, a, b)
+
+    @pytest.mark.parametrize("method", ["velocity", "score"])
+    def test_the_additive_field_at_d1_too(self, method):
+        oracle = perturb_field(
+            ExactOracle(Target.gaussian([1.5], [0.3])), PerturbationSpec("additive-field", 0.3, 2)
+        )
+        field = getattr(oracle, method)
+        x = np.random.default_rng(11).normal(0.0, 2.0, (333, 1))
+        whole = field(0.4, x)
+        for a, b in ((0, 1), (0, 218), (100, 333)):
+            assert _bits(field(0.4, x[a:b])) == _bits(whole[a:b]), (a, b)
+
+
 class TestExchangeIdentities:
     @given(
         seed=st.integers(0, 10_000),
@@ -620,3 +649,57 @@ class TestBlur:
             blur_samples(batch, 1.0, seed=0)
         with pytest.raises(DomainError):
             blur_samples(batch, -0.2, seed=0)
+
+
+class TestStreamedReference:
+    @pytest.mark.parametrize(
+        "budget", [1 << 19, 3 * 5 * 8, 8], ids=["one-block", "three-rows", "row-over-budget"]
+    )
+    @pytest.mark.parametrize("delta", [0.0, 0.0125])
+    @pytest.mark.parametrize("n", [1, 10, 37])
+    def test_the_bits_of_the_drawn_and_blurred_batch(self, n, delta, budget, monkeypatch):
+        target = Target.gaussian([8.0, 8.0, -1.0, 0.5, 2.0], [1.0, 0.0, 0.3, 2.0, 0.0])
+        want = blur_samples(sample_target(target, n, seed=3), delta, seed=9).data
+        monkeypatch.setattr(flowgrid.batch, "_BLOCK_BYTES", budget)
+        out = np.full((n, 5), np.nan, dtype=np.float32)
+        assert sample_blurred_target(target, delta, 3, 9, out=out) is out
+        assert out.tobytes() == want.astype(np.float32).tobytes()
+
+    def test_it_writes_the_second_half_of_a_pool(self):
+        target = Target.low_rank(4, 2)
+        pool = np.zeros((20, 4), dtype=np.float32)
+        sample_blurred_target(target, 0.1, 1, 2, out=pool[10:])
+        assert not pool[:10].any()
+        want = blur_samples(sample_target(target, 10, seed=1), 0.1, seed=2).data
+        assert pool[10:].tobytes() == want.astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize(
+        "make_out",
+        [
+            lambda: np.empty((10, 4)),
+            lambda: np.empty((10, 3), dtype=np.float32),
+            lambda: np.empty((10, 4), dtype=np.float32, order="F"),
+            lambda: np.empty(4, dtype=np.float32),
+            lambda: np.empty((0, 4), dtype=np.float32),
+            lambda: np.lib.stride_tricks.as_strided(
+                np.empty((10, 4), dtype=np.float32), writeable=False
+            ),
+        ],
+        ids=["float64", "columns", "fortran", "1-d", "no-rows", "read-only"],
+    )
+    def test_a_bad_out_is_a_domain_error(self, make_out):
+        with pytest.raises(DomainError):
+            sample_blurred_target(Target.low_rank(4, 2), 0.1, 1, 2, out=make_out())
+
+    def test_mixtures_and_bad_levels_are_domain_errors(self):
+        out = np.empty((10, 3), dtype=np.float32)
+        with pytest.raises(DomainError, match="single-Gaussian"):
+            sample_blurred_target(_D3_MIXTURE, 0.1, 1, 2, out=out)
+        for delta in (1.0, -0.2):
+            with pytest.raises(DomainError, match="blur level"):
+                sample_blurred_target(Target.low_rank(3, 1), delta, 1, 2, out=out)
+
+    def test_a_value_beyond_float32_is_a_domain_error(self):
+        huge = Target.gaussian([1e39], [0.0])
+        with pytest.raises(DomainError, match="beyond float32's range"):
+            sample_blurred_target(huge, 0.1, 1, 2, out=np.empty((10, 1), dtype=np.float32))
