@@ -22,7 +22,8 @@ domain; a non-unit noising profile ``beta`` (a positive callable of τ) is
 supported by numerically inverting its accumulated rate, and ``beta=None``
 always means the unit-rate closed forms.  Only that inversion needs scipy's
 ``quad`` and ``brentq``, so they are imported on first use and the unit-rate
-paths, the check suites included, never load them.
+paths, the check suites included, never load them.  The covariance check's
+Gauss–Hermite rule comes from numpy, so the module imports no scipy.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import roots_hermitenorm
 
 from .checks import CheckRecord
 from .errors import DomainError, NonFiniteState, NoRootError
@@ -482,7 +482,15 @@ def check_marginal_equivalence(
 
 @lru_cache(maxsize=8)
 def _hermite_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = roots_hermitenorm(n_nodes)
+    """Gauss nodes and weights for E[f(Z)], Z ~ N(0, 1).
+
+    numpy's probabilists' Hermite rule, which agrees with scipy's
+    ``roots_hermitenorm`` to about 1e-14 on the nodes and 2e-13 relative
+    on the weights at 201 nodes, without loading ``scipy.special``.
+    """
+    from numpy.polynomial.hermite_e import hermegauss  # on first use, like quad above
+
+    nodes, weights = hermegauss(n_nodes)
     return _freeze(nodes), _freeze(weights / math.sqrt(2.0 * math.pi))
 
 

@@ -16,10 +16,12 @@ training-split standardization) so that estimates are deterministic given
 (batches, rounds, seed).
 
 :func:`gaussian_tv_bounds` brackets TV between diagonal Gaussians through
-the Hellinger distance, with numpy alone.  Only the 1-D oracle needs
-``scipy.integrate``, which it imports on first use so that sweeps never
-load it; ``expit`` comes from ``scipy.special`` at import, since the probe
-calls it every iteration and a numpy stand-in is not bit-exact.
+the Hellinger distance, with numpy alone.  Importing the module loads no
+scipy.  The 1-D oracle imports ``scipy.integrate`` on first use, so sweeps
+never load it.  The probe calls ``scipy.special.expit`` every
+iteration, and a numpy stand-in is not bit-exact, so it is imported on
+first use through :func:`_expit`; a sweep calls that before its first
+cell, so no cell's timings carry the import.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .batch import SampleBatch, _block_rows, _to_float32
 from .errors import DomainError
@@ -73,6 +74,15 @@ class TvEstimate:
             raise DomainError("standard error cannot be negative")
         if self.rounds != len(self.per_round):
             raise DomainError("rounds must match the number of per-round readings")
+
+
+def _expit():
+    """scipy's logistic ufunc, imported on first use: ``scipy.special`` is
+    the larger part of a check-suite process's start-up, and only the
+    probe needs it."""
+    from scipy.special import expit
+
+    return expit
 
 
 def _batch_data(batch: SampleBatch | np.ndarray, who: str) -> np.ndarray:
@@ -201,6 +211,7 @@ def estimate_tv(
     residual = np.empty(half, dtype=np.float32)
     grad_w = np.empty(d, dtype=np.float32)
     decay = np.empty(d, dtype=np.float32)
+    expit = _expit()
 
     readings = []
     for r in range(rounds):

@@ -241,34 +241,42 @@ def posterior_moments(target: Target, t: float, x) -> PosteriorMoments:
     return PosteriorMoments(mean=mean, var_diag=var)
 
 
+def _velocity_coefficients(target: Target, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b), each (m, d), of the velocity a·x + b at a checked time ``t``."""
+    d_scale = _marginal_scale(target, t)  # (m, d)
+    return (t * target.variances - (1.0 - t)) / d_scale, (1.0 - t) * target.means / d_scale
+
+
 def affine_field(target: Target, t: float) -> tuple[np.ndarray, ...]:
     """Per-component (a, b, p, q), each (m, d), of the velocity a·x + b (module
     docstring) and the score p·x + q, p = -1/(t²v + (1-t)²), q = -p·t·μ."""
     t = _check_time(t)
-    d_scale = _marginal_scale(target, t)  # (m, d)
-    a = (t * target.variances - (1.0 - t)) / d_scale
-    b = (1.0 - t) * target.means / d_scale
-    return a, b, -1.0 / d_scale, t * target.means / d_scale
+    d_scale = _marginal_scale(target, t)
+    return *_velocity_coefficients(target, t), -1.0 / d_scale, t * target.means / d_scale
 
 
-def velocity(target: Target, t: float, x, out=None) -> np.ndarray:
+def velocity(target: Target, t: float, x, out=None, *, coefficients=None) -> np.ndarray:
     """Exact interpolation velocity E[X₁ - X₀ | X_t = x].
 
     Evaluated through the per-component affine coefficients of
     :func:`affine_field`, so zero-variance coordinates stay exact all the way
     to t → 1 — the naive (posterior mean - x)/(1-t) route cancels there.
+    ``coefficients``, if given, is the (a, b) pair of :func:`affine_field`
+    at ``t``, which a caller that asks for the same t many times can build
+    once (:class:`ExactOracle` does); otherwise it is built here.
 
     ``out``, if given, receives the field and is returned: a writeable
     C-contiguous float64 array of ``x``'s shape (:class:`DomainError`
     otherwise), which may be ``x`` itself.  The bits are the same either way.
     """
-    a, b, _, _ = affine_field(target, t)
+    t = _check_time(t)
+    a, b = _velocity_coefficients(target, t) if coefficients is None else coefficients
     x, rows, out = _field_out(x, target.dim, out)
     if target.n_components == 1:
         np.multiply(a[0], x, out=rows)
         rows += b[0]
     else:
-        resp = np.exp(_log_responsibilities(target, float(t), x))  # (n, m)
+        resp = np.exp(_log_responsibilities(target, t, x))  # (n, m)
         fields = a[None, :, :] * x[:, None, :] + b[None, :, :]  # (n, m, d)
         np.sum(resp[:, :, None] * fields, axis=1, out=rows)
     return out
@@ -352,18 +360,49 @@ class FieldOracle(Protocol):
     def score(self, t: float, x: np.ndarray, out: np.ndarray) -> np.ndarray: ...
 
 
+_COEFFICIENT_BYTES = 1 << 22
+"""Bytes of velocity coefficients an :class:`ExactOracle` keeps."""
+
+
 class ExactOracle:
-    """The closed-form velocity/score of a mixture target."""
+    """The closed-form velocity/score of a mixture target.
+
+    The velocity's coefficients depend on t alone, and a noise-free sampler
+    asks for each knot once per row block, so the oracle builds them once
+    per knot and keeps them.  It keeps them for the target's distinct
+    coordinates only, those whose variances and means differ in some bit
+    in some component (a low-rank target has two), and gathers each call's
+    (m, d) pair from them.  Past 4 MiB of kept coefficients it drops them
+    all and starts over.  The fields' bits do not depend on any of this.
+    """
 
     def __init__(self, target: Target):
-        self.target = target
+        self._target = target
+        m = target.n_components
+        laws = np.concatenate([target.variances, target.means]).view(np.int64)
+        distinct, column = np.unique(laws, axis=1, return_inverse=True)
+        distinct = distinct.view(np.float64)
+        self._distinct = Target(target.weights, means=distinct[m:], variances=distinct[:m])
+        self._column = column.reshape(-1)  # each coordinate's distinct column
+        self._coefficients: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+
+    @property
+    def target(self) -> Target:
+        return self._target
 
     @property
     def dim(self) -> int:
         return self.target.dim
 
     def velocity(self, t: float, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return velocity(self.target, t, x, out=out)
+        t = _check_time(t)
+        pair = self._coefficients.get(t)
+        if pair is None:
+            if len(self._coefficients) * 2 * self._distinct.means.nbytes >= _COEFFICIENT_BYTES:
+                self._coefficients.clear()
+            pair = self._coefficients[t] = _velocity_coefficients(self._distinct, t)
+        coefficients = tuple(c.take(self._column, axis=1) for c in pair)
+        return velocity(self.target, t, x, out=out, coefficients=coefficients)
 
     def score(self, t: float, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return score(self.target, t, x, out=out)

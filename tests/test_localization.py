@@ -707,6 +707,22 @@ class TestCovarianceOde:
         )
         assert covariance_ode_residual(target, np.linspace(0.1, 0.9, 9)) < 1e-4
 
+    @pytest.mark.parametrize("n_nodes", [3, 5, 21, 201])
+    def test_the_numpy_hermite_rule_matches_scipys(self, n_nodes):
+        from scipy.special import roots_hermitenorm
+
+        nodes, weights = flowgrid.localization._hermite_rule(n_nodes)
+        want_nodes, want_weights = roots_hermitenorm(n_nodes)
+        np.testing.assert_allclose(nodes, want_nodes, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(
+            weights, want_weights / math.sqrt(2.0 * math.pi), rtol=1e-12, atol=0.0
+        )
+
+    def test_the_covariance_records_pass_on_the_numpy_rule(self):
+        for seed in range(5):
+            failures = [r for r in covariance_checks(seed) if not r.passed]
+            assert not failures, (seed, failures)
+
     def test_domain_errors(self):
         two_d = Target.gaussian(np.zeros(2), np.ones(2))
         with pytest.raises(DomainError, match="1-D"):

@@ -397,6 +397,59 @@ class TestOutBuffer:
             field(0.5, x, out=make_out(x))
 
 
+class TestExactOracleCoefficients:
+    """The oracle builds its velocity coefficients once per knot and keeps
+    a bounded number of them; the bits are the module function's."""
+
+    @pytest.mark.parametrize("target", [Target.low_rank(5, 2, var_value=0.4), _D3_MIXTURE])
+    def test_kept_coefficients_give_the_module_functions_bits(self, target):
+        oracle = ExactOracle(target)
+        x = np.random.default_rng(12).normal(0.0, 2.0, (40, target.dim))
+        for t in (0.0, 0.3, 0.95, 0.3, 0.0, 0.95):
+            assert _bits(oracle.velocity(t, x)) == _bits(velocity(target, t, x)), t
+
+    def test_a_row_blocked_run_builds_each_knots_coefficients_once(self, monkeypatch):
+        import flowgrid.targets
+        from flowgrid.samplers import rf_euler
+
+        built = []
+        build = flowgrid.targets._velocity_coefficients
+
+        def counted(target, t):
+            built.append(t)
+            return build(target, t)
+
+        monkeypatch.setattr(flowgrid.targets, "_velocity_coefficients", counted)
+        monkeypatch.setattr(flowgrid.batch, "_BLOCK_BYTES", 8 * 8 * 10)  # 10 rows a block
+        grid = np.linspace(0.0, 0.9, 13)
+        rf_euler(ExactOracle(Target.low_rank(8, 2)), grid, 45, seed=2)
+        assert built == [float(t) for t in grid[:-1]]
+
+    def test_the_kept_coefficients_stay_within_their_bytes(self, monkeypatch):
+        import flowgrid.targets
+
+        # Two distinct coordinates in each of two components: 64 bytes a knot.
+        target = Target(
+            weights=np.array([0.5, 0.5]),
+            means=np.array([[1.0, 1.0, -0.0, 0.0], [2.0, 2.0, 0.0, 0.0]]),
+            variances=np.array([[0.5, 0.5, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]]),
+        )
+        monkeypatch.setattr(flowgrid.targets, "_COEFFICIENT_BYTES", 5 * 64)
+        oracle = ExactOracle(target)
+        x = np.random.default_rng(13).normal(0.0, 2.0, (3, 4))
+        for t in np.linspace(0.0, 0.9, 23):
+            assert _bits(oracle.velocity(t, x)) == _bits(velocity(target, t, x))
+            assert 1 <= len(oracle._coefficients) <= 5
+
+    def test_coordinates_that_differ_only_in_a_sign_bit_are_kept_apart(self):
+        target = Target.gaussian([-0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 2.0, 2.0])
+        oracle = ExactOracle(target)
+        x = np.zeros((2, 4))
+        assert oracle._distinct.dim == 3
+        for t in (0.0, 0.5):
+            assert _bits(oracle.velocity(t, x)) == _bits(velocity(target, t, x))
+
+
 # The noise-free samplers run their rows in blocks, so a field's rows must
 # not depend on the rows beside them.  The additive field at d > 1 is the
 # documented exception (a BLAS product of the states, blocked by row count);
