@@ -38,11 +38,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CheckRecord:
-    """Outcome of one named check: passes iff observed <= tolerance."""
+    """Outcome of one named check: passes iff observed <= tolerance.
+
+    ``observed`` is stored as a Python ``float``, so a numpy scalar handed in
+    prints as a plain number in a suite's CSV.
+    """
 
     name: str
     observed: float
     tolerance: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "observed", float(self.observed))
 
     @property
     def passed(self) -> bool:
@@ -82,7 +89,7 @@ def grid_identity_checks(grid: TimeGrid, tag: str = "") -> list[CheckRecord]:
     recs: list[CheckRecord] = []
 
     def rec(name: str, observed: float, tolerance: float = tol) -> None:
-        recs.append(CheckRecord(f"{name}{tag}", float(observed), tolerance))
+        recs.append(CheckRecord(f"{name}{tag}", observed, tolerance))
 
     rec(
         "endpoint-gaps",

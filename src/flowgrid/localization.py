@@ -37,12 +37,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .batch import _block_rows, _bounded
 from .checks import CheckRecord
 from .errors import DomainError, NonFiniteState, NoRootError
 from .metrics import _moment_stats
-from .rng import INIT_NOISE, StepNoise, _thread_budget, child_seed, substream
+from .rng import INIT_NOISE, STEP_NOISE, _thread_budget, child_seed, substream
 from .schedules import _count, _freeze, _knots, time_from_mix_weight
-from .targets import Target, posterior_moments, sample_target
+from .targets import Target, _place, posterior_moments, sample_target
 
 __all__ = [
     "ProcessKind",
@@ -282,21 +283,6 @@ class ForwardPath:
         object.__setattr__(self, "states", states)
 
 
-def _brownian_at(clocks: np.ndarray, noise: StepNoise, out: np.ndarray) -> None:
-    """Write one Brownian path's values at strictly increasing clocks to ``out[k]``.
-
-    Increment k is ``noise.block(k)``, the (seed, STEP_NOISE, k) stream, so a
-    path is reproducible and extends consistently: the value at a later
-    clock is the earlier value plus an independent increment.
-    """
-    previous = None
-    for k, gap in enumerate(np.diff(clocks, prepend=0.0)):
-        level = np.multiply(noise.block(k), math.sqrt(gap), out=out[k])
-        if previous is not None:
-            level += previous
-        previous = level
-
-
 def simulate_forward(
     kind: ProcessKind | str,
     target: Target,
@@ -315,11 +301,16 @@ def simulate_forward(
     (whose internal Brownian clock (1−t)²/t² runs *backwards* in t), τ > 0
     for ``DDPM_FORWARD``.
 
-    The signal draw X₁ uses the (seed, INIT_NOISE) stream.  Brownian
-    increment k is block k of a :class:`~flowgrid.rng.StepNoise`, i.e. the
-    (seed, STEP_NOISE, k) stream, so whether a block is drawn on a worker
-    thread follows the samplers' rule; no value depends on which thread
-    drew it.
+    The signal draw X₁ uses the (seed, INIT_NOISE) stream and Brownian
+    increment k the (seed, STEP_NOISE, k) stream.  The states are built in
+    row blocks of at most 512 KiB: each block's rows of increment k are
+    drawn from its generator straight into the states, every generator
+    read in row order, so the values are those of one whole (n, d) draw
+    per stream.  A single-Gaussian target's X₁ rows stream the same way; a
+    mixture's component picks follow its whole normal draw, so its X₁ is
+    one :func:`~flowgrid.targets.sample_target` draw, sliced.  Besides the
+    (len(clock), n, d) states a call therefore holds two row blocks, plus
+    a mixture's (n, d) X₁, and it runs on the caller's thread alone.
     """
     kind = ProcessKind(kind)
     _count(n, "the sample count", 1)
@@ -352,21 +343,41 @@ def simulate_forward(
     else:  # pragma: no cover - enum is closed
         raise DomainError(f"unknown process kind {kind!r}")
 
-    states = np.empty((clock.size, n, target.dim))
+    d = target.dim
+    states = np.empty((clock.size, n, d))
     levels = states[::-1] if kind is ProcessKind.RF_LINEAR else states
-    with StepNoise(seed, states.shape[1:], clock.size) as noise:
-        x1 = sample_target(target, n, seed).data
-        _brownian_at(brownian_clock, noise, levels)
-    if kind is ProcessKind.SL:
-        for s, state in zip(clock, states):
-            state += s * x1
+    increments = [substream(seed, STEP_NOISE, k) for k in range(clock.size)]
+    spreads = [math.sqrt(gap) for gap in np.diff(brownian_clock, prepend=0.0)]
+    rows = min(n, _block_rows(d * 8))
+    if target.n_components == 1:
+        signal, x1 = substream(seed, INIT_NOISE), np.empty((rows, d))
     else:
-        for c, state in zip(scale, states):
-            state += x1
-            state *= c
-
-    if not np.all(np.isfinite(states)):
-        raise NonFiniteState(f"forward process {kind} produced non-finite states")
+        signal, x1 = None, sample_target(target, n, seed).data
+    scaled = np.empty((rows, d)) if kind is ProcessKind.SL else None
+    for start in range(0, n, rows):
+        block = slice(start, min(start + rows, n))
+        if signal is None:
+            x = x1[block]
+        else:
+            x = x1[: block.stop - start]
+            signal.standard_normal(out=x)
+            _place(x, target)
+        # the Brownian values: each one the previous plus its own increment
+        for k, (increment, spread) in enumerate(zip(increments, spreads)):
+            level = levels[k, block]
+            increment.standard_normal(out=level)
+            level *= spread
+            if k:
+                level += levels[k - 1, block]
+        if kind is ProcessKind.SL:
+            for s, state in zip(clock, states[:, block]):
+                state += np.multiply(s, x, out=scaled[: x.shape[0]])
+        else:
+            for c, state in zip(scale, states[:, block]):
+                state += x
+                state *= c
+        if not _bounded(states[:, block], np.finfo(np.float64).max):
+            raise NonFiniteState(f"forward process {kind} produced non-finite states")
     return ForwardPath(kind=kind, times=clock, states=states)
 
 
@@ -422,7 +433,10 @@ def check_marginal_equivalence(
     core that no other live thread of the process may be using (the
     caller's own core included, since it only waits), but at least one and
     no more than there are jobs.  Every record is the same, bit for bit,
-    whatever the number of workers.
+    whatever the number of workers.  A job holds its (n, d) states and row
+    blocks of at most 512 KiB: the moments of the rescaled state are summed
+    block by block, each block divided by the factor as it is read, so no
+    rescaled copy is made.
     """
     _count(n, "the sample count per process", 2)
     s_values = _validated(s_points, name="precision clock s", lower=0.0, upper=None)
@@ -440,7 +454,7 @@ def check_marginal_equivalence(
     def rescaled_moments(job):
         kind, point, factor, job_seed = job
         states = simulate_forward(kind, target, [point], n, job_seed).states[0]
-        return _moment_stats(states / factor)
+        return _moment_stats(states, factor)
 
     workers = _thread_budget(len(jobs))
     pool = ThreadPoolExecutor(workers, thread_name_prefix="flowgrid-equivalence")
@@ -464,10 +478,10 @@ def check_marginal_equivalence(
             se_var = np.maximum(se_var, 1e-300)
             gap_var = np.max(np.abs(var_a - var_b) / se_var)
             records.append(
-                CheckRecord(f"marginal[s={s:g}]:{a}-vs-{b}:mean", float(gap_mean), 4.0)
+                CheckRecord(f"marginal[s={s:g}]:{a}-vs-{b}:mean", gap_mean, 4.0)
             )
             records.append(
-                CheckRecord(f"marginal[s={s:g}]:{a}-vs-{b}:var", float(gap_var), 4.0)
+                CheckRecord(f"marginal[s={s:g}]:{a}-vs-{b}:var", gap_var, 4.0)
             )
     return EquivalenceReport(
         records=tuple(records),
@@ -573,8 +587,8 @@ def _roundtrip_record(
     name: str, forward: Callable, inverse: Callable, points: np.ndarray
 ) -> CheckRecord:
     back = inverse(forward(points))
-    observed = float(np.max(np.abs(back - points) / np.abs(points)))
-    return CheckRecord(f"roundtrip:{name}", observed, 1e-12)
+    worst = np.max(np.abs(back - points) / np.abs(points))
+    return CheckRecord(f"roundtrip:{name}", worst, 1e-12)
 
 
 def equivalence_checks(seed: int = 0) -> list[CheckRecord]:
@@ -601,26 +615,26 @@ def equivalence_checks(seed: int = 0) -> list[CheckRecord]:
         ("anchor:t(omega=1/5)=1/3", abs(rf_time_from_ddpm(0.2) - 1.0 / 3.0)),
     )
     for name, gap in anchors:
-        records.append(CheckRecord(name, float(gap), 1e-12))
+        records.append(CheckRecord(name, gap, 1e-12))
 
     records.append(
         CheckRecord(
             "monotone:t(s)-increasing",
-            float(np.max(-np.diff(t_wide), initial=0.0)),
+            np.max(-np.diff(t_wide), initial=0.0),
             0.0,
         )
     )
     records.append(
         CheckRecord(
             "monotone:tau(s)-decreasing",
-            float(np.max(np.diff(ddpm_time_from_sl(s_wide)), initial=0.0)),
+            np.max(np.diff(ddpm_time_from_sl(s_wide)), initial=0.0),
             0.0,
         )
     )
     records.append(
         CheckRecord(
             "monotone:t(omega)-increasing",
-            float(np.max(-np.diff(rf_time_from_ddpm(omega_wide)), initial=0.0)),
+            np.max(-np.diff(rf_time_from_ddpm(omega_wide)), initial=0.0),
             0.0,
         )
     )
@@ -631,7 +645,7 @@ def equivalence_checks(seed: int = 0) -> list[CheckRecord]:
     records.append(
         CheckRecord(
             "composition:t(tau(s))=t(s)",
-            float(np.max(np.abs(composed - rf_time_from_sl(s_rand)))),
+            np.max(np.abs(composed - rf_time_from_sl(s_rand))),
             1e-12,
         )
     )
@@ -641,7 +655,7 @@ def equivalence_checks(seed: int = 0) -> list[CheckRecord]:
     records.append(
         CheckRecord(
             "identity:sigma2(t(omega))*omega=t2",
-            float(np.max(np.abs(sigma2 * omega_rand - t_of * t_of))),
+            np.max(np.abs(sigma2 * omega_rand - t_of * t_of)),
             1e-12,
         )
     )
@@ -688,15 +702,13 @@ def equivalence_checks(seed: int = 0) -> list[CheckRecord]:
     std = Target.gaussian(np.zeros(2), np.ones(2))
     anchor_n = 20000
     report_std = check_marginal_equivalence(std, [1.0], anchor_n, child_seed(seed, 101))
-    sl_var = (
-        simulate_forward(ProcessKind.SL, std, [1.0], anchor_n, child_seed(seed, 102))
-        .states[0]
-        .var(axis=0, ddof=1)
-    )
+    sl_var = _moment_stats(
+        simulate_forward(ProcessKind.SL, std, [1.0], anchor_n, child_seed(seed, 102)).states[0]
+    )[1]
     records.append(
         CheckRecord(
             "law-anchor:sl-rescaled-var[s=1]",
-            float(np.max(np.abs(sl_var - 2.0)) / (2.0 * math.sqrt(2.0 / anchor_n))),
+            np.max(np.abs(sl_var - 2.0)) / (2.0 * math.sqrt(2.0 / anchor_n)),
             4.0,
         )
     )

@@ -354,14 +354,55 @@ def moment_stats(batch: SampleBatch | np.ndarray) -> tuple[np.ndarray, np.ndarra
     return _moment_stats(data)[:2]
 
 
-def _moment_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-column mean, unbiased variance and fourth central moment; the
-    variance is ``x.var(axis=0, ddof=1)`` bit for bit (same sums, same order)."""
-    mean = x.mean(axis=0)
-    centered = x - mean
-    # ``**2`` already runs as ``np.square``, but ``**4`` calls libm ``pow`` per
-    # element (about ten times slower), so the fourth moment squares the square.
-    squared = centered * centered
-    var = np.sum(squared, axis=0) / (x.shape[0] - 1)
-    fourth = np.mean(squared * squared, axis=0)
+def _moment_stats(
+    x: np.ndarray, divisor: float = 1.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-column mean, unbiased variance and fourth central moment of
+    ``y = x / divisor``, with no temporary the size of ``x``.
+
+    The results are those of the whole-array forms bit for bit:
+    ``y.mean(axis=0)``, ``y.var(axis=0, ddof=1)`` and the mean of the
+    squared squares.  For a C-contiguous float64 ``x`` with d > 1 numpy sums
+    along axis 0 row after row, so the rows go through one (rows + 1, d)
+    buffer of at most 512 KiB, as in :func:`_column_std`: its first row
+    carries a running sum and the others take one block of ``y``, then of
+    its squared deviations, then of their squares.  Other inputs take the
+    whole-array forms; for d = 1 numpy sums the column pairwise.
+    """
+    n, d = x.shape
+    if d == 1 or x.dtype != np.float64 or not x.flags.c_contiguous:
+        y = x / divisor if divisor != 1.0 else x
+        mean = y.mean(axis=0)
+        centered = y - mean
+        # ``**4`` calls libm ``pow`` per element (about ten times slower than
+        # a product), so the fourth moment squares the square.
+        squared = centered * centered
+        return mean, np.sum(squared, axis=0) / (n - 1), np.mean(squared * squared, axis=0)
+
+    rows = np.empty((min(n, _block_rows(d * 8)) + 1, d))
+    step = rows.shape[0] - 1
+
+    def rescaled_blocks():
+        for start in range(0, n, step):
+            part = rows[: min(step, n - start) + 1]
+            np.true_divide(x[start : start + part.shape[0] - 1], divisor, out=part[1:])
+            yield part
+
+    def carry(part: np.ndarray, total: np.ndarray) -> None:
+        part[0] = total
+        np.add.reduce(part, axis=0, out=total)
+
+    mean, var, fourth = np.zeros(d), np.zeros(d), np.zeros(d)
+    for part in rescaled_blocks():
+        carry(part, mean)
+    np.true_divide(mean, np.intp(n), out=mean, casting="unsafe")
+    for part in rescaled_blocks():
+        deviation = part[1:]
+        deviation -= mean
+        np.square(deviation, out=deviation)
+        carry(part, var)
+        np.square(deviation, out=deviation)
+        carry(part, fourth)
+    var /= n - 1
+    np.true_divide(fourth, np.intp(n), out=fourth, casting="unsafe")
     return mean, var, fourth

@@ -12,12 +12,13 @@ Within a step, a single ``(n, d)`` block is drawn and row ``j`` belongs to
 trajectory ``j``.  A sampler takes its step blocks from a :class:`StepNoise`,
 which keeps up to three blocks queued ahead for worker threads while the
 steps compute, one thread per core that no other live thread of the process
-may be using, when the blocks are large enough and such a core is free.  The
-forward-process simulators in :mod:`flowgrid.localization` read their
-Brownian increments from one too, block k being increment k.  Because a
-block depends only on its address, drawing it ahead of time leaves every
-value unchanged; a block handed out is valid only until the next
-:meth:`StepNoise.block` call, which refills its buffer.
+may be using, when the blocks are large enough and such a core is free.
+Because a block depends only on its address, drawing it ahead of time leaves
+every value unchanged; a block handed out is valid only until the next
+:meth:`StepNoise.block` call, which refills its buffer.  The forward-process
+simulators in :mod:`flowgrid.localization` need no queue: they read Brownian
+increment k from the ``(seed, STEP_NOISE, k)`` stream on the caller's thread,
+one row block at a time, which gives the values of one whole draw.
 
 A parallel sweep's worker process counts only its share of the cores, the
 same share that caps its BLAS threads (:func:`_share_cores`), so workers

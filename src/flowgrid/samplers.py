@@ -819,7 +819,7 @@ def identity_checks(seed: int = 0) -> list:
     records: list[CheckRecord] = []
 
     def rec(name: str, observed: float, tolerance: float) -> None:
-        records.append(CheckRecord(name, float(observed), float(tolerance)))
+        records.append(CheckRecord(name, observed, float(tolerance)))
 
     rng = substream(seed, 2)
 

@@ -7,6 +7,8 @@ frames into one preallocated trajectory.  The TV probe reads its batches in
 place when they are the halves of one float32 pool, gathers each round's
 rows into one buffer and sums the column standard deviation in row blocks;
 a sweep cell streams its sampler batch and its reference into that pool.
+The forward simulators build their states in row blocks, and the moment
+sums of the equivalence check run over row blocks of those states.
 Without the buffers a sampler's speed depended on glibc's dynamic mmap
 threshold: fresh (n, d) arrays every step are served by mmap, and each one
 faults its pages in again, unless some larger temporary freed earlier had
@@ -18,7 +20,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import flowgrid.rng
 from flowgrid.harness import ExperimentSpec, _run_cell
+from flowgrid.localization import equivalence_checks
 from flowgrid.metrics import _expit, estimate_tv
 from flowgrid.samplers import rf_euler, stoc_rf
 from flowgrid.schedules import build_ddpm_schedule, build_ushaped_grid, ddpm_induced_rf_grid
@@ -128,3 +132,14 @@ def test_a_recorded_trajectory_is_written_in_place(sampler):
     # The trajectory, the batch's copy of its last frame and the step
     # buffers: 1.1x.  Stacking a list of frames made it 2.0x.
     assert peak < 1.2 * batch.trajectory.nbytes
+
+
+def test_an_equivalence_job_holds_its_states_and_row_blocks(monkeypatch):
+    # One job at a time, so the peak is one job's whatever the core count.
+    monkeypatch.setattr(flowgrid.rng, "_free_cores", lambda: 0)
+    state_bytes = 20000 * 10 * 8  # a low-rank job's (n, d) float64 states
+    peak = _traced_peak(lambda: equivalence_checks(3))
+    # The states and two 512 KiB row blocks: 1.73x.  Rescaling the states
+    # into a second (n, d) array for the moments made it 2.40x; a whole
+    # Brownian buffer, a whole X1 draw and whole-array moment temporaries 5.03x.
+    assert peak < 2.0 * state_bytes

@@ -361,6 +361,23 @@ class TestCheckCommand:
         assert all(line.endswith(",pass") for line in body)
         assert lines[-1].startswith("#") and "checks passed" in lines[-1]
 
+    @pytest.mark.parametrize("suite", ["grid", "equivalence", "covariance", "identities"])
+    def test_observed_column_holds_plain_numbers(self, capsys, suite):
+        code, out, _ = run(capsys, "check", "--suite", suite)
+        assert code == 0
+        body = [line for line in out.splitlines()[1:] if not line.startswith("#")]
+        assert body
+        for line in body:
+            observed = line.rsplit(",", 3)[1]  # grid names hold commas of their own
+            assert "np." not in observed, line
+            float(observed)
+
+    def test_a_record_keeps_a_numpy_observation_as_a_python_float(self):
+        record = CheckRecord("x", np.float64(2.5e-9), 1e-6)
+        assert type(record.observed) is float
+        assert record.observed == 2.5e-9
+        assert record.passed
+
     def test_failing_record_flips_exit_code(self, capsys, monkeypatch):
         import flowgrid.cli as cli
 

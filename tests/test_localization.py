@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import flowgrid.localization
 import flowgrid.rng
+from flowgrid.batch import _block_rows
 from flowgrid.errors import DomainError, NonFiniteState, NoRootError
 from flowgrid.localization import (
     EquivalenceReport,
@@ -395,6 +396,15 @@ def _old_moment_stats(x):
     return mean, var, fourth
 
 
+def _whole_array_moments(x):
+    """Reference moments over whole arrays, the fourth as the mean of the
+    squared squares."""
+    mean = x.mean(axis=0)
+    centered = x - mean
+    squared = centered * centered
+    return mean, np.sum(squared, axis=0) / (x.shape[0] - 1), np.mean(squared * squared, axis=0)
+
+
 def _heavy_tailed(n, d, seed):
     rng = np.random.default_rng(seed)
     return 1.5 + 3.0 * rng.standard_t(5, size=(n, d))
@@ -414,6 +424,28 @@ class TestMomentStats:
         old_mean, old_var, _ = _old_moment_stats(x)
         assert np.array_equal(mean, old_mean)
         assert np.array_equal(var, old_var)
+
+    @pytest.mark.parametrize("divisor", [1.0, 0.7, math.sqrt(0.8)])
+    @pytest.mark.parametrize("rows", ["below-one-block", "one-row-over", "not-a-multiple"])
+    @pytest.mark.parametrize("d", [1, 2, 10])
+    def test_row_blocks_keep_the_whole_array_bits(self, d, rows, divisor):
+        block = _block_rows(d * 8)
+        n = {"below-one-block": 37, "one-row-over": block + 1}.get(rows, 2 * block + 123)
+        x = _heavy_tailed(n, d, seed=d)
+        got = _moment_stats(x, divisor)
+        rescaled = x / divisor
+        for value, want in zip(got, _whole_array_moments(rescaled)):
+            assert _same_bits(value, want)
+        for value, want in zip(got[:2], _old_moment_stats(rescaled)):
+            assert _same_bits(value, want)
+        assert _same_bits(got[1], rescaled.var(axis=0, ddof=1))
+
+    def test_a_column_of_negative_zeros_sums_as_numpy_does(self):
+        x = _heavy_tailed(_block_rows(3 * 8) + 5, 3, seed=1)
+        x[:, 1] = -0.0
+        mean, var, fourth = _moment_stats(x)
+        for value, want in zip((mean, var, fourth), _whole_array_moments(x)):
+            assert _same_bits(value, want)
 
     # At the suite's n = 20000 the row-by-row accumulation of an axis-0 mean,
     # not the per-element product, sets the error: both forms reach 1.2e-14.
@@ -490,28 +522,46 @@ _CLOCKS = {
     "rf-linear": ([0.4], [0.2, 0.5, 0.9]),
     "ddpm-forward": ([0.3], [0.1, 0.4, 1.2]),
 }
-_WORKER_N = 4096  # with d >= 4, blocks of at least 2**14 values: drawn on the worker
+_BLOCKS_N = 16385  # one row past a d = 4 block; three blocks at d = 10
 
 
 @pytest.fixture
-def step_draw_threads(monkeypatch):
-    """Worker blocks by the size rule alone, free cores being plenty; yields
-    the threads drawing step noise."""
+def increment_draws(monkeypatch):
+    """Records the thread of every draw from a step-noise stream, and every
+    thread started, with free cores plenty; yields both lists."""
     monkeypatch.setattr(flowgrid.rng, "_free_cores", lambda: 64)
-    real = flowgrid.rng.substream
-    threads = []
+    real = flowgrid.localization.substream
+    draws, started = [], []
+
+    class Recording:
+        def __init__(self, generator):
+            self._generator = generator
+
+        def standard_normal(self, *args, **kwargs):
+            draws.append(threading.current_thread())
+            return self._generator.standard_normal(*args, **kwargs)
 
     def recording(seed, *path):
-        if path[:1] == (STEP_NOISE,):
-            threads.append(threading.current_thread())
-        return real(seed, *path)
+        generator = real(seed, *path)
+        return Recording(generator) if path[:1] == (STEP_NOISE,) else generator
 
-    monkeypatch.setattr(flowgrid.rng, "substream", recording)
-    return threads
+    real_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(flowgrid.localization, "substream", recording)
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return draws, started
+
+
+def _row_blocks(n, d):
+    return -(-n // _block_rows(d * 8))
 
 
 class TestForwardBitwise:
-    @pytest.mark.parametrize("n", [37, _WORKER_N], ids=["caller", "worker"])
+    @pytest.mark.parametrize("n", [37, _BLOCKS_N], ids=["one-block", "row-blocks"])
     @pytest.mark.parametrize(
         "target",
         [Target.low_rank(10, 8), _ZERO_VARIANCE, _MIXTURE],
@@ -520,17 +570,20 @@ class TestForwardBitwise:
     @pytest.mark.parametrize("points", [1, 3])
     @pytest.mark.parametrize("kind", ["sl", "rf-linear", "ddpm-forward"])
     def test_states_equal_the_zero_start_reference(
-        self, kind, points, target, n, step_draw_threads, gathered_sample
+        self, kind, points, target, n, increment_draws, gathered_sample
     ):
         clock = _CLOCKS[kind][points == 3]
         path = simulate_forward(kind, target, clock, n, seed=21)
         want = _reference_forward(kind, gathered_sample(target, n, 21), clock, 21)
         assert _same_bits(path.states, want)
-        on_caller = [t is threading.main_thread() for t in step_draw_threads]
-        assert on_caller == [n == 37] * points
+        # every increment is drawn on the caller's thread, one row block at a time
+        draws, started = increment_draws
+        assert len(draws) == points * _row_blocks(n, target.dim)
+        assert all(t is threading.main_thread() for t in draws)
+        assert started == []
 
-    @pytest.mark.parametrize("n", [37, _WORKER_N], ids=["caller", "worker"])
-    def test_beta_profile(self, n, step_draw_threads, gathered_sample):
+    @pytest.mark.parametrize("n", [37, _BLOCKS_N], ids=["one-block", "row-blocks"])
+    def test_beta_profile(self, n, increment_draws, gathered_sample):
         beta = lambda u: 1.0 + u  # noqa: E731
         clock = [0.1, 0.3, 0.8]
         path = simulate_forward("ddpm-forward", _MIXTURE, clock, n, seed=4, beta=beta)
@@ -538,11 +591,20 @@ class TestForwardBitwise:
         want = _reference_forward("ddpm-forward", x1, clock, 4, beta=beta)
         assert _same_bits(path.states, want)
 
-    def test_worker_is_joined(self, step_draw_threads):
+    def test_no_thread_starts(self, increment_draws):
         before = threading.active_count()
-        simulate_forward("sl", _ZERO_VARIANCE, [0.5, 1.0], _WORKER_N, seed=2)
+        simulate_forward("sl", _ZERO_VARIANCE, [0.5, 1.0], _BLOCKS_N, seed=2)
+        draws, started = increment_draws
         assert threading.active_count() == before
-        assert not any(t.is_alive() for t in step_draw_threads)
+        assert started == []
+        assert len(draws) == 2 * _row_blocks(_BLOCKS_N, 4)
+        assert all(t is threading.main_thread() for t in draws)
+
+    @pytest.mark.parametrize("n", [37, _BLOCKS_N], ids=["one-block", "row-blocks"])
+    def test_a_non_finite_state_raises(self, n):
+        huge = Target.gaussian(np.full(4, 1e308), np.ones(4))
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteState, match="forward process sl"):
+            simulate_forward("sl", huge, [4.0], n, seed=0)
 
 
 # --- the equivalence check's job pool -----------------------------------------
