@@ -13,6 +13,7 @@ Tabular output goes to ``--out`` when given, stdout otherwise.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
@@ -210,12 +211,11 @@ def _cmd_check(args) -> int:
     with _sink(args) as sink:
         records = run_suite(args.suite, seed=args.seed)
         failures = sum(not record.passed for record in records)
-        sink.write("name,observed,tolerance,status\n")
+        rows = csv.writer(sink, lineterminator="\n")  # quotes names that hold a comma
+        rows.writerow(("name", "observed", "tolerance", "status"))
         for record in records:
             status = "pass" if record.passed else "fail"
-            sink.write(
-                f"{record.name},{record.observed!r},{record.tolerance!r},{status}\n"
-            )
+            rows.writerow((record.name, record.observed, record.tolerance, status))
         sink.write(f"# {len(records) - failures}/{len(records)} checks passed\n")
     return 1 if failures else 0
 

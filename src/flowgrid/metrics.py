@@ -6,10 +6,13 @@ full-batch gradient descent on a random 50/50 split of the pooled, labeled
 data, repeated over independent rounds.  Balanced test accuracy ``acc``
 converts to a per-round TV reading ``max(0, 2·acc − 1)`` — a classifier
 that cannot separate the batches gives ≈ 0, a perfect one gives 1.  Linear
-probes are a *lower-bound-style* reading of TV: they see mean shifts and
-scale differences along some direction, not arbitrary density differences,
-and the acceptance tests calibrate the resulting band against
-:func:`tv_oracle_gaussian_1d` rather than assuming exactness.
+probes are a *lower-bound-style* reading of TV: they see mean shifts, and
+a difference in variance alone reads near 0 (N(0, 1) against N(0, 4) in
+d = 1, n = 2000, 10 rounds, reads under 0.05 where the exact TV is
+0.323).  The acceptance tests calibrate the resulting band on mean shifts
+against :func:`tv_oracle_gaussian_1d` rather than assuming exactness; an
+exact TV layer and a probe that sees variance are ROADMAP.md's open items
+1–2.
 
 Hyperparameters are fixed (500 iterations, step 0.1, L2 weight 1e−4,
 training-split standardization) so that estimates are deterministic given
@@ -92,6 +95,14 @@ def _batch_data(batch: SampleBatch | np.ndarray, who: str) -> np.ndarray:
     return data
 
 
+def _carry(rows: np.ndarray, total: np.ndarray) -> None:
+    """Add the block ``rows[1:]`` to the running column sum ``total``: the
+    first row takes ``total``, and one axis-0 sum of ``rows`` continues the
+    row-after-row order of numpy's own axis-0 sum (C-contiguous, d > 1)."""
+    rows[0] = total
+    np.add.reduce(rows, axis=0, out=total)
+
+
 def _column_std(x: np.ndarray, center: np.ndarray, squares: np.ndarray) -> np.ndarray:
     """``x.std(axis=0)`` bit for bit, with no temporary the size of ``x``.
 
@@ -99,9 +110,8 @@ def _column_std(x: np.ndarray, center: np.ndarray, squares: np.ndarray) -> np.nd
     ``x.mean(axis=0)``.  numpy's ``_var`` squares ``x - mean`` into one
     (m, d) temporary and sums it along axis 0; for d > 1 that sum runs row
     after row (numpy sums pairwise only along the fast axis).  Here the rows
-    go through ``squares``, a (rows + 1, d) buffer: its first row carries
-    the running sum, the others take one block of squared deviations, and
-    one axis-0 sum of the buffer continues the row-after-row order.  The
+    go through ``squares``, a (rows + 1, d) buffer whose rows after the
+    first take one block of squared deviations, summed by :func:`_carry`.  The
     division is numpy's own, by the count as an ``np.intp``.  For d = 1 the
     sum runs pairwise, and the temporary is a column: numpy does it.
     """
@@ -112,10 +122,9 @@ def _column_std(x: np.ndarray, center: np.ndarray, squares: np.ndarray) -> np.nd
     block = squares.shape[0] - 1
     for start in range(0, m, block):
         rows = squares[: min(block, m - start) + 1]
-        rows[0] = total
         np.subtract(x[start : start + rows.shape[0] - 1], center, out=rows[1:])
         np.square(rows[1:], out=rows[1:])
-        np.add.reduce(rows, axis=0, out=total)
+        _carry(rows, total)
     np.true_divide(total, np.intp(m), out=total, casting="unsafe")
     return np.sqrt(total, out=total)
 
@@ -364,9 +373,9 @@ def _moment_stats(
     ``y.mean(axis=0)``, ``y.var(axis=0, ddof=1)`` and the mean of the
     squared squares.  For a C-contiguous float64 ``x`` with d > 1 numpy sums
     along axis 0 row after row, so the rows go through one (rows + 1, d)
-    buffer of at most 512 KiB, as in :func:`_column_std`: its first row
-    carries a running sum and the others take one block of ``y``, then of
-    its squared deviations, then of their squares.  Other inputs take the
+    buffer of at most 512 KiB, as in :func:`_column_std`: its rows after
+    the first take one block of ``y``, then of its squared deviations, then
+    of their squares, each summed by :func:`_carry`.  Other inputs take the
     whole-array forms; for d = 1 numpy sums the column pairwise.
     """
     n, d = x.shape
@@ -388,21 +397,17 @@ def _moment_stats(
             np.true_divide(x[start : start + part.shape[0] - 1], divisor, out=part[1:])
             yield part
 
-    def carry(part: np.ndarray, total: np.ndarray) -> None:
-        part[0] = total
-        np.add.reduce(part, axis=0, out=total)
-
     mean, var, fourth = np.zeros(d), np.zeros(d), np.zeros(d)
     for part in rescaled_blocks():
-        carry(part, mean)
+        _carry(part, mean)
     np.true_divide(mean, np.intp(n), out=mean, casting="unsafe")
     for part in rescaled_blocks():
         deviation = part[1:]
         deviation -= mean
         np.square(deviation, out=deviation)
-        carry(part, var)
+        _carry(part, var)
         np.square(deviation, out=deviation)
-        carry(part, fourth)
+        _carry(part, fourth)
     var /= n - 1
     np.true_divide(fourth, np.intp(n), out=fourth, casting="unsafe")
     return mean, var, fourth

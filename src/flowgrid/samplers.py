@@ -65,6 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import BatchMeta, SampleBatch, _block_rows, _bounded
+from .checks import CheckRecord
 from .errors import DomainError, NonFiniteState
 from .rng import INIT_NOISE, StepNoise, substream
 from .schedules import (
@@ -79,7 +80,7 @@ from .schedules import (
     ddpm_induced_rf_grid,
     time_from_mix_weight,
 )
-from .targets import FieldOracle, Target, affine_field
+from .targets import ExactOracle, FieldOracle, Target, affine_field, score, velocity
 
 __all__ = [
     "StocRfCoefficients",
@@ -286,41 +287,38 @@ def _step_loop(
     Returns the terminal state and, if ``record``, the (steps + 1, n, d)
     array of the per-knot states in sample coordinates, whose last frame
     equals the returned state.  The frames are one array allocated up
-    front.  With scales, frame i is written as ``scales[i]·x``; without,
-    frame i + 1 is step i's update buffer, so the states are the frames and
-    no step copies one.
+    front; frame i is written from the state x at knot i, as a copy of x
+    without scales and as ``scales[i]·x`` with them.
     """
     _count(n, "the sample count", 1)
     steps, d = times.size - 1, oracle.dim
     frames = np.empty((steps + 1, n, d)) if record else None
-    in_frames = record and scales is None  # each state is written in its frame
     rows = n if noise is not None else min(n, _block_rows(d * 8))
-    states = None if in_frames else (np.empty((rows, d)), np.empty((rows, d)))
+    states = np.empty((rows, d)), np.empty((rows, d))
     spare = np.empty((rows, d)) if scratch else None
     result = np.empty((n, d)) if rows < n and not record else None
     draw = substream(seed, INIT_NOISE)
     failed = steps  # the earliest step whose state is not finite, in any block
 
     def keep(i: int, block: slice, state: np.ndarray) -> None:
-        if record and not in_frames:
+        if not record:
+            return
+        if scales is None:
+            frames[i, block] = state
+        else:
             np.multiply(scales[i], state, out=frames[i, block])
 
     with StepNoise(seed, (n, d), 0 if noise is None else steps) as blocks:
         for start in range(0, n, rows):
             size = min(rows, n - start)
             block = slice(start, start + size)
-            if in_frames:
-                x, update = frames[0, block], None
-            else:
-                x, update = states[0][:size], states[1][:size]
+            x, update = states[0][:size], states[1][:size]
             work = None if spare is None else spare[:size]
             draw.standard_normal(out=x)
             if sample_start:
                 x /= scales[0]
             keep(0, block, x)
             for i in range(failed):
-                if in_frames:
-                    update = frames[i + 1, block]
                 drift(i, x, update, work)
                 update += x
                 if noise is not None:
@@ -813,9 +811,6 @@ def identity_checks(seed: int = 0) -> list:
     chain and the whitened flow recursion, and the small-β expansions of the
     chain coefficients.
     """
-    from .checks import CheckRecord
-    from .targets import ExactOracle, score, velocity
-
     records: list[CheckRecord] = []
 
     def rec(name: str, observed: float, tolerance: float) -> None:

@@ -367,13 +367,15 @@ _COEFFICIENT_BYTES = 1 << 22
 class ExactOracle:
     """The closed-form velocity/score of a mixture target.
 
-    The velocity's coefficients depend on t alone, and a noise-free sampler
-    asks for each knot once per row block, so the oracle builds them once
-    per knot and keeps them.  It keeps them for the target's distinct
-    coordinates only, those whose variances and means differ in some bit
-    in some component (a low-rank target has two), and gathers each call's
+    The velocity's coefficients (a, b) depend on t alone, and a noise-free
+    sampler asks for each knot once per row block, so the oracle builds
+    them once per knot and keeps them.  It keeps them for the target's
+    distinct coordinates only, those whose variances and means differ in
+    some bit in some component (a low-rank target has two), so a kept knot
+    costs a few bytes rather than two (m, d) arrays; each call gathers its
     (m, d) pair from them.  Past 4 MiB of kept coefficients it drops them
-    all and starts over.  The fields' bits do not depend on any of this.
+    all and starts over.  The score keeps nothing: it is built on every
+    call.  The fields' bits do not depend on any of this.
     """
 
     def __init__(self, target: Target):
@@ -514,40 +516,20 @@ def _check_blur(delta: float) -> None:
         raise DomainError(f"blur level must lie in [0, 1), got {delta!r}")
 
 
-def _blur_rows(rows: np.ndarray, delta: float, rng: np.random.Generator, noise: np.ndarray) -> None:
-    """rows ← (1-δ)·rows + δ·Z in place, Z the next ``len(rows)`` rows of
-    ``rng``'s standard normal draw, taken into the front of ``noise``.  Every
-    element gets the two roundings of the whole-array expression."""
-    rows *= 1.0 - delta  # (1-δ)·x: a product of two floats commutes exactly
-    z = noise[: rows.shape[0]]
-    rng.standard_normal(out=z)
-    z *= delta
-    rows += z
-
-
 def blur_samples(batch: SampleBatch, delta: float, seed: int) -> SampleBatch:
     """Contract toward 0 and add noise: x ↦ (1-δ)·x + δ·Z, Z ~ N(0, I).
 
     This is the law a sampler stopped at time 1-δ is compared against;
     δ = 0 returns the batch itself.  Z is the ``(seed, INIT_NOISE)`` draw
-    of the batch's shape, taken in sequential row blocks into one small
-    buffer (the same values as one draw), and the result is a copy of the
-    batch blurred block by block in place: every element gets the same two
-    roundings as the whole-array expression, and no (n, d) array besides
-    the result is made.  A sweep cell does not call it: it blurs its
-    reference with :func:`sample_blurred_target`, straight into the probe's
-    float32 pool.
+    of the batch's shape.  It is the whole-array reference: a sweep cell
+    blurs its reference with :func:`sample_blurred_target` instead,
+    streamed straight into the probe's float32 pool.
     """
     _check_blur(delta)
     if delta == 0.0:
         return batch
-    rng = substream(seed, INIT_NOISE)
-    data = np.array(batch.data)
-    n, d = data.shape
-    rows = _block_rows(d * data.itemsize)
-    noise = np.empty((min(n, rows), d))
-    for start in range(0, n, rows):
-        _blur_rows(data[start : start + rows], delta, rng, noise)
+    z = substream(seed, INIT_NOISE).standard_normal(batch.data.shape)
+    data = (1.0 - delta) * batch.data + delta * z
     meta = replace(
         batch.meta,
         sampler=f"{batch.meta.sampler}+blur(delta={delta:.6g})",
@@ -597,7 +579,11 @@ def sample_blurred_target(
         x = block[: min(rows, n - start)]
         draw.standard_normal(out=x)
         _place(x, target)
-        if delta:
-            _blur_rows(x, delta, blur, noise)
+        if delta:  # (1-δ)·x + δ·Z, each element rounded as the whole-array form
+            x *= 1.0 - delta  # a product of two floats commutes exactly
+            z = noise[: x.shape[0]]
+            blur.standard_normal(out=z)
+            z *= delta
+            x += z
         _to_float32(x, "the reference batch", out=out[start : start + x.shape[0]])
     return out

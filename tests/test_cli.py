@@ -1,6 +1,8 @@
 """CLI tests: every subcommand exercised in process through ``main(argv)``."""
 
 import builtins
+import csv
+import io
 import os
 import subprocess
 import sys
@@ -365,12 +367,17 @@ class TestCheckCommand:
     def test_observed_column_holds_plain_numbers(self, capsys, suite):
         code, out, _ = run(capsys, "check", "--suite", suite)
         assert code == 0
-        body = [line for line in out.splitlines()[1:] if not line.startswith("#")]
+        header, *body = csv.reader(io.StringIO(out))
+        assert header == ["name", "observed", "tolerance", "status"]
+        body = [row for row in body if not row[0].startswith("#")]
         assert body
-        for line in body:
-            observed = line.rsplit(",", 3)[1]  # grid names hold commas of their own
-            assert "np." not in observed, line
-            float(observed)
+        for row in body:
+            assert len(row) == 4, row
+            assert "np." not in row[1], row
+            float(row[1])
+        if suite == "grid":  # its names hold commas of their own and read back whole
+            assert body[0][0].startswith("endpoint-gaps[N="), body[0]
+            assert all(",delta=" in row[0] and row[0].endswith("]") for row in body), body
 
     def test_a_record_keeps_a_numpy_observation_as_a_python_float(self):
         record = CheckRecord("x", np.float64(2.5e-9), 1e-6)
