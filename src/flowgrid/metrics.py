@@ -10,21 +10,21 @@ probes are a *lower-bound-style* reading of TV: they see mean shifts, and
 a difference in variance alone reads near 0 (N(0, 1) against N(0, 4) in
 d = 1, n = 2000, 10 rounds, reads under 0.05 where the exact TV is
 0.323).  The acceptance tests calibrate the resulting band on mean shifts
-against :func:`tv_oracle_gaussian_1d` rather than assuming exactness; an
-exact TV layer and a probe that sees variance are ROADMAP.md's open items
-1–2.
+whose exact TV, 2Φ(|Δμ|/2) − 1, sets the shift, rather than assuming
+exactness; an exact TV layer and a probe that sees variance are
+ROADMAP.md's open items 1–2.
 
 Hyperparameters are fixed (500 iterations, step 0.1, L2 weight 1e−4,
 training-split standardization) so that estimates are deterministic given
 (batches, rounds, seed).
 
 :func:`gaussian_tv_bounds` brackets TV between diagonal Gaussians through
-the Hellinger distance, with numpy alone.  Importing the module loads no
-scipy.  The 1-D oracle imports ``scipy.integrate`` on first use, so sweeps
-never load it.  The probe calls ``scipy.special.expit`` every
-iteration, and a numpy stand-in is not bit-exact, so it is imported on
-first use through :func:`_expit`; a sweep calls that before its first
-cell, so no cell's timings carry the import.
+the Hellinger distance, with numpy alone, and :func:`tv_oracle_gaussian_1d`
+gives the exact 1-D TV through ``math.erfc``.  Importing the module loads
+no scipy.  The probe calls ``scipy.special.expit`` every iteration, and a
+numpy stand-in is not bit-exact, so it is imported on first use through
+:func:`_expit`; a sweep calls that before its first cell, so no cell's
+timings carry the import.
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ def _balanced_accuracy(pred: np.ndarray, labels: np.ndarray) -> float:
         # a missing class contributes a chance-level 1/2 (possible only in
         # vanishingly small splits; keeps the reading neutral, not biased)
         acc += 0.5 * (np.mean(pred[mask] == cls) if mask.any() else 0.5)
-    return acc
+    return float(acc)
 
 
 def estimate_tv(
@@ -272,7 +272,7 @@ def _density_crossings(mu1: float, v1: float, mu2: float, v2: float) -> list[flo
     """Real solutions of p(x) = q(x) for two 1-D Gaussian densities."""
     if v1 == v2:
         return [] if mu1 == mu2 else [0.5 * (mu1 + mu2)]
-    # log p − log q is quadratic: a·x² + b·x + c
+    # log p − log q = a·x² + b·x + c
     a = 0.5 * (1.0 / v2 - 1.0 / v1)
     b = mu1 / v1 - mu2 / v2
     c = 0.5 * (mu2**2 / v2 - mu1**2 / v1) + 0.5 * math.log(v2 / v1)
@@ -284,11 +284,13 @@ def _density_crossings(mu1: float, v1: float, mu2: float, v2: float) -> list[flo
 
 
 def tv_oracle_gaussian_1d(mu1: float, v1: float, mu2: float, v2: float) -> float:
-    """TV distance between N(mu1, v1) and N(mu2, v2), d = 1.
+    """TV distance between N(mu1, v1) and N(mu2, v2), d = 1, in closed form.
 
-    Integrates ½|p − q| numerically, splitting the line at the density
-    crossing points so each piece is smooth and single-signed; the absolute
-    error is far below 1e−8.  Symmetric in its two arguments.
+    With Δ(x) = P(X₁ ≤ x) − P(X₂ ≤ x) and Δ(±∞) = 0, p − q keeps one sign
+    between consecutive density crossings, so TV is ½·Σ|Δ(hi) − Δ(lo)| over
+    those pieces.  Each Φ goes through ``math.erfc``, which keeps its
+    relative precision in the far tails, so narrow, distant laws read 1.
+    Symmetric in its two arguments.
     """
     for v in (v1, v2):
         if not (np.isfinite(v) and v > 0.0):
@@ -298,20 +300,14 @@ def tv_oracle_gaussian_1d(mu1: float, v1: float, mu2: float, v2: float) -> float
     if mu1 == mu2 and v1 == v2:
         return 0.0
 
-    def gap(x: float) -> float:
-        p = math.exp(-0.5 * (x - mu1) ** 2 / v1) / math.sqrt(2.0 * math.pi * v1)
-        q = math.exp(-0.5 * (x - mu2) ** 2 / v2) / math.sqrt(2.0 * math.pi * v2)
-        return abs(p - q)
+    def gap(x: float) -> float:  # erfc(±inf) makes Δ(±∞) = 0 exactly
+        return 0.5 * (
+            math.erfc((mu1 - x) / (math.sqrt(v1) * math.sqrt(2.0)))
+            - math.erfc((mu2 - x) / (math.sqrt(v2) * math.sqrt(2.0)))
+        )
 
-    from scipy.integrate import quad  # on first use: keeps it out of every sweep process
-
-    cuts = _density_crossings(mu1, v1, mu2, v2)
-    edges = [-math.inf, *cuts, math.inf]
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        piece, _ = quad(gap, lo, hi, epsabs=1e-12, limit=200)
-        total += piece
-    return 0.5 * total
+    edges = [-math.inf, *_density_crossings(mu1, v1, mu2, v2), math.inf]
+    return 0.5 * sum(abs(gap(hi) - gap(lo)) for lo, hi in zip(edges[:-1], edges[1:]))
 
 
 def gaussian_tv_bounds(mean_p, var_p, mean_q, var_q) -> tuple[float, float]:

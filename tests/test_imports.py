@@ -1,9 +1,9 @@
 """What a flowgrid process loads.
 
 ``scipy.integrate`` and ``scipy.optimize`` (which pull in ``scipy.sparse``
-and ``scipy.linalg``) serve only the 1-D TV oracle and non-unit β
-profiles, so they are imported on first use.  A sweep and the default
-check suites must run without them; the on-demand paths must still give
+and ``scipy.linalg``) serve only non-unit β profiles, so they are imported
+on first use.  A sweep, the default check suites and the closed-form 1-D
+TV oracle must run without them; the on-demand paths must still give
 their pinned values.  ``scipy.special`` serves only the TV probe's
 ``expit``: the check suites, ``schedule`` and ``sample`` never load it,
 and a sweep loads it before its first cell, so that no cell's timings
@@ -23,7 +23,7 @@ import flowgrid, flowgrid.cli
 assert not set({_DEFERRED!r}) & set(sys.modules), "loaded at import"
 from flowgrid import ExperimentSpec, run_fig2_experiment
 from flowgrid.checks import SUITES
-from flowgrid.metrics import gaussian_tv_bounds
+from flowgrid.metrics import gaussian_tv_bounds, tv_oracle_gaussian_1d
 from flowgrid.samplers import SAMPLERS
 
 spec = ExperimentSpec(
@@ -36,6 +36,7 @@ assert {{r.sampler for r in rows}} == set(SAMPLERS), rows
 for suite in SUITES:
     assert flowgrid.cli.main(["check", "--suite", suite, "--out", suite + ".txt"]) == 0, suite
 gaussian_tv_bounds([0.0, 1.0], [1.0, 0.0], [0.5, 1.0], [2.0, 0.0])
+tv_oracle_gaussian_1d(0.0, 1.0, 0.5, 2.0)
 loaded = sorted(set({_DEFERRED!r}) & set(sys.modules))
 assert not loaded, loaded
 """

@@ -1,8 +1,10 @@
 """TV estimator and oracle tests.
 
 The oracle is cross-checked against closed forms derived here from scratch
-(Gaussian CDF differences at the density crossing points), and the
-classifier estimator is calibrated against the oracle on 1-D pairs.
+(Gaussian CDF differences at the density crossing points), against values
+pinned from an independent numerical integration, and against the
+Hellinger bracket; the classifier estimator is calibrated against the
+oracle on 1-D pairs.
 """
 
 import math
@@ -85,6 +87,45 @@ class TestTvOracle:
         q = np.exp(-0.5 * (x - mu2) ** 2 / v2) / math.sqrt(2 * math.pi * v2)
         brute = 0.5 * np.trapezoid(np.abs(p - q), x)
         assert tv_oracle_gaussian_1d(mu1, v1, mu2, v2) == pytest.approx(brute, abs=1e-8)
+
+    def test_narrow_distant_laws_read_one(self):
+        # far apart, each law's mass sits where the other's density underflows
+        assert tv_oracle_gaussian_1d(0.0, 1e-4, 10.0, 1e-4) == 1.0
+        assert tv_oracle_gaussian_1d(0.0, 1.0, 50.0, 1.0) <= 1.0
+
+    @given(
+        mu1=st.floats(-100.0, 100.0),
+        v1=st.floats(1e-6, 1e4),
+        mu2=st.floats(-100.0, 100.0),
+        v2=st.floats(1e-6, 1e4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_wide_range_stays_in_the_unit_interval_and_the_bracket(self, mu1, v1, mu2, v2):
+        forward = tv_oracle_gaussian_1d(mu1, v1, mu2, v2)
+        backward = tv_oracle_gaussian_1d(mu2, v2, mu1, v1)
+        lower, upper = gaussian_tv_bounds(mu1, v1, mu2, v2)
+        assert 0.0 <= forward <= 1.0
+        assert forward == pytest.approx(backward, abs=1e-14)
+        assert lower - 1e-12 <= forward <= upper + 1e-12
+
+    @pytest.mark.parametrize(
+        "mu1, v1, mu2, v2, pinned",
+        [
+            (0.0, 1.0, 1.0, 1.0, 0.38292492254802635),
+            (-0.75, 2.5, 2.0, 2.5, 0.6154953706197313),
+            (0.0, 1.0, 0.0, 4.0, 0.3226745688347687),
+            (1.5, 0.3, 1.5, 0.05, 0.40686343024790544),
+            (0.3, 0.7, -1.1, 2.2, 0.4945206614558426),
+            (-2.0, 5.0, 1.0, 0.5, 0.7553901399126237),
+            (0.0, 1.0, 1e-3, 1.0, 0.00039894226377879574),
+            (0.2, 1.0, 0.2, 1.001, 0.00024184981471982766),
+        ],
+        ids=["shift", "shift-wide", "scale", "scale-narrow", "both", "both-crossed",
+             "near-equal-means", "near-equal-variances"],
+    )
+    def test_matches_the_pinned_integration(self, mu1, v1, mu2, v2, pinned):
+        # values of ½∫|p − q| by adaptive quadrature between the crossings
+        assert tv_oracle_gaussian_1d(mu1, v1, mu2, v2) == pytest.approx(pinned, abs=1e-11)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(DomainError):
@@ -246,6 +287,15 @@ class TestEstimateTv:
         whole = estimate_tv(a, b, rounds=3, seed=2)
         monkeypatch.setattr(flowgrid.batch, "_BLOCK_BYTES", 3 * 7 * 4)  # three rows
         assert estimate_tv(a, b, rounds=3, seed=2) == whole
+
+    def test_every_reading_is_a_float(self):
+        # a variance-only pair: some rounds clip at 0, the others do not
+        a = gaussian_rows(1, 0, 2000)
+        b = 2.0 * gaussian_rows(1, 1, 2000)
+        est = estimate_tv(a, b, rounds=10, seed=0)
+        assert 0.0 in est.per_round and max(est.per_round) > 0.0
+        assert all(type(r) is float for r in est.per_round)
+        assert "np.float64" not in repr(est)
 
     def test_estimate_record_validation(self):
         with pytest.raises(DomainError):

@@ -664,14 +664,8 @@ class TestBlur:
         batch = sample_target(Target.low_rank(2, 1), 50, seed=0)
         assert blur_samples(batch, 0.0, seed=1) is batch
 
-    @pytest.mark.parametrize(
-        "budget",
-        [1 << 19, 3 * 5 * 8, 4 * 5 * 8 - 1, 8],
-        ids=["one-block", "three-rows", "three-rows-just-under-four", "row-over-budget"],
-    )
     @pytest.mark.parametrize("n", [1, 10, 37])
-    def test_row_blocks_give_the_one_draw_bits(self, n, budget, monkeypatch):
-        monkeypatch.setattr(flowgrid.batch, "_BLOCK_BYTES", budget)
+    def test_the_bits_of_the_whole_array_blur(self, n):
         batch = sample_target(Target.low_rank(5, 2), n, seed=3)
         delta = 0.0125
         got = blur_samples(batch, delta, seed=9).data
