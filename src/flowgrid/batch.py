@@ -13,7 +13,7 @@ __all__ = ["BatchMeta", "SampleBatch"]
 
 _BLOCK_BYTES = 1 << 19
 """Byte budget of one row block: the noise-free samplers' state buffers, the
-reference draw and its blur, the probe's column std, the forward simulator
+reference draw and its blur, the probe's row gathers, the forward simulator
 (``simulate_forward``) and the moment sums (``_moment_stats``) each work in
 blocks of this many bytes."""
 

@@ -177,7 +177,7 @@ class ResultRow:
 
     ``wall_ms`` times the whole cell and the three ``*_ms`` fields its
     stages: the sampler run, the reference draw plus blur, and the TV probe.
-    None of them reaches the CSV.
+    None of them, nor the probe's ``grad_norm``, reaches the CSV.
     """
 
     d: int
@@ -192,6 +192,7 @@ class ResultRow:
     sampler_ms: float = 0.0
     reference_ms: float = 0.0
     probe_ms: float = 0.0
+    probe_grad_norm: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.tv <= 1.0:
@@ -271,6 +272,7 @@ def _run_cell(
         sampler_ms=(sampled - stage_start) * 1000.0,
         reference_ms=(referenced - sampled) * 1000.0,
         probe_ms=(probed - referenced) * 1000.0,
+        probe_grad_norm=estimate.grad_norm,
     )
 
 
@@ -413,15 +415,19 @@ def run_fig2_experiment(
     """Run the sweep, streaming rows to ``spec.out`` as cells finish.
 
     With ``threads > 1`` the cells run in that many worker processes (no
-    more than there are cells), but rows always land in spec order, so the
-    CSV is identical either way.  If a cell raises, the rows finished so
-    far are already flushed, a marker row naming the cell and the exception
-    type is appended (its tv column reads ``error``), the exception
-    propagates, and cells not yet handed to a worker never start.
+    more than there are cells), and rows still land in spec order.  The CSV
+    is the serial one's only while no probe prediction lies within float32
+    rounding of its boundary: a worker probes with its share of the OpenBLAS
+    pool, whose gemv bits depend on the thread count at d ≥ 400.  If a cell
+    raises, the rows finished so far are already flushed, a marker row naming
+    the cell and the exception type is appended (its tv column reads
+    ``error``), the exception propagates, and cells not yet handed to a
+    worker never start.
 
     With ``write_manifest=True`` a JSON file next to the CSV records the
-    spec, the CSV's git-style blob hash, and per-cell wall times and stage
-    times — the one place timing information is persisted.
+    spec, the CSV's git-style blob hash, per-cell wall times and stage
+    times — the one place timing information is persisted — and each
+    cell's final probe gradient norm.
     """
     _count(threads, "threads", 1)
     out_path = Path(spec.out)
@@ -481,6 +487,7 @@ def run_fig2_experiment(
                 }
                 for r in rows
             },
+            "probe_grad_norm_by_cell": {_cell_label(r): r.probe_grad_norm for r in rows},
         }
         out_path.with_suffix(".json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"

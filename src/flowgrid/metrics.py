@@ -54,6 +54,10 @@ _ITERATIONS = 500
 _STEP_SIZE = 0.1
 _L2_WEIGHT = 1e-4
 _MIN_SAMPLES = 200
+_GROUP_BYTES = 1 << 20
+"""Byte budget of the rows of the probe rounds that train in lockstep: small-threaded
+``op_s_p50`` read 0.227 s with it, 0.247 s with the 512 KiB row block (one round
+at d = 50), lower in 8 of 10 rotations at seed 3 (2-vCPU x86 VM)."""
 
 
 @dataclass(frozen=True)
@@ -62,13 +66,15 @@ class TvEstimate:
 
     ``value`` is the mean of the per-round readings clipped to [0, 1] and
     ``std_error`` their sample standard deviation over √rounds (0 for a
-    single round).
+    single round).  ``grad_norm``, the rounds' largest final gradient norm,
+    is a convergence diagnostic.
     """
 
     value: float
     std_error: float
     rounds: int
     per_round: tuple[float, ...]
+    grad_norm: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.value <= 1.0:
@@ -103,32 +109,6 @@ def _carry(rows: np.ndarray, total: np.ndarray) -> None:
     np.add.reduce(rows, axis=0, out=total)
 
 
-def _column_std(x: np.ndarray, center: np.ndarray, squares: np.ndarray) -> np.ndarray:
-    """``x.std(axis=0)`` bit for bit, with no temporary the size of ``x``.
-
-    ``x`` is a C-contiguous float32 (m, d) array and ``center`` its
-    ``x.mean(axis=0)``.  numpy's ``_var`` squares ``x - mean`` into one
-    (m, d) temporary and sums it along axis 0; for d > 1 that sum runs row
-    after row (numpy sums pairwise only along the fast axis).  Here the rows
-    go through ``squares``, a (rows + 1, d) buffer whose rows after the
-    first take one block of squared deviations, summed by :func:`_carry`.  The
-    division is numpy's own, by the count as an ``np.intp``.  For d = 1 the
-    sum runs pairwise, and the temporary is a column: numpy does it.
-    """
-    m, d = x.shape
-    if d == 1:
-        return x.std(axis=0)
-    total = np.zeros(d, dtype=x.dtype)
-    block = squares.shape[0] - 1
-    for start in range(0, m, block):
-        rows = squares[: min(block, m - start) + 1]
-        np.subtract(x[start : start + rows.shape[0] - 1], center, out=rows[1:])
-        np.square(rows[1:], out=rows[1:])
-        _carry(rows, total)
-    np.true_divide(total, np.intp(m), out=total, casting="unsafe")
-    return np.sqrt(total, out=total)
-
-
 def _adjacent_halves(xa: np.ndarray, xb: np.ndarray) -> np.ndarray | None:
     """A read-only view of the one array whose first rows are ``xa`` and whose
     remaining rows are ``xb``, or None unless the two are C-contiguous float32
@@ -146,6 +126,50 @@ def _adjacent_halves(xa: np.ndarray, xb: np.ndarray) -> np.ndarray | None:
     return np.lib.stride_tricks.as_strided(xa, shape, (4 * shape[1], 4), writeable=False)
 
 
+def _gather(pooled: np.ndarray, index: np.ndarray, out: np.ndarray, block: np.ndarray) -> None:
+    """``out[:, j] = pooled[index[j]]`` for every j: the rows go through the
+    row block ``block`` and are transposed into the feature-major ``out``."""
+    for start in range(0, index.size, block.shape[0]):
+        rows = index[start : start + block.shape[0]]
+        # mode="clip" writes straight into ``out`` (the default mode buffers
+        # it); a permutation's indices are all in range, so nothing is clipped.
+        part = np.take(pooled, rows, axis=0, out=block[: rows.size], mode="clip")
+        out[:, start : start + rows.size] = part.T
+
+
+def _fit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (g, d) weights, (g,) biases and final gradient norms ‖(∇w, ∇b)‖ of
+    g probes trained in lockstep on standardized, feature-major (g, d, m)
+    float32 rows ``x`` with (g, m) float32 labels ``y``.  A step makes one
+    batched ``matmul`` per product (numpy runs one gemv per round) and one
+    call per elementwise op, and each bias sum runs along its round's row,
+    so a round's weights are the same bits whatever group it trains in."""
+    expit = _expit()
+    g, d, half = x.shape
+    m, step = np.float32(half), np.float32(_STEP_SIZE)
+    weights, grad_w, decay = (np.zeros((g, d), dtype=np.float32) for _ in range(3))
+    bias, grad_b = np.zeros(g, dtype=np.float32), np.zeros(g, dtype=np.float32)
+    residual = np.empty((g, half), dtype=np.float32)
+    # the products' operands as stacks of (half, d) and (d, half) matrices and columns
+    x_t, b_col = x.transpose(0, 2, 1), bias[:, None]
+    w_col, r_col, g_col = weights[..., None], residual[..., None], grad_w[..., None]
+    for _ in range(_ITERATIONS):
+        # residual = expit(x·w + b) - y
+        np.matmul(x_t, w_col, out=r_col)
+        residual += b_col
+        expit(residual, out=residual)
+        residual -= y
+        # w -= step·(xᵀ·residual/m + λ·w);  b -= step·mean(residual)
+        np.matmul(x, r_col, out=g_col)
+        grad_w /= m
+        grad_w += np.multiply(np.float32(_L2_WEIGHT), weights, out=decay)
+        weights -= np.multiply(grad_w, step, out=decay)
+        np.add.reduce(residual, axis=1, out=grad_b)
+        grad_b /= m
+        bias -= step * grad_b
+    return weights, bias, np.hypot(np.linalg.norm(grad_w.astype(np.float64), axis=1), grad_b)
+
+
 def _balanced_accuracy(pred: np.ndarray, labels: np.ndarray) -> float:
     acc = 0.0
     for cls in (0, 1):
@@ -154,6 +178,36 @@ def _balanced_accuracy(pred: np.ndarray, labels: np.ndarray) -> float:
         # vanishingly small splits; keeps the reading neutral, not biased)
         acc += 0.5 * (np.mean(pred[mask] == cls) if mask.any() else 0.5)
     return float(acc)
+
+
+def _read_rounds(
+    pooled: np.ndarray, labels: np.ndarray, x: np.ndarray, block: np.ndarray, rounds: range,
+    seed: int,
+) -> tuple[list[float], float]:
+    """The TV readings of ``rounds``, trained in lockstep in the (g, d,
+    n - n//2) buffers ``x``, and their largest final gradient norm."""
+    n, half = labels.size, labels.size // 2
+    orders = [substream(seed, TV_ROUND_STREAM, r).permutation(n) for r in rounds]
+    for xr, order in zip(x, orders):
+        _gather(pooled, order[:half], xr, block)
+    train = x[:, :, :half]
+    center = train.mean(axis=2, keepdims=True)
+    train -= center
+    # the standard deviation: one dot product per feature row, no temporary
+    scale = np.sqrt(np.matmul(train[:, :, None], train[:, :, :, None])[:, :, 0] / np.float32(half))
+    scale += np.float32(1e-8)
+    train /= scale
+    y = np.stack([labels[order[:half]] for order in orders]).astype(np.float32)
+    weights, bias, norms = _fit(train, y)
+
+    for xr, order in zip(x, orders):
+        _gather(pooled, order[half:], xr, block)
+    x -= center
+    x /= scale
+    scores = np.matmul(x.transpose(0, 2, 1), weights[:, :, None])[:, :, 0]
+    preds = (scores + bias[:, None] > 0.0).astype(np.int8)
+    accuracies = [_balanced_accuracy(p, labels[order[half:]]) for p, order in zip(preds, orders)]
+    return [max(0.0, 2.0 * acc - 1.0) for acc in accuracies], float(norms.max())
 
 
 def estimate_tv(
@@ -174,14 +228,15 @@ def estimate_tv(
     array with n = n_a + n_b.  When the two batches are the adjacent
     float32 halves of one C-contiguous array (``pool[:n_a]`` and
     ``pool[n_a:]``), that array is the pool and is read in place;
-    otherwise both are cast straight into a pool of its own.  Besides the
-    pool it holds one (n - n//2, d) float32 buffer that takes a round's
-    training rows (standardized in place) and then its test rows; one row
-    block of at most 512 KiB in which the training half's column standard
-    deviation is summed; and vectors of length n//2 and d for the gradient
-    loop.  Whatever the number of rounds, it therefore adds about 0.55
-    times the pool's bytes to adjacent halves, and about 1.55 times to any
-    other pair of batches, which the caller holds as well.
+    otherwise both are cast straight into a pool of its own.  A round's
+    rows are feature-major: one (d, n - n//2) float32 buffer takes its
+    training rows, standardized in place, then its test rows, each
+    transposed in through one row block of at most 512 KiB.  As many rounds
+    as have rows within ``_GROUP_BYTES`` (1 MiB), and at least one, train
+    in lockstep, each to the bits it gets alone.  So the probe adds the
+    group's rows, the row block, the rounds' splits and vectors: about 0.55
+    times the pool's bytes to adjacent halves at (4000, 800), and about
+    1.55 times to other batches, which the caller holds as well.
 
     Raises :class:`~flowgrid.errors.DomainError` when dimensions differ,
     either batch has fewer than 200 samples, or a value is NaN, infinite or
@@ -211,61 +266,23 @@ def estimate_tv(
         _to_float32(xa, "batch_a")
         _to_float32(xb, "batch_b")
     labels = np.concatenate([np.zeros(na, dtype=np.int8), np.ones(n - na, dtype=np.int8)])
-    half = n // 2
-    m = np.float32(half)
-    # One buffer holds a round's standardized training rows, then its test rows.
-    rows = np.empty((n - half, d), dtype=np.float32)
-    x_train = rows[:half]
-    squares = np.empty((min(half, _block_rows(d * 4)) + 1, d), dtype=np.float32)
-    residual = np.empty(half, dtype=np.float32)
-    grad_w = np.empty(d, dtype=np.float32)
-    decay = np.empty(d, dtype=np.float32)
-    expit = _expit()
+    width = n - n // 2  # a round's test rows; its training rows are n // 2
+    group = min(rounds, max(1, _GROUP_BYTES // (4 * d * width)))
+    rows = np.empty((group, d, width), dtype=np.float32)
+    block = np.empty((min(width, _block_rows(d * 4)), d), dtype=np.float32)
 
-    readings = []
-    for r in range(rounds):
-        rng = substream(seed, TV_ROUND_STREAM, r)
-        order = rng.permutation(n)
-        train, test = order[:half], order[half:]
-        # mode="clip" writes straight into ``out`` (the default mode buffers
-        # it); a permutation's indices are all in range, so nothing is clipped.
-        np.take(pooled, train, axis=0, out=x_train, mode="clip")
-        center = x_train.mean(axis=0)
-        scale = _column_std(x_train, center, squares)
-        scale += np.float32(1e-8)
-        x_train -= center
-        x_train /= scale
-
-        weights = np.zeros(d, dtype=np.float32)
-        bias = np.float32(0.0)
-        y_float = labels[train].astype(np.float32)
-        for _ in range(_ITERATIONS):
-            # residual = expit(x·w + b) - y
-            np.matmul(x_train, weights, out=residual)
-            residual += bias
-            expit(residual, out=residual)
-            residual -= y_float
-            # w -= step·(xᵀ·residual/m + λ·w);  b -= step·mean(residual)
-            np.matmul(x_train.T, residual, out=grad_w)
-            grad_w /= m
-            grad_w += np.multiply(np.float32(_L2_WEIGHT), weights, out=decay)
-            grad_w *= np.float32(_STEP_SIZE)
-            weights -= grad_w
-            bias -= np.float32(_STEP_SIZE) * (np.add.reduce(residual) / m)
-
-        x_test = np.take(pooled, test, axis=0, out=rows, mode="clip")
-        x_test -= center
-        x_test /= scale
-        pred = (x_test @ weights + bias > 0.0).astype(np.int8)
-        readings.append(max(0.0, 2.0 * _balanced_accuracy(pred, labels[test]) - 1.0))
+    readings, grad_norm = [], 0.0
+    for first in range(0, rounds, group):
+        x = rows[: min(group, rounds - first)]
+        got, norm = _read_rounds(pooled, labels, x, block, range(first, first + len(x)), seed)
+        readings += got
+        grad_norm = max(grad_norm, norm)
 
     value = float(np.clip(np.mean(readings), 0.0, 1.0))
     std_error = (
         float(np.std(readings, ddof=1) / math.sqrt(rounds)) if rounds > 1 else 0.0
     )
-    return TvEstimate(
-        value=value, std_error=std_error, rounds=rounds, per_round=tuple(readings)
-    )
+    return TvEstimate(value, std_error, rounds, tuple(readings), grad_norm)
 
 
 def _density_crossings(mu1: float, v1: float, mu2: float, v2: float) -> list[float]:
@@ -279,8 +296,9 @@ def _density_crossings(mu1: float, v1: float, mu2: float, v2: float) -> list[flo
     disc = b * b - 4.0 * a * c
     if disc <= 0.0:
         return []
-    root = math.sqrt(disc)
-    return sorted([(-b - root) / (2.0 * a), (-b + root) / (2.0 * a)])
+    # b and ±√disc never cancel in q, so both roots stay accurate when a is tiny
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return sorted([c / q] if a == 0.0 else [q / a, c / q])
 
 
 def tv_oracle_gaussian_1d(mu1: float, v1: float, mu2: float, v2: float) -> float:
@@ -369,10 +387,10 @@ def _moment_stats(
     ``y.mean(axis=0)``, ``y.var(axis=0, ddof=1)`` and the mean of the
     squared squares.  For a C-contiguous float64 ``x`` with d > 1 numpy sums
     along axis 0 row after row, so the rows go through one (rows + 1, d)
-    buffer of at most 512 KiB, as in :func:`_column_std`: its rows after
-    the first take one block of ``y``, then of its squared deviations, then
-    of their squares, each summed by :func:`_carry`.  Other inputs take the
-    whole-array forms; for d = 1 numpy sums the column pairwise.
+    buffer of at most 512 KiB: its rows after the first take one block of
+    ``y``, then of its squared deviations, then of their squares, each
+    summed by :func:`_carry`.  Other inputs take the whole-array forms; for
+    d = 1 numpy sums the column pairwise.
     """
     n, d = x.shape
     if d == 1 or x.dtype != np.float64 or not x.flags.c_contiguous:

@@ -4,9 +4,10 @@ recorded trajectory allocate.
 The step loop keeps its states in reused buffers that the oracle fills in
 place, runs a noise-free sampler's rows in blocks, and writes recorded
 frames into one preallocated trajectory.  The TV probe reads its batches in
-place when they are the halves of one float32 pool, gathers each round's
-rows into one buffer and sums the column standard deviation in row blocks;
-a sweep cell streams its sampler batch and its reference into that pool.
+place when they are the halves of one float32 pool and transposes each
+round's rows into one feature-major buffer through a row block, several
+rounds to a group when their rows are small; a sweep cell streams its
+sampler batch and its reference into that pool.
 The forward simulators build their states in row blocks, and the moment
 sums of the equivalence check run over row blocks of those states.
 Without the buffers a sampler's speed depended on glibc's dynamic mmap
@@ -20,6 +21,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import flowgrid.batch
+import flowgrid.metrics
 import flowgrid.rng
 from flowgrid.harness import ExperimentSpec, _run_cell
 from flowgrid.localization import equivalence_checks
@@ -80,16 +83,27 @@ def test_the_probe_holds_its_float32_pool_and_one_row_buffer():
     a, b = rng.standard_normal((2000, 800)), rng.standard_normal((2000, 800))
     pool_bytes = (a.size + b.size) * 4
     peak = _traced_peak(lambda: estimate_tv(a, b, rounds=1))
-    # The pool, one gathered (n/2, d) buffer of rows and one 512 KiB row
-    # block for the standard deviation: 1.54x.  The standard deviation's own
-    # (n/2, d) temporary made it 2.0x, and a float64 pool temporary 3.0x.
+    # The pool, one feature-major (d, n/2) buffer of rows and one 512 KiB
+    # row block that the rows are transposed through: 1.55x.  The standard
+    # deviation's own (n/2, d) temporary made it 2.0x, and a float64 pool
+    # temporary 3.0x.
     assert peak < 1.6 * pool_bytes
+
+
+def test_the_probe_groups_small_rounds_within_the_group_budget():
+    rng = np.random.default_rng(3)
+    a, b = rng.standard_normal((2000, 10)), rng.standard_normal((2000, 10))
+    pool_bytes = (a.size + b.size) * 4
+    peak = _traced_peak(lambda: estimate_tv(a, b, rounds=10))
+    # All ten rounds train as one group: the pool, the group's 800 kB of
+    # rows, one row block and the rounds' splits and vectors, 1.57 MB.
+    assert peak < pool_bytes + flowgrid.metrics._GROUP_BYTES + flowgrid.batch._BLOCK_BYTES
 
 
 def test_the_probe_reads_the_halves_of_one_pool_in_place():
     pool = np.random.default_rng(2).standard_normal((4000, 800)).astype(np.float32)
     peak = _traced_peak(lambda: estimate_tv(pool[:2000], pool[2000:], rounds=1))
-    # The row buffer and the standard deviation's row block: 0.55x.  Copying
+    # The row buffer and the row block it is transposed through: 0.55x.  Copying
     # the halves into a pool of the probe's own made it 1.55x.
     assert peak < 0.6 * pool.nbytes
 

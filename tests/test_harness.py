@@ -316,6 +316,22 @@ class TestRunExperiment:
             assert sum(times.values()) <= row.wall_ms
         assert "ms" not in (tmp_path / "rows.csv").read_text()
 
+    def test_manifest_records_the_probe_gradient_norm(self, tmp_path):
+        spec = tiny_spec(tmp_path, seeds=(0, 1), grids=("uniform", "ushaped"))
+        run_fig2_experiment(spec)
+        plain_csv = (tmp_path / "rows.csv").read_bytes()
+        norms = []
+        for _ in range(2):
+            rows = run_fig2_experiment(spec, write_manifest=True)
+            manifest = json.loads((tmp_path / "rows.json").read_text())
+            norms.append(manifest["probe_grad_norm_by_cell"])
+            assert (tmp_path / "rows.csv").read_bytes() == plain_csv
+        assert list(norms[0]) == list(manifest["wall_ms_by_cell"])
+        assert list(norms[0].values()) == [r.probe_grad_norm for r in rows]
+        assert all(0.0 < g < 1.0 for g in norms[0].values())
+        assert norms[1] == norms[0]
+        assert "grad" not in plain_csv.decode()
+
     @staticmethod
     def _logging_cell(harness, log, fail_seed=None):
         """A local closure in place of ``_run_cell``, as a tracer installs one:

@@ -15,11 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowgrid.batch
+import flowgrid.metrics
 from flowgrid.batch import BatchMeta, SampleBatch
 from flowgrid.errors import DomainError
 from flowgrid.metrics import (
+    _ITERATIONS,
+    _L2_WEIGHT,
+    _STEP_SIZE,
     TvEstimate,
-    _column_std,
+    _expit,
+    _fit,
     _to_float32,
     estimate_tv,
     gaussian_tv_bounds,
@@ -87,6 +92,13 @@ class TestTvOracle:
         q = np.exp(-0.5 * (x - mu2) ** 2 / v2) / math.sqrt(2 * math.pi * v2)
         brute = 0.5 * np.trapezoid(np.abs(p - q), x)
         assert tv_oracle_gaussian_1d(mu1, v1, mu2, v2) == pytest.approx(brute, abs=1e-8)
+
+    @pytest.mark.parametrize("v", [0.05, 0.0500004])  # 1/v and 1/v' round together at the second
+    def test_variances_one_ulp_apart_read_like_equal_ones(self, v):
+        # the crossings' quadratic nearly vanishes; its textbook roots cancelled
+        # to a crossing away from the means and read 0.49999
+        tv = tv_oracle_gaussian_1d(0.0, v, 1.0, math.nextafter(v, 1.0))
+        assert tv == pytest.approx(tv_mean_shift(1.0, math.sqrt(v)), abs=1e-12)
 
     def test_narrow_distant_laws_read_one(self):
         # far apart, each law's mass sits where the other's density underflows
@@ -288,6 +300,35 @@ class TestEstimateTv:
         monkeypatch.setattr(flowgrid.batch, "_BLOCK_BYTES", 3 * 7 * 4)  # three rows
         assert estimate_tv(a, b, rounds=3, seed=2) == whole
 
+    def test_the_group_size_leaves_the_readings_unchanged(self, monkeypatch):
+        # 601 rows: 301 test rows per round, 8428 bytes at d = 7, so the
+        # default budget trains all five rounds as one group
+        a = gaussian_rows(6, 0, 301, d=7)
+        b = gaussian_rows(6, 1, 300, d=7) * 1.3
+        grouped = estimate_tv(a, b, rounds=5, seed=2)
+        monkeypatch.setattr(flowgrid.metrics, "_GROUP_BYTES", 4 * 7 * 301)  # one round
+        assert estimate_tv(a, b, rounds=5, seed=2) == grouped
+
+    def test_flat_coordinates_read_like_their_absence(self):
+        # zero-variance features, as on a low-rank target's flat coordinates,
+        # standardize to 0 through the 1e-8 floor and leave the reading be
+        a = gaussian_rows(4, 0, 1000, d=2)
+        b = gaussian_rows(4, 1, 1000, d=2) + 0.5
+        flat = np.zeros((1000, 2))
+        flat[:, 0] = 8.0
+        est = estimate_tv(np.hstack([a, flat]), np.hstack([b, flat]), rounds=3, seed=1)
+        assert est.value == pytest.approx(estimate_tv(a, b, rounds=3, seed=1).value, abs=0.01)
+
+    def test_the_final_gradient_norm_is_small_and_deterministic(self):
+        a = gaussian_rows(8, 0, 1000, d=4)
+        b = gaussian_rows(8, 1, 1000, d=4) + 0.5
+        est = estimate_tv(a, b, rounds=3, seed=1)
+        assert 0.0 < est.grad_norm < 1e-3
+        assert estimate_tv(a, b, rounds=3, seed=1).grad_norm == est.grad_norm
+        # the largest over the rounds
+        assert est.grad_norm >= estimate_tv(a, b, rounds=1, seed=1).grad_norm
+        assert TvEstimate(value=0.5, std_error=0.0, rounds=1, per_round=(0.5,)).grad_norm == 0.0
+
     def test_every_reading_is_a_float(self):
         # a variance-only pair: some rounds clip at 0, the others do not
         a = gaussian_rows(1, 0, 2000)
@@ -304,6 +345,40 @@ class TestEstimateTv:
             TvEstimate(value=0.5, std_error=-0.1, rounds=1, per_round=(0.5,))
         with pytest.raises(DomainError):
             TvEstimate(value=0.5, std_error=0.0, rounds=2, per_round=(0.5,))
+
+
+def _fit_alone(x, y):
+    """One round's probe through the 1-D products ``x.T @ w`` and ``x @ r``:
+    the plain loop that the stacked one must reproduce."""
+    expit = _expit()
+    m, step = np.float32(x.shape[1]), np.float32(_STEP_SIZE)
+    weights, bias = np.zeros(x.shape[0], dtype=np.float32), np.float32(0.0)
+    for _ in range(_ITERATIONS):
+        residual = expit(x.T @ weights + bias) - y
+        grad = (x @ residual) / m + np.float32(_L2_WEIGHT) * weights
+        weights -= grad * step
+        bias -= step * (np.add.reduce(residual) / m)
+    return weights, bias
+
+
+class TestLockstepRounds:
+    """A group of probe rounds trains each round to the bits it gets alone."""
+
+    @pytest.mark.parametrize("d", [1, 10, 50])
+    @pytest.mark.parametrize("n", [401, 4000])
+    def test_a_group_trains_each_round_as_it_would_alone(self, d, n):
+        half, width = n // 2, n - n // 2
+        # feature-major rows with one spare test column when n is odd, as in the probe
+        rows = gaussian_rows(n, d, 3 * d * width).astype(np.float32).reshape(3, d, width)
+        x = rows[:, :, :half]
+        y = (gaussian_rows(n, d + 1, 3 * half) > 0.3).astype(np.float32).reshape(3, half)
+        weights, bias, norms = _fit(x, y)
+        for r in range(3):
+            alone = _fit(x[r : r + 1], y[r : r + 1])
+            plain_w, plain_b = _fit_alone(x[r], y[r])
+            assert weights[r].tobytes() == alone[0][0].tobytes() == plain_w.tobytes()
+            assert bias[r].tobytes() == alone[1][0].tobytes() == plain_b.tobytes()
+            assert norms[r] == alone[2][0]
 
 
 class TestGaussianTvBounds:
@@ -419,50 +494,3 @@ class TestMomentStats:
     def test_rejects_single_sample(self):
         with pytest.raises(DomainError):
             moment_stats(np.ones((1, 3)))
-
-
-def _block_std(x: np.ndarray, block_rows: int) -> np.ndarray:
-    squares = np.empty((min(block_rows, x.shape[0]) + 1, x.shape[1]), dtype=np.float32)
-    return _column_std(x, x.mean(axis=0), squares)
-
-
-class TestColumnStd:
-    """The probe's row-block column std is ``x.std(axis=0)`` bit for bit."""
-
-    @staticmethod
-    def _rows(seed, m, d):
-        return (8.0 + 3.0 * gaussian_rows(seed, 0, m, d=d)).astype(np.float32)
-
-    @pytest.mark.parametrize("m, block", [(1000, 163), (999, 7), (1001, 1000), (5, 2), (3, 1)])
-    @pytest.mark.parametrize("d", [2, 3, 800])
-    def test_rows_that_do_not_fill_the_last_block(self, m, block, d):
-        x = self._rows(m + d, m, d)
-        assert _block_std(x, block).tobytes() == x.std(axis=0).tobytes()
-
-    @pytest.mark.parametrize("block", [1, 16, 200])
-    def test_constant_and_zero_variance_columns(self, block):
-        x = self._rows(1, 1000, 12)
-        x[:, 0] = 8.0  # a flat coordinate, as on a uniform-grid cell
-        x[:, 5] = 0.0
-        x[:, 7] = -1e-30
-        x[::2, 9] = 3.0
-        x[1::2, 9] = -3.0
-        want = x.std(axis=0)
-        assert want[0] == want[5] == want[7] == 0.0
-        assert _block_std(x, block).tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("d", [2, 50, 800])
-    def test_the_probes_smallest_training_half(self, d):
-        # 200 samples per batch: the training half of the 400 pooled rows
-        x = self._rows(d, 200, d)
-        for block in (1, 13, 81, 200):
-            assert _block_std(x, block).tobytes() == x.std(axis=0).tobytes()
-
-    def test_wide_spread_columns(self):
-        x = self._rows(7, 2000, 40) * np.logspace(-15, 15, 40, dtype=np.float32)
-        assert _block_std(x, 81).tobytes() == x.std(axis=0).tobytes()
-
-    def test_a_single_column(self):
-        # numpy sums one column pairwise, so the helper leaves it to numpy
-        x = self._rows(3, 5000, 1)
-        assert _block_std(x, 64).tobytes() == x.std(axis=0).tobytes()
