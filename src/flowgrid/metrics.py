@@ -180,6 +180,20 @@ def _balanced_accuracy(pred: np.ndarray, labels: np.ndarray) -> float:
     return float(acc)
 
 
+def _standardize(train: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centre each feature row of the feature-major (g, d, m) float32 rows
+    ``train`` in place and divide it by its standard deviation plus 1e-8;
+    return the (g, d, 1) centres and divisors."""
+    center = train.mean(axis=2, keepdims=True)
+    train -= center
+    # the standard deviation: one dot product per feature row, no temporary
+    m = np.float32(train.shape[2])
+    scale = np.sqrt(np.matmul(train[:, :, None], train[:, :, :, None])[:, :, 0] / m)
+    scale += np.float32(1e-8)
+    train /= scale
+    return center, scale
+
+
 def _read_rounds(
     pooled: np.ndarray, labels: np.ndarray, x: np.ndarray, block: np.ndarray, rounds: range,
     seed: int,
@@ -191,12 +205,7 @@ def _read_rounds(
     for xr, order in zip(x, orders):
         _gather(pooled, order[:half], xr, block)
     train = x[:, :, :half]
-    center = train.mean(axis=2, keepdims=True)
-    train -= center
-    # the standard deviation: one dot product per feature row, no temporary
-    scale = np.sqrt(np.matmul(train[:, :, None], train[:, :, :, None])[:, :, 0] / np.float32(half))
-    scale += np.float32(1e-8)
-    train /= scale
+    center, scale = _standardize(train)
     y = np.stack([labels[order[:half]] for order in orders]).astype(np.float32)
     weights, bias, norms = _fit(train, y)
 

@@ -25,6 +25,8 @@ from flowgrid.metrics import (
     TvEstimate,
     _expit,
     _fit,
+    _gather,
+    _standardize,
     _to_float32,
     estimate_tv,
     gaussian_tv_bounds,
@@ -494,3 +496,78 @@ class TestMomentStats:
     def test_rejects_single_sample(self):
         with pytest.raises(DomainError):
             moment_stats(np.ones((1, 3)))
+
+
+def _block_std(x: np.ndarray, block_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows ``x`` in a shuffled order, gathered feature-major through a
+    block of ``block_rows`` rows and standardized as the probe does: the (d, m)
+    standardized rows and the (d,) divisors."""
+    m, d = x.shape
+    index = substream(m, d).permutation(m)
+    out = np.empty((1, d, m), dtype=np.float32)
+    _gather(x, index, out[0], np.empty((min(block_rows, m), d), dtype=np.float32))
+    assert out[0].tobytes() == x[index].T.tobytes()  # a plain transposed copy
+    _, scale = _standardize(out)
+    return out[0], scale[0, :, 0]
+
+
+class TestColumnStd:
+    """The probe's feature-major rows, gathered through the row block, are
+    centred and divided by their standard deviation plus 1e-8, to within
+    float32 rounding of the float64 values, whatever the block size."""
+
+    @staticmethod
+    def _rows(seed, m, d):
+        return (8.0 + 3.0 * gaussian_rows(seed, 0, m, d=d)).astype(np.float32)
+
+    @staticmethod
+    def _assert_standardized(x, block_rows):
+        z, scale = _block_std(x, block_rows)
+        index = substream(*x.shape).permutation(x.shape[0])
+        wide = x[index].astype(np.float64)
+        want_scale = wide.std(axis=0) + 1e-8
+        np.testing.assert_allclose(scale, want_scale, rtol=1e-6, atol=0.0)
+        # x - mean rounds to about an ulp of the largest |x|; the divisor scales it
+        eps = float(np.finfo(np.float32).eps)
+        tol = 8.0 * eps * np.abs(wide).max(axis=0) / want_scale
+        assert np.all(np.abs(z.T - (wide - wide.mean(axis=0)) / want_scale) <= tol)
+        return z, scale
+
+    @pytest.mark.parametrize("m, block", [(1000, 163), (999, 7), (1001, 1000), (5, 2), (3, 1)])
+    @pytest.mark.parametrize("d", [2, 3, 800])
+    def test_rows_that_do_not_fill_the_last_block(self, m, block, d):
+        x = self._rows(m + d, m, d)
+        z, scale = self._assert_standardized(x, block)
+        whole = _block_std(x, m)
+        assert z.tobytes() == whole[0].tobytes() and scale.tobytes() == whole[1].tobytes()
+
+    @pytest.mark.parametrize("block", [1, 16, 200])
+    def test_constant_and_zero_variance_columns(self, block):
+        x = self._rows(1, 1000, 12)
+        x[:, 0] = 8.0  # a flat coordinate, as on a uniform-grid cell
+        x[:, 5] = 0.0
+        x[:, 7] = -1e-30
+        x[::2, 9] = 3.0
+        x[1::2, 9] = -3.0
+        z, scale = self._assert_standardized(x, block)
+        # flat features standardize to 0 through the 1e-8 floor
+        assert scale[0] == scale[5] == scale[7] == np.float32(1e-8)
+        assert not z[[0, 5, 7]].any()
+        assert set(np.abs(z[9]).tolist()) == {1.0}  # 3 + 1e-8 rounds to 3 in float32
+
+    @pytest.mark.parametrize("d", [2, 50, 800])
+    def test_the_probes_smallest_training_half(self, d):
+        # 200 samples per batch: the training half of the 400 pooled rows
+        x = self._rows(d, 200, d)
+        z, scale = self._assert_standardized(x, 200)
+        for block in (1, 13, 81):
+            got = _block_std(x, block)
+            assert got[0].tobytes() == z.tobytes() and got[1].tobytes() == scale.tobytes()
+
+    def test_wide_spread_columns(self):
+        x = self._rows(7, 2000, 40) * np.logspace(-15, 15, 40, dtype=np.float32)
+        self._assert_standardized(x, 81)
+
+    def test_a_single_column(self):
+        x = self._rows(3, 5000, 1)
+        self._assert_standardized(x, 64)
