@@ -13,9 +13,9 @@ __all__ = ["BatchMeta", "SampleBatch"]
 
 _BLOCK_BYTES = 1 << 19
 """Byte budget of one row block: the noise-free samplers' state buffers, the
-reference draw and its blur, the probe's row gathers, the forward simulator
-(``simulate_forward``) and the moment sums (``_moment_stats``) each work in
-blocks of this many bytes."""
+reference draw and its blur, the probe's gathers (a block with the rows it
+takes from the second batch), the forward simulator (``simulate_forward``)
+and the moment sums (``_moment_stats``) each work in blocks of this many bytes."""
 
 
 def _block_rows(row_bytes: int) -> int:
@@ -31,16 +31,17 @@ def _bounded(x: np.ndarray, top: float) -> bool:
     return not x.size or bool(x.min() >= -top and x.max() <= top)
 
 
-def _to_float32(x: np.ndarray, who: str, out: np.ndarray | None = None) -> np.ndarray:
-    """``x`` cast to float32, into ``out`` when given, once it is checked.
-
-    The check comes first: a NaN, an inf or a value beyond float32's finite
-    range raises :class:`~flowgrid.errors.DomainError` naming ``who``
-    (before the cast could turn it into inf with an overflow warning).
-    A float32 ``x`` is returned as it is when there is no ``out``.
-    """
+def _check_float32(x: np.ndarray, who: str) -> None:
+    """Raise a DomainError naming ``who`` if ``x`` holds a NaN, an inf or a value
+    beyond float32's finite range, before a cast could overflow it to inf."""
     if not _bounded(x, np.finfo(np.float32).max):
         raise DomainError(f"{who} holds a NaN, an inf or a value beyond float32's range")
+
+
+def _to_float32(x: np.ndarray, who: str, out: np.ndarray | None = None) -> np.ndarray:
+    """``x`` cast to float32 once :func:`_check_float32` passes, into ``out``
+    when given; a float32 ``x`` is returned as it is when there is no ``out``."""
+    _check_float32(x, who)
     if out is None:
         return x.astype(np.float32, copy=False)
     np.copyto(out, x, casting="same_kind")

@@ -2,16 +2,16 @@
 closed-form TV bounds for diagonal Gaussians.
 
 The estimator is deliberately plain: a linear logistic probe trained by
-full-batch gradient descent on a random 50/50 split of the pooled, labeled
-data, repeated over independent rounds.  Balanced test accuracy ``acc``
-converts to a per-round TV reading ``max(0, 2·acc − 1)`` — a classifier
-that cannot separate the batches gives ≈ 0, a perfect one gives 1.  Linear
-probes are a *lower-bound-style* reading of TV: they see mean shifts, and
-a difference in variance alone reads near 0 (N(0, 1) against N(0, 4) in
-d = 1, n = 2000, 10 rounds, reads under 0.05 where the exact TV is
-0.323).  The acceptance tests calibrate the resulting band on mean shifts
-whose exact TV, 2Φ(|Δμ|/2) − 1, sets the shift, rather than assuming
-exactness; an exact TV layer and a probe that sees variance are
+full-batch gradient descent on a random 50/50 split of both batches' rows,
+read where they lie, repeated over independent rounds.  Balanced test
+accuracy ``acc`` converts to a per-round TV reading ``max(0, 2·acc − 1)``:
+a classifier that cannot separate the batches gives ≈ 0, a perfect one 1.
+Linear probes are a *lower-bound-style* reading of TV: they see mean
+shifts, and a difference in variance alone reads near 0 (N(0, 1) against
+N(0, 4) in d = 1, n = 2000, 10 rounds, reads under 0.05 where the exact
+TV is 0.323).  The acceptance tests calibrate the resulting band on mean
+shifts whose exact TV, 2Φ(|Δμ|/2) − 1, sets the shift, rather than
+assuming exactness; an exact TV layer and a probe that sees variance are
 ROADMAP.md's open items 1–2.
 
 Hyperparameters are fixed (500 iterations, step 0.1, L2 weight 1e−4,
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import SampleBatch, _block_rows, _to_float32
+from .batch import SampleBatch, _block_rows, _check_float32
 from .errors import DomainError
 from .rng import substream
 from .schedules import _count
@@ -109,31 +109,30 @@ def _carry(rows: np.ndarray, total: np.ndarray) -> None:
     np.add.reduce(rows, axis=0, out=total)
 
 
-def _adjacent_halves(xa: np.ndarray, xb: np.ndarray) -> np.ndarray | None:
-    """A read-only view of the one array whose first rows are ``xa`` and whose
-    remaining rows are ``xb``, or None unless the two are C-contiguous float32
-    views of one base array with ``xb`` starting where ``xa`` ends."""
-    if not (
-        xa.dtype == xb.dtype == np.float32
-        and xa.flags.c_contiguous
-        and xb.flags.c_contiguous
-        and xa.base is not None
-        and xa.base is xb.base
-        and xa.ctypes.data + xa.nbytes == xb.ctypes.data
-    ):
-        return None
-    shape = (xa.shape[0] + xb.shape[0], xa.shape[1])
-    return np.lib.stride_tricks.as_strided(xa, shape, (4 * shape[1], 4), writeable=False)
+def _readable(x: np.ndarray, who: str) -> np.ndarray:
+    """``x``, range-checked, as :func:`_gather` reads it: C-contiguous float32
+    and float64 rows where they lie, any other batch as one C-contiguous
+    float32 copy (``np.take`` copies a strided batch whole on every call)."""
+    _check_float32(x, who)
+    in_place = x.dtype in (np.float32, np.float64) and x.flags.c_contiguous
+    return x if in_place else x.astype(np.float32, order="C", casting="same_kind")
 
 
-def _gather(pooled: np.ndarray, index: np.ndarray, out: np.ndarray, block: np.ndarray) -> None:
-    """``out[:, j] = pooled[index[j]]`` for every j: the rows go through the
-    row block ``block`` and are transposed into the feature-major ``out``."""
+def _gather(
+    xa: np.ndarray, xb: np.ndarray, index: np.ndarray, out: np.ndarray, block: np.ndarray
+) -> None:
+    """``out[:, j]`` = row ``index[j]`` of ``xa`` stacked on ``xb``, cast to
+    float32, for every j: the rows go through the row block ``block``, of
+    ``xa``'s dtype, and are cast as they are transposed into ``out``.  A
+    block's rows of ``xb`` pass through a temporary of at most as many rows."""
+    na = xa.shape[0]
     for start in range(0, index.size, block.shape[0]):
         rows = index[start : start + block.shape[0]]
-        # mode="clip" writes straight into ``out`` (the default mode buffers
-        # it); a permutation's indices are all in range, so nothing is clipped.
-        part = np.take(pooled, rows, axis=0, out=block[: rows.size], mode="clip")
+        # mode="clip" writes straight into the block (the default mode buffers
+        # it) and reads xa's last row for each row of xb, replaced next
+        part = np.take(xa, rows, axis=0, out=block[: rows.size], mode="clip")
+        in_b = np.flatnonzero(rows >= na)
+        part[in_b] = np.take(xb, rows[in_b] - na, axis=0)
         out[:, start : start + rows.size] = part.T
 
 
@@ -195,27 +194,29 @@ def _standardize(train: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _read_rounds(
-    pooled: np.ndarray, labels: np.ndarray, x: np.ndarray, block: np.ndarray, rounds: range,
-    seed: int,
+    xa: np.ndarray, xb: np.ndarray, x: np.ndarray, block: np.ndarray, rounds: range, seed: int
 ) -> tuple[list[float], float]:
     """The TV readings of ``rounds``, trained in lockstep in the (g, d,
-    n - n//2) buffers ``x``, and their largest final gradient norm."""
-    n, half = labels.size, labels.size // 2
-    orders = [substream(seed, TV_ROUND_STREAM, r).permutation(n) for r in rounds]
+    n - n//2) buffers ``x``, and their largest final gradient norm.  A row
+    of ``xa`` stacked on ``xb`` is labeled 1 when it lies in ``xb``."""
+    # an int32 arange shuffles to the order of permutation(n) at half its bytes
+    arange = np.arange(xa.shape[0] + xb.shape[0], dtype=np.int32)
+    na, half = xa.shape[0], arange.size // 2
+    orders = [substream(seed, TV_ROUND_STREAM, r).permutation(arange) for r in rounds]
     for xr, order in zip(x, orders):
-        _gather(pooled, order[:half], xr, block)
+        _gather(xa, xb, order[:half], xr, block)
     train = x[:, :, :half]
     center, scale = _standardize(train)
-    y = np.stack([labels[order[:half]] for order in orders]).astype(np.float32)
+    y = np.stack([order[:half] >= na for order in orders]).astype(np.float32)
     weights, bias, norms = _fit(train, y)
 
     for xr, order in zip(x, orders):
-        _gather(pooled, order[half:], xr, block)
+        _gather(xa, xb, order[half:], xr, block)
     x -= center
     x /= scale
     scores = np.matmul(x.transpose(0, 2, 1), weights[:, :, None])[:, :, 0]
     preds = (scores + bias[:, None] > 0.0).astype(np.int8)
-    accuracies = [_balanced_accuracy(p, labels[order[half:]]) for p, order in zip(preds, orders)]
+    accuracies = [_balanced_accuracy(p, order[half:] >= na) for p, order in zip(preds, orders)]
     return [max(0.0, 2.0 * acc - 1.0) for acc in accuracies], float(norms.max())
 
 
@@ -233,19 +234,19 @@ def estimate_tv(
     on the held-out half.  Rounds use independent substreams of ``seed``,
     so the estimate is reproducible and rounds could run in any order.
 
-    In memory the probe works on the pooled batches, one (n, d) float32
-    array with n = n_a + n_b.  When the two batches are the adjacent
-    float32 halves of one C-contiguous array (``pool[:n_a]`` and
-    ``pool[n_a:]``), that array is the pool and is read in place;
-    otherwise both are cast straight into a pool of its own.  A round's
-    rows are feature-major: one (d, n - n//2) float32 buffer takes its
-    training rows, standardized in place, then its test rows, each
-    transposed in through one row block of at most 512 KiB.  As many rounds
-    as have rows within ``_GROUP_BYTES`` (1 MiB), and at least one, train
-    in lockstep, each to the bits it gets alone.  So the probe adds the
-    group's rows, the row block, the rounds' splits and vectors: about 0.55
-    times the pool's bytes to adjacent halves at (4000, 800), and about
-    1.55 times to other batches, which the caller holds as well.
+    The probe reads C-contiguous float32 and float64 batches where they lie,
+    casting their rows to float32 as a round gathers them; any other batch
+    (another dtype, Fortran order, a strided view) is cast to a C-contiguous
+    float32 copy first.  A round's rows are feature-major: one (d, n - n//2)
+    float32 buffer, with n = n_a + n_b, takes its training rows,
+    standardized in place, then its test rows, each gathered from both
+    batches through one row block and transposed in, the block and its
+    temporaries within 512 KiB.  As many rounds as have rows within
+    ``_GROUP_BYTES`` (1 MiB), and at least one, train in lockstep, each to
+    the bits it gets alone.  So the probe adds the group's rows, the row
+    block, the rounds' splits and vectors to the batches the caller holds:
+    about 0.54 times the float32 bytes of two C-contiguous batches at
+    (4000, 800).
 
     Raises :class:`~flowgrid.errors.DomainError` when dimensions differ,
     either batch has fewer than 200 samples, or a value is NaN, infinite or
@@ -264,26 +265,18 @@ def estimate_tv(
         )
     _count(rounds, "rounds", 1)
 
-    na = xa.shape[0]
-    n, d = na + xb.shape[0], xa.shape[1]
-    pooled = _adjacent_halves(xa, xb)
-    if pooled is None:
-        pooled = np.empty((n, d), dtype=np.float32)
-        _to_float32(xa, "batch_a", out=pooled[:na])
-        _to_float32(xb, "batch_b", out=pooled[na:])
-    else:  # read in place, once both halves are range-checked
-        _to_float32(xa, "batch_a")
-        _to_float32(xb, "batch_b")
-    labels = np.concatenate([np.zeros(na, dtype=np.int8), np.ones(n - na, dtype=np.int8)])
+    xa, xb = _readable(xa, "batch_a"), _readable(xb, "batch_b")
+    n, d = xa.shape[0] + xb.shape[0], xa.shape[1]
     width = n - n // 2  # a round's test rows; its training rows are n // 2
     group = min(rounds, max(1, _GROUP_BYTES // (4 * d * width)))
     rows = np.empty((group, d, width), dtype=np.float32)
-    block = np.empty((min(width, _block_rows(d * 4)), d), dtype=np.float32)
+    # a block of xa's rows and the rows of xb it takes, at most as many, within 512 KiB
+    block = np.empty((min(width, _block_rows(d * (xa.itemsize + xb.itemsize))), d), xa.dtype)
 
     readings, grad_norm = [], 0.0
     for first in range(0, rounds, group):
         x = rows[: min(group, rounds - first)]
-        got, norm = _read_rounds(pooled, labels, x, block, range(first, first + len(x)), seed)
+        got, norm = _read_rounds(xa, xb, x, block, range(first, first + len(x)), seed)
         readings += got
         grad_norm = max(grad_norm, norm)
 

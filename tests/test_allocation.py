@@ -3,11 +3,12 @@ recorded trajectory allocate.
 
 The step loop keeps its states in reused buffers that the oracle fills in
 place, runs a noise-free sampler's rows in blocks, and writes recorded
-frames into one preallocated trajectory.  The TV probe reads its batches in
-place when they are the halves of one float32 pool and transposes each
-round's rows into one feature-major buffer through a row block, several
-rounds to a group when their rows are small; a sweep cell streams its
-sampler batch and its reference into that pool.
+frames into one preallocated trajectory.  The TV probe reads any two
+C-contiguous float32 or float64 batches where they lie, gathering and
+casting each round's rows into one feature-major buffer through a row
+block, several rounds to a group when their rows are small; a sweep cell
+streams its sampler batch and its reference into the two halves of one
+float32 pool.
 The forward simulators build their states in row blocks, and the moment
 sums of the equivalence check run over row blocks of those states.
 Without the buffers a sampler's speed depended on glibc's dynamic mmap
@@ -83,11 +84,23 @@ def test_the_probe_holds_its_float32_pool_and_one_row_buffer():
     a, b = rng.standard_normal((2000, 800)), rng.standard_normal((2000, 800))
     pool_bytes = (a.size + b.size) * 4
     peak = _traced_peak(lambda: estimate_tv(a, b, rounds=1))
-    # The pool, one feature-major (d, n/2) buffer of rows and one 512 KiB
-    # row block that the rows are transposed through: 1.55x.  The standard
-    # deviation's own (n/2, d) temporary made it 2.0x, and a float64 pool
-    # temporary 3.0x.
+    # One feature-major (d, n/2) buffer of rows and one row block that the
+    # rows are gathered and transposed through: 0.54x, bounded more tightly by
+    # test_the_probe_reads_float64_batches_in_place.  A float32 pool of the
+    # probe's own made it 1.55x, the standard deviation's own (n/2, d)
+    # temporary 2.0x, and a float64 pool temporary 3.0x.
     assert peak < 1.6 * pool_bytes
+
+
+def test_the_probe_reads_float64_batches_in_place():
+    rng = np.random.default_rng(1)
+    a, b = rng.standard_normal((2000, 800)), rng.standard_normal((2000, 800))
+    float32_bytes = (a.size + b.size) * 4
+    peak = _traced_peak(lambda: estimate_tv(a, b, rounds=1))
+    # The row buffer, a float64 row block and the rows of batch b that one
+    # block takes: 0.54x.  Casting both batches into a float32 pool made it
+    # 1.55x.
+    assert peak < 0.6 * float32_bytes
 
 
 def test_the_probe_groups_small_rounds_within_the_group_budget():
@@ -95,16 +108,26 @@ def test_the_probe_groups_small_rounds_within_the_group_budget():
     a, b = rng.standard_normal((2000, 10)), rng.standard_normal((2000, 10))
     pool_bytes = (a.size + b.size) * 4
     peak = _traced_peak(lambda: estimate_tv(a, b, rounds=10))
-    # All ten rounds train as one group: the pool, the group's 800 kB of
-    # rows, one row block and the rounds' splits and vectors, 1.57 MB.
+    # All ten rounds train as one group: the group's 800 kB of rows, one row
+    # block and the rounds' splits and vectors, 1.41 MB.  A float32 pool of
+    # the probe's own made it 1.64 MB.
     assert peak < pool_bytes + flowgrid.metrics._GROUP_BYTES + flowgrid.batch._BLOCK_BYTES
+
+
+def test_the_probe_draws_its_splits_as_int32():
+    pool = np.random.default_rng(3).standard_normal((4000, 10)).astype(np.float32)
+    peak = _traced_peak(lambda: estimate_tv(pool[:2000], pool[2000:], rounds=10))
+    # The group's 800 kB of rows, its 80 kB row block and ten int32 splits of
+    # 16 kB: 1.33 MB.  int64 splits made it 1.48 MB.
+    assert peak < 1.4e6
 
 
 def test_the_probe_reads_the_halves_of_one_pool_in_place():
     pool = np.random.default_rng(2).standard_normal((4000, 800)).astype(np.float32)
     peak = _traced_peak(lambda: estimate_tv(pool[:2000], pool[2000:], rounds=1))
-    # The row buffer and the row block it is transposed through: 0.55x.  Copying
-    # the halves into a pool of the probe's own made it 1.55x.
+    # The row buffer, the row block it is transposed through and the rows of
+    # the second half that a block takes: 0.54x.  Copying the halves into a
+    # pool of the probe's own made it 1.55x.
     assert peak < 0.6 * pool.nbytes
 
 

@@ -53,6 +53,9 @@ _COUNTS = {
     "ExperimentSpec.rounds": (1, 2, lambda v: ExperimentSpec(rounds=v)),
     "ExperimentSpec.num_samples": (200, 300, lambda v: ExperimentSpec(num_samples=v)),
     "ExperimentSpec.n_steps": (2, 100, lambda v: ExperimentSpec(n_steps=(v,))),
+    "ExperimentSpec.dims": (1, 10, lambda v: ExperimentSpec(dims=(v,), intrinsic_dim=1)),
+    "ExperimentSpec.intrinsic_dim": (1, 2, lambda v: ExperimentSpec(intrinsic_dim=v)),
+    "ExperimentSpec.seeds": (0, 3, lambda v: ExperimentSpec(seeds=(v,))),
 }
 
 

@@ -97,12 +97,12 @@ class TestSpecValidation:
             (dict(dims=()), "nonempty"),
             (dict(dims=(4,), intrinsic_dim=8), "intrinsic_dim"),
             (dict(intrinsic_dim=0), "intrinsic_dim"),
-            (dict(n_steps=(1,)), "at least 2"),
+            (dict(n_steps=(1,)), "n_steps must be an integer >= 2, got 1"),
             (dict(samplers=("euler-maruyama",)), "unknown samplers"),
             (dict(grids=("chebyshev",)), "unknown grids"),
-            (dict(num_samples=150), "at least 200"),
-            (dict(rounds=0), "at least one"),
-            (dict(seeds=(0, -1)), "seeds must be non-negative"),
+            (dict(num_samples=150), "num_samples must be an integer >= 200, got 150"),
+            (dict(rounds=0), "rounds must be an integer >= 1, got 0"),
+            (dict(seeds=(0, -1)), "seeds must be an integer >= 0, got -1"),
             # a repeat would score the same cells twice under one manifest key
             (dict(dims=(10, 50, 10)), "dims repeats 10"),
             (dict(n_steps=(100, 100)), "n_steps repeats 100"),
@@ -110,11 +110,11 @@ class TestSpecValidation:
             (dict(grids=("ushaped", "uniform", "ushaped")), "grids repeats 'ushaped'"),
             (dict(seeds=(3, 3)), "seeds repeats 3"),
             # a fractional count would build, then fail in the first cell
-            (dict(dims=(10.5,), intrinsic_dim=8), "dims takes integers only; got 10.5"),
-            (dict(intrinsic_dim=8.0), "intrinsic_dim takes integers only"),
-            (dict(n_steps=(100, 200.0)), "n_steps takes integers only; got 200.0"),
-            (dict(num_samples=2000.5), "num_samples takes integers only"),
-            (dict(rounds=2.5), "rounds takes integers only"),
+            (dict(dims=(10.5,), intrinsic_dim=8), "dims must be an integer >= 1, got 10.5"),
+            (dict(intrinsic_dim=8.0), "intrinsic_dim must be an integer >= 1, got 8.0"),
+            (dict(n_steps=(100, 200.0)), "n_steps must be an integer >= 2, got 200.0"),
+            (dict(num_samples=2000.5), "num_samples must be an integer >= 200, got 2000.5"),
+            (dict(rounds=2.5), "rounds must be an integer >= 1, got 2.5"),
         ],
     )
     def test_rejects_malformed_specs(self, overrides, match):
@@ -601,7 +601,10 @@ class TestParseConfig:
             ("kind = experiment\nkind = target\ndim = 3\n", r"config.txt:2: duplicate key 'kind'"),
             ("rounds = 3\ndelta = abc\n", r"config.txt:2: key 'delta': needs a number"),
             ("dims = 10,,20\n", r"config.txt:1: key 'dims': needs an integer, got ''"),
-            ("dims = 10\nseeds = 0, -1\n", r"config.txt:2: key 'seeds': .*non-negative"),
+            (
+                "dims = 10\nseeds = 0, -1\n",
+                r"config.txt:2: key 'seeds': seeds must be an integer >= 0, got -1",
+            ),
             ("grids = ddpm, ddpm-induced\n", "grids repeats 'ddpm-induced'"),
             ("dims = 10, 10\ngrids = ushaped, ushaped\n", "dims repeats 10"),
         ],

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import flowgrid.batch
 import flowgrid.metrics
-from flowgrid.batch import BatchMeta, SampleBatch
+from flowgrid.batch import BatchMeta, SampleBatch, _to_float32
 from flowgrid.errors import DomainError
 from flowgrid.metrics import (
     _ITERATIONS,
@@ -26,8 +26,8 @@ from flowgrid.metrics import (
     _expit,
     _fit,
     _gather,
+    _readable,
     _standardize,
-    _to_float32,
     estimate_tv,
     gaussian_tv_bounds,
     moment_stats,
@@ -276,8 +276,8 @@ class TestEstimateTv:
         assert single == estimate_tv(a, b, rounds=3, seed=5)
 
     def test_the_halves_of_one_pool_read_like_separate_batches(self):
-        # Read in place (test_allocation measures that), or, reversed or
-        # apart, copied into a pool of the probe's own: the readings agree.
+        # Adjacent, reversed or apart, the halves are read where they lie
+        # (test_allocation measures that): the readings agree.
         a = gaussian_rows(7, 0, 300, d=5).astype(np.float32)
         b = (gaussian_rows(7, 1, 301, d=5) + 0.3).astype(np.float32)
         pool = np.concatenate([a, b])
@@ -287,6 +287,38 @@ class TestEstimateTv:
             ((pool[:300], pool[301:]), (a, b[1:])),
         ):
             assert estimate_tv(x, y, rounds=3, seed=2) == estimate_tv(xa, xb, rounds=3, seed=2)
+
+    @pytest.mark.parametrize(
+        "kind", ["float64", "float32", "mixed", "fortran", "strided", "int", "sample-batch"]
+    )
+    def test_any_two_batches_read_like_adjacent_halves_of_their_float32_pool(self, kind):
+        a = 4.0 * gaussian_rows(12, 0, 300, d=6)
+        b = 4.0 * gaussian_rows(12, 1, 301, d=6) + 0.4
+        if kind == "int":
+            a, b = np.rint(a).astype(np.int64), np.rint(b).astype(np.int64)
+        pool = np.concatenate([a, b]).astype(np.float32)
+        want = estimate_tv(pool[:300], pool[300:], rounds=3, seed=6)
+        xa, xb = {
+            "float64": (a, b),
+            "float32": (a.astype(np.float32), b.astype(np.float32)),
+            "mixed": (a, b.astype(np.float32)),
+            "fortran": (np.asfortranarray(a), np.asfortranarray(b)),
+            "strided": (np.repeat(a, 2, axis=0)[::2], np.hstack([b, b])[:, :6]),
+            "int": (a, b),
+            "sample-batch": (SampleBatch(a, BatchMeta("rf", "uniform", "t", 0, 1.0)), b),
+        }[kind]
+        assert estimate_tv(xa, xb, rounds=3, seed=6) == want
+
+    def test_only_c_contiguous_float_batches_are_read_in_place(self):
+        # np.take copies a strided source whole on every call, so such a
+        # batch is copied once, as C-contiguous float32
+        x = gaussian_rows(13, 0, 300, d=4)
+        for kept in (x, x.astype(np.float32), x[:150]):
+            assert _readable(kept, "x") is kept
+        for copied in (np.asfortranarray(x), x[::2], x[:, :3], np.rint(x).astype(np.int64)):
+            got = _readable(copied, "x")
+            assert got.dtype == np.float32 and got.flags.c_contiguous
+            assert got.tobytes() == copied.astype(np.float32).tobytes()
 
     @pytest.mark.parametrize("which", ["batch_a", "batch_b"])
     def test_the_halves_of_one_pool_are_range_checked(self, which):
@@ -299,7 +331,7 @@ class TestEstimateTv:
         a = gaussian_rows(6, 0, 301, d=7)
         b = gaussian_rows(6, 1, 300, d=7) * 1.3
         whole = estimate_tv(a, b, rounds=3, seed=2)
-        monkeypatch.setattr(flowgrid.batch, "_BLOCK_BYTES", 3 * 7 * 4)  # three rows
+        monkeypatch.setattr(flowgrid.batch, "_BLOCK_BYTES", 3 * 7 * 4)  # a row at a time
         assert estimate_tv(a, b, rounds=3, seed=2) == whole
 
     def test_the_group_size_leaves_the_readings_unchanged(self, monkeypatch):
@@ -498,15 +530,25 @@ class TestMomentStats:
             moment_stats(np.ones((1, 3)))
 
 
+def _splits(m: int, block_rows: int) -> set[int]:
+    """Rows of ``m`` at which to split the gather's sources: at the end (every
+    row in the first source), on a block boundary and mid-block."""
+    boundary = block_rows * max(1, m // (2 * block_rows))
+    return {m, min(boundary, m), min(boundary + block_rows // 2, m)}
+
+
 def _block_std(x: np.ndarray, block_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rows ``x`` in a shuffled order, gathered feature-major through a
-    block of ``block_rows`` rows and standardized as the probe does: the (d, m)
-    standardized rows and the (d,) divisors."""
+    """The rows ``x`` in a shuffled order, gathered feature-major from ``x``
+    split in two through a block of ``block_rows`` rows and standardized as
+    the probe does: the (d, m) standardized rows and the (d,) divisors."""
     m, d = x.shape
-    index = substream(m, d).permutation(m)
+    index = substream(m, d).permutation(np.arange(m, dtype=np.int32))
+    block = np.empty((min(block_rows, m), d), dtype=np.float32)
     out = np.empty((1, d, m), dtype=np.float32)
-    _gather(x, index, out[0], np.empty((min(block_rows, m), d), dtype=np.float32))
-    assert out[0].tobytes() == x[index].T.tobytes()  # a plain transposed copy
+    for split in _splits(m, block.shape[0]):
+        out[0] = np.nan
+        _gather(x[:split], x[split:], index, out[0], block)
+        assert out[0].tobytes() == x[index].T.tobytes()  # a plain transposed copy
     _, scale = _standardize(out)
     return out[0], scale[0, :, 0]
 
@@ -571,3 +613,29 @@ class TestColumnStd:
     def test_a_single_column(self):
         x = self._rows(3, 5000, 1)
         self._assert_standardized(x, 64)
+
+    @pytest.mark.parametrize("kind", ["float64", "fortran", "mixed", "int"])
+    @pytest.mark.parametrize("m, block_rows", [(1000, 163), (5, 2)])
+    def test_sources_of_any_dtype_and_layout_gather_their_float32_cast(
+        self, kind, m, block_rows
+    ):
+        wide = 8.0 + 3.0 * gaussian_rows(m, 1, m, d=5)
+        if kind == "int":
+            # 2**60 + 3·2**36 - 1 rounds down cast straight to float32, but up
+            # cast through float64
+            wide = np.full((m, 5), 2**60 + 3 * 2**36 - 1, dtype=np.int64)
+            wide[:, 1:] = np.rint(1e6 * gaussian_rows(m, 2, m, d=4))
+        index = substream(m, 7).permutation(np.arange(m, dtype=np.int32))
+        out = np.empty((5, m), dtype=np.float32)
+        for split in _splits(m, block_rows):
+            xa, xb = wide[:split], wide[split:]
+            if kind == "fortran":
+                xa, xb = np.asfortranarray(xa), np.asfortranarray(xb)
+            elif kind == "mixed":
+                xb = xb.astype(np.float32)
+            want = np.concatenate([xa, xb])[index].T.astype(np.float32)
+            # as estimate_tv reads them: the block takes xa's dtype
+            xa, xb = _readable(xa, "xa"), _readable(xb, "xb")
+            out[:] = np.nan
+            _gather(xa, xb, index, out, np.empty((block_rows, 5), dtype=xa.dtype))
+            assert out.tobytes() == want.tobytes()
