@@ -22,7 +22,7 @@ from functools import cache
 import numpy as np
 
 from .checks import SUITES, run_suite
-from .errors import FlowgridError, ParseError
+from .errors import DomainError, FlowgridError, ParseError
 from .harness import (
     ExperimentSpec,
     _check_out_directory,
@@ -31,7 +31,7 @@ from .harness import (
 )
 from .metrics import estimate_tv
 from .samplers import SAMPLERS, run_sampler
-from .schedules import GRID_FLAGS, GRIDS, default_delta
+from .schedules import GRID_FLAGS, GRIDS, _count, default_delta
 from .targets import ExactOracle, Target
 
 __all__ = ["main", "build_parser"]
@@ -43,22 +43,27 @@ def _global_flags(parser: argparse.ArgumentParser, *, suppress: bool) -> None:
     Subparsers get SUPPRESS defaults so they only touch the namespace when
     the flag actually appears after the subcommand (and then it wins).  An
     absent ``--seed`` reads None: ``experiment`` refuses any other value, and
-    :func:`main` makes it 0 for the other subcommands.
+    :func:`main` makes it 0 for the other subcommands.  ``--seed`` and
+    ``--threads`` are counts under :func:`~flowgrid.schedules._count`'s rule.
     """
     default = (lambda value: argparse.SUPPRESS if suppress else value)
 
-    def seed(text: str) -> int:
-        value = int(text)
-        if value < 0:
-            raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-        return value
+    def count(name: str, minimum: int):
+        def parse(text: str) -> int:
+            try:
+                return _count(int(text), name, minimum)
+            except DomainError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+
+        parse.__name__ = name  # argparse reports text that is no integer by this name
+        return parse
 
     parser.add_argument(
-        "--seed", type=seed, default=default(None), help="master seed (default 0)"
+        "--seed", type=count("seed", 0), default=default(None), help="master seed (default 0)"
     )
     parser.add_argument(
         "--threads",
-        type=int,
+        type=count("threads", 1),
         default=default(1),
         help="worker processes for sweeps, at most one per cell (default 1: run in this process)",
     )

@@ -39,6 +39,6 @@ class ParseError(FlowgridError, ValueError):
 class NoRootError(FlowgridError, ValueError):
     """A scalar equation had no root in the search bracket.
 
-    Raised by time-change inversions when the supplied schedule is not
-    monotone (or never reaches the requested level).
+    Raised by :func:`~flowgrid.localization.interpolant_time_change` when
+    the interpolant's ratio b/a is not strictly decreasing on (0, 1).
     """

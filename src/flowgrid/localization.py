@@ -7,8 +7,8 @@ The same family of Gaussian-smoothed laws appears here under three clocks:
   variance ``1/s``);
 * the *flow interpolation* at time ``t ∈ (0, 1)``, whose noise-to-signal
   ratio is ``(1−t)/t``;
-* an Ornstein–Uhlenbeck *noising chain* at time ``τ > 0`` with signal
-  fraction ``ω_τ`` (``ω_τ = e^{−2τ}`` for the unit-rate profile).
+* the unit-rate Ornstein–Uhlenbeck *noising chain* at time ``τ > 0``,
+  whose signal fraction is ``ω_τ = e^{−2τ}``.
 
 Matching noise-to-signal ratios gives closed-form bijections between the
 clocks; :func:`simulate_forward` realizes each process exactly from its
@@ -17,12 +17,9 @@ Monte Carlo that the three rescaled states share one law.  The module also
 carries the evolution check for the posterior covariance along the flow
 clock (:func:`covariance_ode_residual`).
 
-Conventions: clock-change maps accept scalars or arrays and validate their
-domain; a non-unit noising profile ``beta`` (a positive callable of τ) is
-supported by numerically inverting its accumulated rate, and ``beta=None``
-always means the unit-rate closed forms.  Only that inversion needs scipy's
-``quad`` and ``brentq``, so they are imported on first use and the unit-rate
-paths, the check suites included, never load them.  The covariance check's
+Conventions: the maps between s, t and τ are closed forms that accept
+scalars or arrays and validate their domain; :func:`interpolant_time_change`
+bisects for a general interpolation pair.  The covariance check's
 Gauss–Hermite rule comes from numpy, so the module imports no scipy.
 """
 
@@ -64,9 +61,6 @@ __all__ = [
     "covariance_checks",
 ]
 
-BetaProfile = Callable[[float], float]
-
-
 def _validated(x, *, name: str, lower: float, upper: float | None):
     """Coerce to float64, require finite values in (lower, upper)."""
     arr = np.asarray(x, dtype=np.float64)
@@ -104,64 +98,19 @@ def sl_time_from_rf(t):
     return _scalar_or_array(ratio * ratio)
 
 
-def _accumulated_rate(beta: BetaProfile, tau: float) -> float:
-    from scipy.integrate import quad  # on first use: only non-unit profiles need it
-
-    value, _ = quad(beta, 0.0, tau, epsabs=1e-13, epsrel=1e-13, limit=200)
-    return value
-
-
-def _solve_noising_time(level: float, beta: BetaProfile) -> float:
-    """Find τ with ∫₀^τ β(u) du = level (level > 0)."""
-    from scipy.optimize import brentq  # on first use, like quad above
-
-    hi = 1.0
-    for _ in range(80):
-        if _accumulated_rate(beta, hi) >= level:
-            break
-        hi *= 2.0
-    else:
-        raise NoRootError(
-            f"accumulated noising rate never reaches {level:g}; "
-            "profile integrates to a finite value"
-        )
-    return float(
-        brentq(
-            lambda tau: _accumulated_rate(beta, tau) - level,
-            0.0,
-            hi,
-            xtol=1e-15,
-            rtol=4.0 * np.finfo(float).eps,
-        )
-    )
-
-
-def ddpm_time_from_sl(s, beta: BetaProfile | None = None):
+def ddpm_time_from_sl(s):
     """Noising time whose signal fraction matches precision ``s``.
 
-    Matching (1−ω_τ)/ω_τ = 1/s gives ∫₀^τ β = ½·log(1 + 1/s); the
-    unit-rate profile yields τ = ½·log(1 + 1/s) in closed form, any other
-    positive profile is inverted numerically.
+    Matching (1−ω_τ)/ω_τ = 1/s with ω_τ = e^{−2τ} gives τ = ½·log(1 + 1/s).
     """
     s = _validated(s, name="precision clock s", lower=0.0, upper=None)
-    level = 0.5 * np.log1p(1.0 / s)
-    if beta is None:
-        return _scalar_or_array(level)
-    if level.ndim == 0:
-        return _solve_noising_time(float(level), beta)
-    return np.array([_solve_noising_time(float(lv), beta) for lv in level])
+    return _scalar_or_array(0.5 * np.log1p(1.0 / s))
 
 
-def sl_time_from_ddpm(tau, beta: BetaProfile | None = None):
-    """Inverse of :func:`ddpm_time_from_sl`: s = ω_τ/(1−ω_τ) = 1/(e^{2∫β}−1)."""
+def sl_time_from_ddpm(tau):
+    """Inverse of :func:`ddpm_time_from_sl`: s = ω_τ/(1−ω_τ) = 1/(e^{2τ}−1)."""
     tau = _validated(tau, name="noising time tau", lower=0.0, upper=None)
-    if beta is None:
-        accumulated = tau
-    elif tau.ndim == 0:
-        accumulated = np.float64(_accumulated_rate(beta, float(tau)))
-    else:
-        accumulated = np.array([_accumulated_rate(beta, float(v)) for v in tau])
-    return _scalar_or_array(1.0 / np.expm1(2.0 * accumulated))
+    return _scalar_or_array(1.0 / np.expm1(2.0 * tau))
 
 
 def rf_time_from_ddpm(omega):
@@ -181,14 +130,12 @@ def interpolant_time_change(
     a: Callable[[float], float],
     b: Callable[[float], float],
     s: float,
-    *,
-    tol: float = 1e-12,
 ) -> float:
     """Interpolant parameter whose noise-to-signal ratio matches ``s``.
 
     For a unit interpolation pair (a(0)=0, a(1)=1, b(0)=1, b(1)=0) with
     strictly decreasing ratio r(θ) = b(θ)/a(θ), solves r(θ)² = 1/s by
-    bisection to within ``tol`` in θ.  The linear pair (θ, 1−θ) recovers
+    bisection to within 1e-12 in θ.  The linear pair (θ, 1−θ) recovers
     :func:`rf_time_from_sl`.
 
     Raises :class:`~flowgrid.errors.NoRootError` when the ratio is not
@@ -197,7 +144,7 @@ def interpolant_time_change(
     """
     s = float(_validated(s, name="precision clock s", lower=0.0, upper=None))
     _check_unit_pair(a, b)
-    return _solve_theta(a, b, s, tol)
+    return _solve_theta(a, b, s)
 
 
 def _check_unit_pair(a: Callable[[float], float], b: Callable[[float], float]) -> None:
@@ -223,9 +170,8 @@ def _solve_theta(
     a: Callable[[float], float],
     b: Callable[[float], float],
     s: float,
-    tol: float = 1e-12,
 ) -> float:
-    """Bisect for r(θ)² = 1/s on a pair :func:`_check_unit_pair` accepted."""
+    """Bisect to 1e-12 for r(θ)² = 1/s on a pair :func:`_check_unit_pair` accepted."""
     half_log_s = 0.5 * math.log(s)
 
     def gap(theta: float) -> float:
@@ -238,7 +184,7 @@ def _solve_theta(
         return math.log(bt) - math.log(at) + half_log_s
 
     lo, hi = 0.0, 1.0
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if gap(mid) > 0.0:
             lo = mid
@@ -289,8 +235,6 @@ def simulate_forward(
     clock: Sequence[float] | np.ndarray,
     n: int,
     seed: int,
-    *,
-    beta: BetaProfile | None = None,
 ) -> ForwardPath:
     """Exact draw of a forward process at the given clock points.
 
@@ -331,13 +275,9 @@ def simulate_forward(
     elif kind is ProcessKind.DDPM_FORWARD:
         if clock[0] <= 0.0:
             raise DomainError("noising clock tau must be positive")
-        if beta is None:
-            accumulated = clock
-        else:
-            accumulated = np.array([_accumulated_rate(beta, float(v)) for v in clock])
-        omega = np.exp(-2.0 * accumulated)
+        omega = np.exp(-2.0 * clock)
         brownian_clock = _knots(
-            (1.0 - omega) / omega, "accumulated noise clock (check the beta profile)"
+            (1.0 - omega) / omega, "noise clock (1 − ω_τ)/ω_τ"
         )
         scale = np.sqrt(omega)
     else:  # pragma: no cover - enum is closed
@@ -502,19 +442,14 @@ def _hermite_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     ``roots_hermitenorm`` to about 1e-14 on the nodes and 2e-13 relative
     on the weights at 201 nodes, without loading ``scipy.special``.
     """
-    from numpy.polynomial.hermite_e import hermegauss  # on first use, like quad above
+    from numpy.polynomial.hermite_e import hermegauss  # on first use: only the check needs it
 
     nodes, weights = hermegauss(n_nodes)
     return _freeze(nodes), _freeze(weights / math.sqrt(2.0 * math.pi))
 
 
-def expected_posterior_variance_moments(
-    target: Target,
-    t: float,
-    *,
-    quad_nodes: int = 201,
-) -> tuple[float, float]:
-    """E[Σ_t] and E[Σ_t²] for a 1-D target, by Gaussian quadrature.
+def expected_posterior_variance_moments(target: Target, t: float) -> tuple[float, float]:
+    """E[Σ_t] and E[Σ_t²] for a 1-D target, by 201-node Gaussian quadrature.
 
     Σ_t is the posterior variance of X₁ given the interpolation state, a
     function of the state; the expectation runs over the time-t marginal,
@@ -524,8 +459,7 @@ def expected_posterior_variance_moments(
         raise DomainError("posterior-variance moments are defined for 1-D targets")
     if not 0.0 < t < 1.0:
         raise DomainError(f"flow time must lie in (0, 1); got {t!r}")
-    _count(quad_nodes, "quad_nodes", 3)
-    nodes, weights = _hermite_rule(quad_nodes)
+    nodes, weights = _hermite_rule(201)
     first = second = 0.0
     omt2 = (1.0 - t) ** 2
     for k in range(target.n_components):
@@ -541,9 +475,6 @@ def expected_posterior_variance_moments(
 def covariance_ode_residual(
     target: Target,
     t_points: Sequence[float] | np.ndarray,
-    *,
-    step: float = 1e-5,
-    quad_nodes: int = 201,
 ) -> float:
     """Worst relative defect of the posterior-variance evolution law.
 
@@ -553,24 +484,23 @@ def covariance_ode_residual(
 
     which couples the drift of the posterior to its second moment.  The
     left side is formed by central differences of the quadrature values
-    (step ``step``), the right side from :func:`expected_posterior_variance_moments`,
+    (step 1e-5), the right side from :func:`expected_posterior_variance_moments`,
     and the result is max over ``t_points`` of |lhs − rhs|/|lhs|; a target
     with identically zero posterior variance (a point mass) yields 0.
     """
     if target.dim != 1:
         raise DomainError("the evolution check is defined for 1-D targets")
-    if not 0.0 < step < 0.5:
-        raise DomainError(f"finite-difference step must lie in (0, 0.5); got {step!r}")
+    step = 1e-5
     worst = 0.0
     for t in np.asarray(t_points, dtype=np.float64):
         t = float(t)
         if not (0.0 < t - step and t + step < 1.0):
             raise DomainError(
-                f"t = {t!r} with step {step:g} leaves (0, 1); shrink the grid or step"
+                f"t = {t!r} with step {step:g} leaves (0, 1); shrink the grid"
             )
-        up, _ = expected_posterior_variance_moments(target, t + step, quad_nodes=quad_nodes)
-        dn, _ = expected_posterior_variance_moments(target, t - step, quad_nodes=quad_nodes)
-        _, second = expected_posterior_variance_moments(target, t, quad_nodes=quad_nodes)
+        up, _ = expected_posterior_variance_moments(target, t + step)
+        dn, _ = expected_posterior_variance_moments(target, t - step)
+        _, second = expected_posterior_variance_moments(target, t)
         lhs = (up - dn) / (2.0 * step)
         defect = abs(lhs + 2.0 * t / (1.0 - t) ** 3 * second)
         if defect == 0.0:

@@ -406,15 +406,20 @@ class TestCheckCommand:
         assert code == 2
 
     @pytest.mark.parametrize("after_subcommand", [False, True])
-    def test_negative_seed_is_a_usage_error(self, capsys, monkeypatch, after_subcommand):
+    @pytest.mark.parametrize(
+        "seed, message",
+        [("-1", "seed must be an integer >= 0, got -1"), ("1.5", "invalid seed value: '1.5'")],
+        ids=["negative", "fractional"],
+    )
+    def test_bad_seed_is_a_usage_error(self, capsys, monkeypatch, seed, message, after_subcommand):
         import flowgrid.cli as cli
 
         monkeypatch.setattr(cli, "run_suite", lambda name, seed=0: pytest.fail("suite ran"))
-        argv = ["check", "--suite", "grid", "--seed", "-1"]
+        argv = ["check", "--suite", "grid", "--seed", seed]
         code, out, err = run(capsys, *(argv if after_subcommand else argv[3:] + argv[:3]))
         assert code == 2
         assert out == ""
-        assert "argument --seed: must be non-negative, got -1" in err
+        assert f"argument --seed: {message}" in err
 
     def test_out_into_a_missing_directory_exits_2(self, capsys, tmp_path):
         missing = tmp_path / "no" / "such"
@@ -591,6 +596,17 @@ class TestUsageErrors:
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
         assert run(capsys, "sample", "--help")[0] == 0
+
+    @pytest.mark.parametrize("after_subcommand", [False, True])
+    def test_zero_threads_is_a_usage_error(self, capsys, monkeypatch, after_subcommand):
+        import flowgrid.cli as cli
+
+        monkeypatch.setattr(cli, "_cmd_schedule", lambda args: pytest.fail("schedule ran"))
+        argv = ["schedule", "--kind", "ddpm", "--n-steps", "50", "--threads", "0"]
+        code, out, err = run(capsys, *(argv if after_subcommand else argv[5:] + argv[:5]))
+        assert code == 2
+        assert out == ""
+        assert "argument --threads: threads must be an integer >= 1, got 0" in err
 
 
 class TestParserReuse:

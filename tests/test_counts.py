@@ -11,11 +11,7 @@ import flowgrid.samplers
 import flowgrid.targets
 from flowgrid import DomainError
 from flowgrid.harness import ExperimentSpec
-from flowgrid.localization import (
-    check_marginal_equivalence,
-    expected_posterior_variance_moments,
-    simulate_forward,
-)
+from flowgrid.localization import check_marginal_equivalence, simulate_forward
 from flowgrid.metrics import estimate_tv
 from flowgrid.samplers import rf_euler
 from flowgrid.schedules import (
@@ -27,7 +23,6 @@ from flowgrid.schedules import (
 from flowgrid.targets import ExactOracle, Target, sample_target
 
 _TARGET = Target.low_rank(2, 1)
-_ONE_D = Target.gaussian(np.zeros(1), np.ones(1))
 _DATA = np.random.default_rng(0).normal(size=(200, 2))
 
 # name: (minimum, an accepted count, the call with that count)
@@ -37,9 +32,6 @@ _COUNTS = {
     "simulate_forward": (1, 3, lambda v: simulate_forward("sl", _TARGET, [1.0], v, 0)),
     "check_marginal_equivalence": (
         2, 50, lambda v: check_marginal_equivalence(_TARGET, [1.0], v, 0)
-    ),
-    "expected_posterior_variance_moments": (
-        3, 5, lambda v: expected_posterior_variance_moments(_ONE_D, 0.5, quad_nodes=v)
     ),
     "estimate_tv": (1, 1, lambda v: estimate_tv(_DATA, _DATA + 1.0, rounds=v)),
     "build_uniform_grid": (1, 3, build_uniform_grid),

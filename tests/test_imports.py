@@ -1,14 +1,14 @@
 """What a flowgrid process loads.
 
-``scipy.integrate`` and ``scipy.optimize`` (which pull in ``scipy.sparse``
-and ``scipy.linalg``) serve only non-unit β profiles, so they are imported
-on first use.  A sweep, the default check suites and the closed-form 1-D
-TV oracle must run without them; the on-demand paths must still give
-their pinned values.  ``scipy.special`` serves only the TV probe's
-``expit``: the check suites, ``schedule`` and ``sample`` never load it,
-and a sweep loads it before its first cell, so that no cell's timings
-carry the import.  Each check runs in a fresh interpreter, since this
-one has long since imported everything.
+flowgrid's only scipy use is ``scipy.special``'s ``expit`` for the TV
+probe.  ``scipy.integrate`` and ``scipy.optimize`` (which pull in
+``scipy.sparse`` and ``scipy.linalg``) stay off every path: a sweep, the
+check suites and the closed-form 1-D TV oracle run without them, and the
+oracle still gives its pinned value.  The check suites, ``schedule`` and
+``sample`` never load ``scipy.special`` either, and a sweep loads it
+before its first cell, so that no cell's timings carry the import.  Each
+check runs in a fresh interpreter, since this one has long since imported
+everything.
 """
 
 import pytest
@@ -46,21 +46,12 @@ assert not loaded, loaded
 
 def test_on_demand_imports_give_the_pinned_values(fresh_python):
     code = f"""
-import hashlib, sys
-import numpy as np
-from flowgrid.localization import ddpm_time_from_sl, simulate_forward
+import sys
 from flowgrid.metrics import tv_oracle_gaussian_1d
-from flowgrid.targets import Target
 
-assert not set({_DEFERRED!r}) & set(sys.modules)
-beta = lambda u: 1.0 + u
 assert tv_oracle_gaussian_1d(0.0, 1.0, 0.5, 2.0).hex() == "0x1.c4315cfd06eecp-3"
-taus = ddpm_time_from_sl(np.array([0.5, 2.0]), beta=beta)
-assert [float(v).hex() for v in taus] == ["0x1.cb6d35b17a45ep-2", "0x1.7bf38decd8f8ap-3"], taus
-path = simulate_forward("ddpm-forward", Target.low_rank(4, 2), [0.1, 0.3], 32, seed=4, beta=beta)
-digest = hashlib.sha256(path.states.tobytes()).hexdigest()
-assert digest == "30bf0704dbe1ef280494c8128f483257c042485a47e3267778bdcc00727bd048", digest
-assert {{"scipy.integrate", "scipy.optimize"}} <= set(sys.modules)
+loaded = sorted(set({_DEFERRED!r}) & set(sys.modules))
+assert not loaded, loaded
 """
     done = fresh_python(code)
     assert done.returncode == 0, done.stderr

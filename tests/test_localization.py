@@ -23,7 +23,6 @@ from flowgrid.localization import (
     EquivalenceReport,
     ForwardPath,
     ProcessKind,
-    _accumulated_rate,
     _moment_stats,
     check_marginal_equivalence,
     covariance_checks,
@@ -150,28 +149,6 @@ class TestClockMaps:
             ddpm_time_from_sl(s), [ddpm_time_from_sl(v) for v in s], rtol=1e-15
         )
         assert isinstance(rf_time_from_sl(1.0), float)
-
-    def test_unit_rate_profile_identities(self):
-        # a constant profile β ≡ 2 accumulates twice as fast
-        s = 0.7
-        tau_fast = ddpm_time_from_sl(s, beta=lambda u: 2.0)
-        assert tau_fast == pytest.approx(0.5 * ddpm_time_from_sl(s), rel=1e-10)
-        assert sl_time_from_ddpm(tau_fast, beta=lambda u: 2.0) == pytest.approx(
-            s, rel=1e-10
-        )
-
-    def test_varying_profile_inverts_numerically(self):
-        # β(u) = 1 + u accumulates τ + τ²/2; closed-form inverse −1+√(1+2L)
-        beta = lambda u: 1.0 + u
-        for s in (0.2, 1.0, 5.0):
-            level = 0.5 * math.log1p(1.0 / s)
-            expected = -1.0 + math.sqrt(1.0 + 2.0 * level)
-            assert ddpm_time_from_sl(s, beta=beta) == pytest.approx(expected, rel=1e-10)
-            assert sl_time_from_ddpm(expected, beta=beta) == pytest.approx(s, rel=1e-10)
-
-    def test_saturating_profile_raises(self):
-        with pytest.raises(NoRootError):
-            ddpm_time_from_sl(1e-4, beta=lambda u: math.exp(-10.0 * u))
 
     def test_domain_errors(self):
         for bad in (0.0, -1.0, math.nan, math.inf):
@@ -325,16 +302,6 @@ class TestSimulateForward:
                 np.abs(emp_var - want_var) <= 4.0 * want_var * math.sqrt(2.0 / (n - 1))
             )
 
-    def test_ddpm_profile_rescales_the_clock_bitwise(self):
-        # β ≡ 2 at τ visits the same signal fraction as β ≡ 1 at 2τ, with the
-        # same stream addresses — the states must agree exactly
-        target = Target.low_rank(4, 2)
-        fast = simulate_forward(
-            ProcessKind.DDPM_FORWARD, target, [0.1, 0.3], 64, seed=4, beta=lambda u: 2.0
-        )
-        slow = simulate_forward(ProcessKind.DDPM_FORWARD, target, [0.2, 0.6], 64, seed=4)
-        np.testing.assert_allclose(fast.states, slow.states, rtol=1e-12, atol=1e-12)
-
     def test_accepts_string_kind_and_freezes_arrays(self):
         target = Target.gaussian(np.zeros(2), np.ones(2))
         path = simulate_forward("sl", target, [1.0], 8, seed=0)
@@ -486,7 +453,7 @@ def _zero_start_brownian(clocks, n, d, seed):
     return out
 
 
-def _reference_forward(kind, x1, clock, seed, beta=None):
+def _reference_forward(kind, x1, clock, seed):
     """Reference states: stacked Brownian values, then one broadcast expression."""
     clock = np.asarray(clock, dtype=np.float64)
     n, d = x1.shape
@@ -496,11 +463,7 @@ def _reference_forward(kind, x1, clock, seed, beta=None):
         back_clock = ((1.0 - clock) / clock) ** 2
         noise = _zero_start_brownian(back_clock[::-1], n, d, seed)[::-1]
         return clock[:, None, None] * (x1[None] + noise)
-    if beta is None:
-        accumulated = clock
-    else:
-        accumulated = np.array([_accumulated_rate(beta, float(v)) for v in clock])
-    omega = np.exp(-2.0 * accumulated)
+    omega = np.exp(-2.0 * clock)
     noise = _zero_start_brownian((1.0 - omega) / omega, n, d, seed)
     return np.sqrt(omega)[:, None, None] * (x1[None] + noise)
 
@@ -581,15 +544,6 @@ class TestForwardBitwise:
         assert len(draws) == points * _row_blocks(n, target.dim)
         assert all(t is threading.main_thread() for t in draws)
         assert started == []
-
-    @pytest.mark.parametrize("n", [37, _BLOCKS_N], ids=["one-block", "row-blocks"])
-    def test_beta_profile(self, n, increment_draws, gathered_sample):
-        beta = lambda u: 1.0 + u  # noqa: E731
-        clock = [0.1, 0.3, 0.8]
-        path = simulate_forward("ddpm-forward", _MIXTURE, clock, n, seed=4, beta=beta)
-        x1 = gathered_sample(_MIXTURE, n, 4)
-        want = _reference_forward("ddpm-forward", x1, clock, 4, beta=beta)
-        assert _same_bits(path.states, want)
 
     def test_no_thread_starts(self, increment_draws):
         before = threading.active_count()
@@ -792,10 +746,6 @@ class TestCovarianceOde:
         one_d = Target.gaussian(np.zeros(1), np.ones(1))
         with pytest.raises(DomainError, match="leaves"):
             covariance_ode_residual(one_d, [1e-6])
-        with pytest.raises(DomainError, match="step"):
-            covariance_ode_residual(one_d, [0.5], step=0.7)
-        with pytest.raises(DomainError, match="nodes"):
-            expected_posterior_variance_moments(one_d, 0.5, quad_nodes=2)
 
 
 # --- bundled suites -----------------------------------------------------------

@@ -269,12 +269,6 @@ class TestEstimateTv:
         single = x.astype(np.float32)
         assert _to_float32(single, "x") is single
 
-    def test_float32_batches_read_like_float64_ones(self):
-        a = gaussian_rows(4, 0, 300, d=6)
-        b = gaussian_rows(4, 1, 300, d=6) + 0.2
-        single = estimate_tv(a.astype(np.float32), b.astype(np.float32), rounds=3, seed=5)
-        assert single == estimate_tv(a, b, rounds=3, seed=5)
-
     def test_the_halves_of_one_pool_read_like_separate_batches(self):
         # Adjacent, reversed or apart, the halves are read where they lie
         # (test_allocation measures that): the readings agree.
