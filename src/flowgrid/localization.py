@@ -276,9 +276,9 @@ def simulate_forward(
         if clock[0] <= 0.0:
             raise DomainError("noising clock tau must be positive")
         omega = np.exp(-2.0 * clock)
-        brownian_clock = _knots(
-            (1.0 - omega) / omega, "noise clock (1 − ω_τ)/ω_τ"
-        )
+        with np.errstate(divide="ignore"):  # ω underflows to 0 past τ ≈ 372
+            noise = (1.0 - omega) / omega
+        brownian_clock = _knots(noise, "noise clock (1 − ω_τ)/ω_τ")
         scale = np.sqrt(omega)
     else:  # pragma: no cover - enum is closed
         raise DomainError(f"unknown process kind {kind!r}")

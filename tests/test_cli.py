@@ -598,15 +598,22 @@ class TestUsageErrors:
         assert run(capsys, "sample", "--help")[0] == 0
 
     @pytest.mark.parametrize("after_subcommand", [False, True])
-    def test_zero_threads_is_a_usage_error(self, capsys, monkeypatch, after_subcommand):
+    @pytest.mark.parametrize(
+        "threads, message",
+        [("0", "threads must be an integer >= 1, got 0"), ("1.5", "invalid threads value: '1.5'")],
+        ids=["zero", "fractional"],
+    )
+    def test_bad_threads_is_a_usage_error(
+        self, capsys, monkeypatch, threads, message, after_subcommand
+    ):
         import flowgrid.cli as cli
 
         monkeypatch.setattr(cli, "_cmd_schedule", lambda args: pytest.fail("schedule ran"))
-        argv = ["schedule", "--kind", "ddpm", "--n-steps", "50", "--threads", "0"]
+        argv = ["schedule", "--kind", "ddpm", "--n-steps", "50", "--threads", threads]
         code, out, err = run(capsys, *(argv if after_subcommand else argv[5:] + argv[:5]))
         assert code == 2
         assert out == ""
-        assert "argument --threads: threads must be an integer >= 1, got 0" in err
+        assert f"argument --threads: {message}" in err
 
 
 class TestParserReuse:

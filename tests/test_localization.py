@@ -140,6 +140,16 @@ class TestClockMaps:
         omega = math.exp(-2.0 * ddpm_time_from_sl(s))
         assert rf_time_from_ddpm(omega) == pytest.approx(rf_time_from_sl(s), abs=1e-13)
 
+    def test_unit_rate_profile_identities(self):
+        # ω_τ = e^{−2τ}: the noise-to-signal ratio (1 − ω)/ω = e^{2τ} − 1 is 1/s
+        for s in (1e-6, 0.7, 1.0, 40.0, 1e6):
+            tau = ddpm_time_from_sl(s)
+            assert tau == 0.5 * math.log1p(1.0 / s)
+            want = 1.0 / math.expm1(2.0 * tau)
+            assert sl_time_from_ddpm(tau) == pytest.approx(want, rel=1e-14)
+            omega = math.exp(-2.0 * tau)
+            assert (1.0 - omega) / omega == pytest.approx(1.0 / s, rel=1e-9)
+
     def test_vectorized_maps_match_scalars(self):
         s = np.array([0.25, 1.0, 4.0])
         np.testing.assert_allclose(
@@ -202,6 +212,14 @@ class TestInterpolantTimeChange:
             theta = interpolant_time_change(a, b, float(s))
             t = a(theta) / (a(theta) + b(theta))
             assert t == pytest.approx(rf_time_from_sl(float(s)), abs=1e-10)
+
+    def test_trigonometric_pair_recovers_closed_form(self):
+        # r(θ) = cot(πθ/2), so r² = 1/s at θ = (2/π)·atan(√s); bisection to 1e-12
+        a = lambda u: math.sin(0.5 * math.pi * u)
+        b = lambda u: math.cos(0.5 * math.pi * u)
+        for s in np.geomspace(1e-4, 1e4, 17):
+            theta = interpolant_time_change(a, b, float(s))
+            assert theta == pytest.approx(2.0 / math.pi * math.atan(math.sqrt(s)), abs=2e-12)
 
     def test_rejects_non_unit_pair(self):
         with pytest.raises(DomainError, match="unit interpolation pair"):
@@ -301,6 +319,39 @@ class TestSimulateForward:
             assert np.all(
                 np.abs(emp_var - want_var) <= 4.0 * want_var * math.sqrt(2.0 / (n - 1))
             )
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            Target.low_rank(4, 2),
+            Target(
+                weights=np.array([0.3, 0.7]),
+                means=np.array([[-1.0, 0.0], [3.0, 1.0]]),
+                variances=np.array([[0.5, 1.0], [2.0, 1.0]]),
+            ),
+        ],
+        ids=["gaussian", "mixture"],
+    )
+    def test_ddpm_state_rescales_to_the_rf_state(self, target):
+        # at one point both draw X₁ + B_c on the same streams, with
+        # c = (1 − ω)/ω = ((1 − t)/t)² for t = rf_time_from_ddpm(ω)
+        tau = 0.4
+        omega = math.exp(-2.0 * tau)
+        t = rf_time_from_ddpm(omega)
+        ddpm = simulate_forward(ProcessKind.DDPM_FORWARD, target, [tau], 37, seed=4)
+        rf = simulate_forward(ProcessKind.RF_LINEAR, target, [t], 37, seed=4)
+        np.testing.assert_allclose(
+            ddpm.states[0] / math.sqrt(omega), rf.states[0] / t, rtol=1e-12, atol=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "clock", [[0.1, 400.0], [1e-300, 2e-300]], ids=["signal-underflow", "noise-underflow"]
+    )
+    def test_a_noise_clock_that_stops_increasing_raises(self, clock):
+        # ω = e^{−800} is 0, and e^{−2e−300} is 1 at both points
+        target = Target.gaussian(np.zeros(2), np.ones(2))
+        with pytest.raises(DomainError, match="noise clock"):
+            simulate_forward(ProcessKind.DDPM_FORWARD, target, clock, 4, seed=0)
 
     def test_accepts_string_kind_and_freezes_arrays(self):
         target = Target.gaussian(np.zeros(2), np.ones(2))
@@ -738,6 +789,23 @@ class TestCovarianceOde:
         for seed in range(5):
             failures = [r for r in covariance_checks(seed) if not r.passed]
             assert not failures, (seed, failures)
+
+    def test_the_fixed_step_sets_the_grid_edge(self):
+        # central differences with step 1e-5 need t ± 1e-5 inside (0, 1)
+        one_d = Target.gaussian(np.zeros(1), np.ones(1))
+        assert covariance_ode_residual(one_d, [2e-5, 1.0 - 2e-5]) < 1e-4
+        for t in (1e-5, 1.0 - 1e-5):
+            with pytest.raises(DomainError, match="step 1e-05 leaves"):
+                covariance_ode_residual(one_d, [t])
+
+    def test_moments_domain_errors(self):
+        two_d = Target.gaussian(np.zeros(2), np.ones(2))
+        with pytest.raises(DomainError, match="1-D"):
+            expected_posterior_variance_moments(two_d, 0.5)
+        one_d = Target.gaussian(np.zeros(1), np.ones(1))
+        for bad in (0.0, 1.0, -0.1, math.nan):
+            with pytest.raises(DomainError, match=r"\(0, 1\)"):
+                expected_posterior_variance_moments(one_d, bad)
 
     def test_domain_errors(self):
         two_d = Target.gaussian(np.zeros(2), np.ones(2))
