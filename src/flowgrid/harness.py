@@ -43,7 +43,7 @@ import numpy as np
 
 from .batch import _to_float32
 from .errors import DomainError, ParseError
-from .metrics import _MIN_SAMPLES, _expit, estimate_tv
+from .metrics import _MIN_SAMPLES, estimate_tv
 from .rng import _share_cores, _usable_cores, child_seed
 from .samplers import SAMPLERS, run_sampler
 from .schedules import GRID_FLAGS, GRIDS, GridKind, _count, default_delta
@@ -414,9 +414,6 @@ def run_fig2_experiment(
     _check_out_directory(out_path)
 
     cells = list(_cells(spec))
-    # The probe's scipy import, once in this process and before any worker
-    # forks, so that no cell's wall or probe time carries it.
-    _expit()
     rows: list[ResultRow] = []
     total_start = time.perf_counter()
     with open(out_path, "w", encoding="utf-8") as sink:

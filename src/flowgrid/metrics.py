@@ -20,11 +20,9 @@ training-split standardization) so that estimates are deterministic given
 
 :func:`gaussian_tv_bounds` brackets TV between diagonal Gaussians through
 the Hellinger distance, with numpy alone, and :func:`tv_oracle_gaussian_1d`
-gives the exact 1-D TV through ``math.erfc``.  Importing the module loads
-no scipy.  The probe calls ``scipy.special.expit`` every iteration, and a
-numpy stand-in is not bit-exact, so it is imported on first use through
-:func:`_expit`; a sweep calls that before its first cell, so no cell's
-timings carry the import.
+gives the exact 1-D TV through ``math.erfc``.  The module needs numpy
+alone: the probe's logistic, :func:`_expit`, is four in-place float32
+ufunc calls, so no flowgrid code path imports scipy.
 """
 
 from __future__ import annotations
@@ -85,13 +83,19 @@ class TvEstimate:
             raise DomainError("rounds must match the number of per-round readings")
 
 
-def _expit():
-    """scipy's logistic ufunc, imported on first use: ``scipy.special`` is
-    the larger part of a check-suite process's start-up, and only the
-    probe needs it."""
-    from scipy.special import expit
+def _expit(z: np.ndarray) -> np.ndarray:
+    """The logistic 1/(1 + e^(−z)) of the float32 array ``z``, in place.
 
-    return expit
+    Where z < −88.7, e^(−z) overflows float32 to inf and the result is
+    exactly 0, as ``scipy.special.expit`` gives; the caller silences that
+    overflow warning.  numpy's SIMD ``exp`` differs from libm's ``expf`` in
+    the last bits, so this and scipy's ``expit`` can differ by up to 4 ulp;
+    a result is the same bits at any offset of ``z`` in memory.
+    """
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1
+    return np.reciprocal(z, out=z)
 
 
 def _batch_data(batch: SampleBatch | np.ndarray, who: str) -> np.ndarray:
@@ -143,7 +147,6 @@ def _fit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     batched ``matmul`` per product (numpy runs one gemv per round) and one
     call per elementwise op, and each bias sum runs along its round's row,
     so a round's weights are the same bits whatever group it trains in."""
-    expit = _expit()
     g, d, half = x.shape
     m, step = np.float32(half), np.float32(_STEP_SIZE)
     weights, grad_w, decay = (np.zeros((g, d), dtype=np.float32) for _ in range(3))
@@ -152,20 +155,21 @@ def _fit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     # the products' operands as stacks of (half, d) and (d, half) matrices and columns
     x_t, b_col = x.transpose(0, 2, 1), bias[:, None]
     w_col, r_col, g_col = weights[..., None], residual[..., None], grad_w[..., None]
-    for _ in range(_ITERATIONS):
-        # residual = expit(x·w + b) - y
-        np.matmul(x_t, w_col, out=r_col)
-        residual += b_col
-        expit(residual, out=residual)
-        residual -= y
-        # w -= step·(xᵀ·residual/m + λ·w);  b -= step·mean(residual)
-        np.matmul(x, r_col, out=g_col)
-        grad_w /= m
-        grad_w += np.multiply(np.float32(_L2_WEIGHT), weights, out=decay)
-        weights -= np.multiply(grad_w, step, out=decay)
-        np.add.reduce(residual, axis=1, out=grad_b)
-        grad_b /= m
-        bias -= step * grad_b
+    with np.errstate(over="ignore"):  # see _expit
+        for _ in range(_ITERATIONS):
+            # residual = expit(x·w + b) - y
+            np.matmul(x_t, w_col, out=r_col)
+            residual += b_col
+            _expit(residual)
+            residual -= y
+            # w -= step·(xᵀ·residual/m + λ·w);  b -= step·mean(residual)
+            np.matmul(x, r_col, out=g_col)
+            grad_w /= m
+            grad_w += np.multiply(np.float32(_L2_WEIGHT), weights, out=decay)
+            weights -= np.multiply(grad_w, step, out=decay)
+            np.add.reduce(residual, axis=1, out=grad_b)
+            grad_b /= m
+            bias -= step * grad_b
     return weights, bias, np.hypot(np.linalg.norm(grad_w.astype(np.float64), axis=1), grad_b)
 
 

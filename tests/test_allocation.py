@@ -27,7 +27,7 @@ import flowgrid.metrics
 import flowgrid.rng
 from flowgrid.harness import ExperimentSpec, _run_cell
 from flowgrid.localization import equivalence_checks
-from flowgrid.metrics import _expit, estimate_tv
+from flowgrid.metrics import estimate_tv
 from flowgrid.samplers import rf_euler, stoc_rf
 from flowgrid.schedules import build_ddpm_schedule, build_ushaped_grid, ddpm_induced_rf_grid
 from flowgrid.targets import ExactOracle, Target
@@ -64,12 +64,10 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 def _traced_peak(run) -> int:
     """Bytes traced at the peak of ``run()`` above those held before it.
 
-    The modules a process imports once, on first use, are loaded first, so
-    that their memory does not count as the run's: ``numpy.random``, and the
-    probe's ``scipy.special``, which a sweep loads before its first cell.
+    ``numpy.random``, which a process imports once, on first use, is loaded
+    first, so that its memory does not count as the run's.
     """
     np.random.default_rng(0)
-    _expit()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

@@ -375,14 +375,62 @@ class TestEstimateTv:
             TvEstimate(value=0.5, std_error=0.0, rounds=2, per_round=(0.5,))
 
 
+def _logistic_sweep() -> np.ndarray:
+    """Strided float32 inputs over |z| < 200, the overflow edges ±88.7 and
+    ±104 (where e^(−z) first exceeds float32 and where the logistic rounds
+    to 0 in float32), ±inf, ±0 and NaN."""
+    edges = [88.72283, 88.7, 104.0, np.inf, 0.0, np.nan]
+    sweep = np.arange(-200.0, 200.0, 400.0 / 550_000).astype(np.float32)
+    return np.concatenate([sweep, np.float32(edges), -np.float32(edges)])
+
+
+class TestExpit:
+    """The probe's numpy logistic against scipy's ``expit`` as the reference."""
+
+    def test_lies_within_4_ulp_of_scipys_expit(self):
+        from scipy.special import expit
+
+        z = _logistic_sweep()
+        want = expit(z)
+        with np.errstate(over="ignore"):
+            got = _expit(z.copy())
+        assert got.dtype == np.float32
+        assert np.array_equal(np.isnan(got), np.isnan(z))
+        gap = np.abs(got.view(np.int32).astype(np.int64) - want.view(np.int32).astype(np.int64))
+        assert gap[~np.isnan(z)].max() <= 4
+        # the saturated tails are exact: 0 below the overflow edge, 1 far above
+        assert got[z <= -104.0].tobytes() == np.zeros(np.sum(z <= -104.0), np.float32).tobytes()
+        assert np.all(got[z >= 20.0] == 1.0)
+
+    @pytest.mark.parametrize("offset", [1, 3, 7])
+    def test_gives_the_same_bits_at_any_offset(self, offset):
+        # the lockstep probe relies on it: a round's residual row starts
+        # wherever its group places it
+        z = _logistic_sweep()
+        shifted = np.empty(z.size + offset, np.float32)[offset:]
+        shifted[:] = z
+        with np.errstate(over="ignore"):
+            assert _expit(shifted).tobytes() == _expit(z.copy()).tobytes()
+
+    def test_a_probe_driven_past_the_overflow_edge_raises_no_warning(self):
+        # equal rows, all labeled 0: the first step takes each weight to
+        # -0.05·c and b to -0.05, so every z of the second step is -0.05·c²·d
+        # - 0.05, about -100
+        c = np.float32(math.sqrt(1999.0 / 2))
+        x = np.full((1, 2, 300), c, dtype=np.float32)
+        z = x[0, :, 0] @ (-0.05 * x[0, :, 0]) - 0.05
+        assert -101.0 < z < -99.0
+        weights, bias, norms = _fit(x, np.zeros((1, 300), dtype=np.float32))
+        assert np.all(np.isfinite(weights)) and np.isfinite(bias[0]) and np.isfinite(norms[0])
+
+
 def _fit_alone(x, y):
     """One round's probe through the 1-D products ``x.T @ w`` and ``x @ r``:
     the plain loop that the stacked one must reproduce."""
-    expit = _expit()
     m, step = np.float32(x.shape[1]), np.float32(_STEP_SIZE)
     weights, bias = np.zeros(x.shape[0], dtype=np.float32), np.float32(0.0)
     for _ in range(_ITERATIONS):
-        residual = expit(x.T @ weights + bias) - y
+        residual = _expit(x.T @ weights + bias) - y
         grad = (x @ residual) / m + np.float32(_L2_WEIGHT) * weights
         weights -= grad * step
         bias -= step * (np.add.reduce(residual) / m)
