@@ -72,13 +72,17 @@ VM), which a shorter fill cannot win back."""
 
 _BLOCKS_AHEAD = 3
 """Most blocks a :class:`StepNoise` keeps in flight.  A (2000, 200) block
-takes 8.6-9.5 ms to draw and a stochastic sampler step's own compute about
-3 ms, so the draws set the pace.  With blocks queued ahead, a draw thread
-that finishes early starts the next block instead of waiting for the
-caller.  Median stoc-rf steps at that size (2-vCPU x86 VM): 9.0 ms with one
-thread and one block ahead, 6.7 ms with two threads and two blocks, 6.1 ms
-with two threads and three blocks.  Each block ahead holds one more buffer
-(3.2 MB at that size)."""
+takes 8.6-9.5 ms to draw and a stochastic sampler step's own compute, in
+row blocks, 1.8-2.5 ms (2.0-2.6 ms in the same runs when it ran all rows as
+one block), so the draws set the pace.  With blocks queued ahead, a draw
+thread that finishes early starts the next block instead of waiting for
+the caller.  Median stoc-rf steps at that size (2-vCPU x86 VM): 9.0 ms with
+one thread and one block ahead, 6.7 ms with two threads and two blocks,
+6.1 ms with two threads and three blocks.  Each block ahead holds one more
+buffer (3.2 MB at that size), but two blocks ahead instead of three made
+the row-blocked noise-drawing samplers slower: by 5-8 % in a first trial,
+and by a median 5 % over six paired stoc-rf runs (3.8-5.3 ms against
+4.1-5.5 ms a step, one run of the six faster)."""
 
 _core_share: int | None = None
 """Cores this process may use when it is one of a sweep's worker processes,

@@ -342,14 +342,16 @@ class FieldOracle(Protocol):
     sampler's first call with :class:`TypeError`.
 
     A field's row j depends on row j of ``x`` alone, bit for bit:
-    ``f(t, x)[a:b]`` equals ``f(t, x[a:b])``, so the noise-free samplers may
-    run their rows in blocks.  The oracles here keep that, with one
-    exception: the ``additive-field`` perturbation at d > 1 forms
-    ``x @ freqs.T``, a BLAS matrix product whose kernel and sums depend on
-    the row count, so its bits may differ with the number of rows (at
-    d = 200 with OpenBLAS on a 2-vCPU x86 VM, the first 4, 5 or 6 of 333
-    rows gave other bits alone than in the whole).  At d = 1 that product
-    is one multiplication a value.
+    ``f(t, x)[a:b]`` equals ``f(t, x[a:b])``, so the samplers may run their
+    rows in blocks, calling each field once per row block.  The oracles
+    here keep that, with one exception: the ``additive-field`` perturbation
+    at d > 1 forms ``x @ freqs.T``, a BLAS matrix product whose kernel and
+    sums depend on the row count, so its bits may differ with the number of
+    rows (at d = 200 with OpenBLAS on a 2-vCPU x86 VM, the first 4, 5 or 6
+    of 333 rows gave other bits alone than in the whole).  Every sampler
+    carries that caveat with it, the noise-drawing ones since they too run
+    in row blocks; no sweep, pin or check runs that perturbation at d > 1.
+    At d = 1 that product is one multiplication a value.
     """
 
     @property

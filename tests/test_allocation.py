@@ -2,8 +2,10 @@
 recorded trajectory allocate.
 
 The step loop keeps its states in reused buffers that the oracle fills in
-place, runs a noise-free sampler's rows in blocks, and writes recorded
-frames into one preallocated trajectory.  The TV probe reads any two
+place, runs every sampler's rows in blocks (a noise-free sampler takes each
+block through every step, a noise-drawing one each step through every block
+of one state array), and writes recorded frames into one preallocated
+trajectory.  The TV probe reads any two
 C-contiguous float32 or float64 batches where they lie, gathering and
 casting each round's rows into one feature-major buffer through a row
 block, several rounds to a group when their rows are small; a sweep cell
@@ -28,7 +30,7 @@ import flowgrid.rng
 from flowgrid.harness import ExperimentSpec, _run_cell
 from flowgrid.localization import equivalence_checks
 from flowgrid.metrics import estimate_tv
-from flowgrid.samplers import rf_euler, stoc_rf
+from flowgrid.samplers import ddpm_sample, rf_euler, stoc_rf
 from flowgrid.schedules import build_ddpm_schedule, build_ushaped_grid, ddpm_induced_rf_grid
 from flowgrid.targets import ExactOracle, Target
 
@@ -38,11 +40,7 @@ def test_a_sampler_after_the_probe_does_not_fault_its_pages_in_every_step(fresh_
     code = """
 import resource
 import numpy as np
-from flowgrid.harness import ExperimentSpec, _run_cell
 from flowgrid.metrics import estimate_tv
-from flowgrid.samplers import rf_euler, stoc_rf
-from flowgrid.schedules import build_ddpm_schedule, ddpm_induced_rf_grid
-from flowgrid.targets import ExactOracle, Target
 from flowgrid.samplers import stoc_rf
 from flowgrid.schedules import build_ddpm_schedule, ddpm_induced_rf_grid
 from flowgrid.targets import ExactOracle, Target
@@ -124,6 +122,26 @@ def test_a_noise_free_sampler_holds_one_output_array():
     # The output and two row blocks of state: 1.08x.  Two (n, d) state
     # buffers, a bool finite-check buffer and no row blocks made it 2.13x.
     assert peak < 1.1 * output_bytes
+
+
+_CHAIN = build_ddpm_schedule(50)
+
+
+@pytest.mark.parametrize(
+    "sampler, grid",
+    [(stoc_rf, ddpm_induced_rf_grid(_CHAIN)), (ddpm_sample, _CHAIN)],
+    ids=["stoc-rf", "ddpm"],
+)
+def test_a_noise_drawing_sampler_holds_one_state_array(sampler, grid, monkeypatch):
+    # No free core: the step noise is drawn inline into one buffer.
+    monkeypatch.setattr(flowgrid.rng, "_free_cores", lambda: 0)
+    oracle = ExactOracle(Target.low_rank(200, 8))
+    peak = _traced_peak(lambda: sampler(oracle, grid, 2000, 3))
+    state_bytes = 2000 * 200 * 8
+    # The state, which is the output, the noise buffer and two row blocks:
+    # 2.35x.  Running all rows as one block, with two (n, d) state buffers
+    # and an (n, d) scratch buffer, made it 4.02x.
+    assert peak < 2.5 * state_bytes
 
 
 def test_a_sweep_cell_hands_the_probe_float32_batches():

@@ -980,7 +980,7 @@ class TestEulerStepLoop:
 # ---------------------------------------------------------------------------
 # the step loop's buffer ring
 #
-# The loop reuses two state buffers and a scratch buffer across steps, and
+# The loop reuses its state, update and scratch buffers across steps, and
 # the oracle fills them through ``out``.  Recorded frames must still be
 # distinct arrays, recording must not change the batch, a perturbed oracle
 # must give the bits it gave before the buffers, and an oracle without
@@ -1098,16 +1098,22 @@ class TestBufferRing:
 # row blocks
 #
 # A sampler that draws no noise takes its rows through every step one block
-# at a time.  Its bits must not depend on the blocks: pinned below on a
-# target wide enough for many blocks (the digests are those of the samplers
-# that ran all rows at once), and compared on a patched block budget.  The
-# finite check must still name the earliest failing knot over all rows.
+# at a time; one that draws noise takes every step through all rows one
+# block at a time, stepping one (n, d) state in place.  Their bits must not
+# depend on the blocks: pinned below on a target wide enough for many blocks
+# (the digests are those the samplers gave when they ran all rows at once,
+# recorded before each kind ran in blocks), and compared on a patched block
+# budget.  The finite check must still name the earliest failing knot over
+# all rows.
 
 _BLOCK_RUNS = {
     "rf": lambda o, n, **kw: rf_euler(o, _PIN_GRID, n, 5, **kw),
     "ddim-rf[euler]": lambda o, n, **kw: ddim_rf(o, _PIN_GRID, n, 5, **kw),
     "ddim-rf[scaled]": lambda o, n, **kw: ddim_rf(o, _PIN_GRID, n, 5, form="scaled", **kw),
     "langevin(0)": lambda o, n, **kw: langevin_rf(o, _PIN_GRID, n, 5, gamma_scale=0.0, **kw),
+    "stoc-rf": lambda o, n, **kw: stoc_rf(o, _PIN_GRID, n, 5, **kw),
+    "ddpm": lambda o, n, **kw: ddpm_sample(o, _PIN_SCHEDULE, n, 5, **kw),
+    "langevin(1)": lambda o, n, **kw: langevin_rf(o, _PIN_GRID, n, 5, gamma_scale=1.0, **kw),
 }
 # Target.low_rank(300, 8), n = 2000: 218 rows a block, ten blocks.
 _BLOCK_PINS = {
@@ -1115,6 +1121,20 @@ _BLOCK_PINS = {
     "ddim-rf[euler]": "a84dd5e5893c3dcffa2e11347bed5bf1029e5df6635fa1e52c83bb4d855d0bdf",
     "ddim-rf[scaled]": "0b20091dae6f5a1c9f223bffeae663431982b0c27c296b8f19e8a423147f2155",
     "langevin(0)": "028ea1361ddde5411d440569fdb22ff86b7ca1b100f6cd484bf252e3e6aca8a2",
+    "stoc-rf": "718025ae35ed49d013d867ad2677474535fedc0c4d553fbad93d92d2a0bddbfd",
+    "ddpm": "f54de2a22f7ab12bc1aae297be1f9642d922ba3d258e39ab300f34fc6ea89d68",
+    "langevin(1)": "8f7799c9f2114b258b42bd77de945d700a39f32d3ac1ae41d19944e8362765ba",
+}
+
+# Runs on raw knots 0.1, 0.2, ..., 0.9 (the chain needs its own schedule).
+_SIGNED_TIMES = np.linspace(0.1, 0.9, 9)
+_SIGNED_RUNS = {
+    "rf": lambda o: rf_euler(o, _SIGNED_TIMES, 3000, 0),
+    "ddim-rf[euler]": lambda o: ddim_rf(o, _SIGNED_TIMES, 3000, 0),
+    "ddim-rf[scaled]": lambda o: ddim_rf(o, _SIGNED_TIMES, 3000, 0, form="scaled"),
+    "langevin(0)": lambda o: langevin_rf(o, _SIGNED_TIMES, 3000, 0, gamma_scale=0.0),
+    "stoc-rf": lambda o: stoc_rf(o, _SIGNED_TIMES, 3000, 0),
+    "langevin(1)": lambda o: langevin_rf(o, _SIGNED_TIMES, 3000, 0, gamma_scale=1.0),
 }
 
 
@@ -1165,22 +1185,19 @@ class TestRowBlocks:
         assert blocked.data.tobytes() == whole.data.tobytes()
         if record:
             assert blocked.trajectory.tobytes() == whole.trajectory.tobytes()
+            plain = _BLOCK_RUNS[name](oracle, 300)
+            assert plain.data.tobytes() == blocked.data.tobytes()
 
-    @pytest.mark.parametrize("name", list(_BLOCK_RUNS))
+    @pytest.mark.parametrize("name", list(_SIGNED_RUNS))
     def test_later_rows_failing_earlier_name_the_earlier_knot(self, name, monkeypatch):
         # 64 coordinates: 1024 rows a block, so rows 2048 on are the third block.
         monkeypatch.setattr(flowgrid.samplers, "substream", lambda *address: _RowSigns(2048))
-        times = np.linspace(0.1, 0.9, 9)
-        run = {
-            "rf": lambda o: rf_euler(o, times, 3000, 0),
-            "ddim-rf[euler]": lambda o: ddim_rf(o, times, 3000, 0),
-            "ddim-rf[scaled]": lambda o: ddim_rf(o, times, 3000, 0, form="scaled"),
-            "langevin(0)": lambda o: langevin_rf(o, times, 3000, 0, gamma_scale=0.0),
-        }[name]
-        # The first blocks fail at the step from t = 0.7, the last one at the
-        # step from t = 0.4, which lands on t = 0.5.
+        # Without noise the first blocks fail at the step from t = 0.7, the
+        # last one at the step from t = 0.4, which lands on t = 0.5.  With
+        # noise all rows take each step together, and the step from t = 0.4
+        # fails on the rows that start negative.
         with pytest.raises(NonFiniteState, match=r"at t = 0\.5;"):
-            run(_SignedExplosion())
+            _SIGNED_RUNS[name](_SignedExplosion())
 
 
 class TestSamplerTable:
