@@ -13,10 +13,10 @@ __all__ = ["BatchMeta", "SampleBatch"]
 
 _BLOCK_BYTES = 1 << 19
 """Byte budget of one row block: the samplers' step buffers (every sampler's
-update and scratch buffers, and the noise-free samplers' state), the
-reference draw and its blur, the probe's gathers (a block with the rows it
-takes from the second batch), the forward simulator (``simulate_forward``)
-and the moment sums (``_moment_stats``) each work in blocks of this many bytes."""
+state, update, scratch and step-noise buffers), the reference draw and its
+blur, the probe's gathers (a block with the rows it takes from the second
+batch), the forward simulator (``simulate_forward``) and the moment sums
+(``_moment_stats``) each work in blocks of this many bytes."""
 
 
 def _block_rows(row_bytes: int) -> int:

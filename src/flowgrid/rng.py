@@ -8,17 +8,15 @@ address always yields the same values — so samplers are bitwise reproducible
 no matter how work is scheduled, and two samplers that address the same
 stream consume *identical* noise (used by the coupled-chain tests).
 
-Within a step, a single ``(n, d)`` block is drawn and row ``j`` belongs to
-trajectory ``j``.  A sampler takes its step blocks from a :class:`StepNoise`,
-which keeps up to three blocks queued ahead for worker threads while the
-steps compute, one thread per core that no other live thread of the process
-may be using, when the blocks are large enough and such a core is free.
-Because a block depends only on its address, drawing it ahead of time leaves
-every value unchanged; a block handed out is valid only until the next
-:meth:`StepNoise.block` call, which refills its buffer.  The forward-process
-simulators in :mod:`flowgrid.localization` need no queue: they read Brownian
-increment k from the ``(seed, STEP_NOISE, k)`` stream on the caller's thread,
-one row block at a time, which gives the values of one whole draw.
+Step i's noise is one ``(n, d)`` draw, row ``j`` belonging to trajectory
+``j``, read row block after row block from one generator, which gives the
+values of one whole draw.  A sampler takes its row blocks from a
+:class:`StepNoise`, which draws up to three ahead on worker threads while
+the steps compute, one thread per free core; a row block depends only on
+its address and position, so that leaves every value unchanged.  The
+forward-process simulators in :mod:`flowgrid.localization` need no queue:
+they read Brownian increment k from the ``(seed, STEP_NOISE, k)`` stream on
+the caller's thread.
 
 A parallel sweep's worker process counts only its share of the cores, the
 same share that caps its BLAS threads (:func:`_share_cores`), so workers
@@ -66,23 +64,22 @@ def child_seed(seed: int, *path: int) -> int:
 
 
 _PREFETCH_MIN_VALUES = 1 << 14
-"""Smallest block a worker thread draws: a fill takes about 15 ns a value,
-and handing a block to a worker and back costs 35-75 us a step (2-vCPU x86
+"""Smallest row block a worker thread draws: a fill takes about 15 ns a
+value, and handing a block to a worker and back costs 35-75 us (2-vCPU x86
 VM), which a shorter fill cannot win back."""
 
 _BLOCKS_AHEAD = 3
-"""Most blocks a :class:`StepNoise` keeps in flight.  A (2000, 200) block
-takes 8.6-9.5 ms to draw and a stochastic sampler step's own compute, in
-row blocks, 1.8-2.5 ms (2.0-2.6 ms in the same runs when it ran all rows as
-one block), so the draws set the pace.  With blocks queued ahead, a draw
-thread that finishes early starts the next block instead of waiting for
-the caller.  Median stoc-rf steps at that size (2-vCPU x86 VM): 9.0 ms with
-one thread and one block ahead, 6.7 ms with two threads and two blocks,
-6.1 ms with two threads and three blocks.  Each block ahead holds one more
-buffer (3.2 MB at that size), but two blocks ahead instead of three made
-the row-blocked noise-drawing samplers slower: by 5-8 % in a first trial,
-and by a median 5 % over six paired stoc-rf runs (3.8-5.3 ms against
-4.1-5.5 ms a step, one run of the six faster)."""
+"""Most row blocks a :class:`StepNoise` keeps in flight.  At (2000, 200) a
+step's noise takes 5.7-5.9 ms to draw (0.93-0.98 ms a 327-row block) and a
+stoc-rf step's own compute 1.9-2.3 ms, so the draws set the pace; with jobs
+queued ahead, a draw thread that finishes early starts the next one instead
+of waiting for the caller.  Median stoc-rf steps at that size, N = 400
+(2-vCPU x86 VM): 9.5-10.9 ms inline, 7.9-8.7 ms with one thread and one
+block ahead, 5.6-6.3 ms with two threads and two, 5.1-6.2 ms with two
+threads and three.  Each block ahead holds one more 512 KiB buffer, but two
+ahead instead of three was slower: 5.6-6.3 against 5.1-6.0 ms a step in
+two paired runs, and by a median 5 % over six paired runs when a job was a
+whole step's (n, d) block."""
 
 _core_share: int | None = None
 """Cores this process may use when it is one of a sweep's worker processes,
@@ -122,21 +119,25 @@ def _prefetch_pays(values: int) -> bool:
 
 
 class StepNoise:
-    """The per-step noise blocks of one sampler call, drawn ahead on worker threads.
+    """The per-step noise of one sampler call, drawn ahead on worker threads.
 
-    Block i holds ``substream(seed, STEP_NOISE, i).standard_normal(shape)``
-    for i = 0 .. steps-1, bit for bit.  Entering the context starts the
-    draw threads and queues blocks 0 .. W-1 into W of W + 1 preallocated
-    buffers, W being at most 3 and at most ``steps``; the threads take
-    queued blocks in order (numpy releases the GIL during the fill).
-    :meth:`block` waits for block i, queues block i + W into the buffer
-    block i - 1 used, and returns block i.  The caller may modify the
-    returned array, which stays valid only until the next :meth:`block`
-    call.
+    Step i's (n, d) noise is ``substream(seed, STEP_NOISE, i)
+    .standard_normal((n, d))``, bit for bit, read from its generator in row
+    blocks of ``rows`` rows, which give the values of one whole draw.  A job
+    is the next row block of one step's generator, and jobs come in the step
+    loop's order: for each row block, steps 0 .. steps-1.  Entering the
+    context starts the draw threads and queues jobs 0 .. W-1 into W of W + 1
+    preallocated row-block buffers, W being at most 3 and at most ``steps``;
+    the threads take queued jobs in order (numpy releases the GIL during the
+    fill).  The W jobs in flight are consecutive, so with W <= steps they
+    read distinct generators.  :meth:`block` waits for the next job, queues
+    the job W later into the buffer the previous job used, and returns the
+    rows.  The caller may modify them; they stay valid only until the next
+    :meth:`block` call.
 
     There is one draw thread per core that no live thread of the process
     may be using, counting the caller's own core since it mostly waits on
-    the draws, and at most W.  Threads start only if the blocks hold at
+    the draws, and at most W.  Threads start only if a row block holds at
     least 2**14 values and a core is free; otherwise :meth:`block` fills
     each block on the caller's thread into one buffer.  With ``steps=0``
     nothing is allocated and no thread starts.  Leaving the context lets the
@@ -145,11 +146,14 @@ class StepNoise:
     other exception is propagating.
     """
 
-    def __init__(self, seed: int, shape: tuple[int, ...], steps: int) -> None:
+    def __init__(self, seed: int, shape: tuple[int, int], steps: int, rows: int) -> None:
         self._seed = seed
-        self._shape = shape
+        self._n, d = shape
+        self._shape = (min(rows, self._n), d)
         self._steps = steps
+        self._jobs = steps * -(-self._n // rows)
         self._next = 0
+        self._generators: list = [None] * steps
         self._buffers: list[np.ndarray] | None = None
         self._threads: list[threading.Thread] = []
         self._queue: queue.SimpleQueue = queue.SimpleQueue()
@@ -171,8 +175,8 @@ class StepNoise:
             except BaseException:
                 self._join()
                 raise
-            for i in range(ahead):
-                self._submit(i)
+            for k in range(ahead):
+                self._submit(k)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -193,39 +197,53 @@ class StepNoise:
 
     def _draw_queued(self) -> None:
         while (job := self._queue.get()) is not None:
-            future, i, out = job
+            future, k, out = job
             future.set_running_or_notify_cancel()
             try:
-                future.set_result(self._fill(i, out))
+                future.set_result(self._fill(k, out))
             except BaseException as error:  # raised again where the block is read
                 future.set_exception(error)
 
-    def _submit(self, i: int) -> None:
+    def _submit(self, k: int) -> None:
         future: Future = Future()
-        self._queue.put((future, i, self._buffers[i % len(self._buffers)]))
+        self._queue.put((future, k, self._buffers[k % len(self._buffers)]))
         self._pending.append(future)
 
-    def _fill(self, i: int, out: np.ndarray) -> np.ndarray:
-        return substream(self._seed, STEP_NOISE, i).standard_normal(out=out)
+    def _fill(self, k: int, out: np.ndarray) -> np.ndarray:
+        if k < self._steps:  # step k's first row block
+            self._generators[k] = substream(self._seed, STEP_NOISE, k)
+        rows = self._n - k // self._steps * len(out)  # clipped to the buffer's rows
+        return self._generators[k % self._steps].standard_normal(out=out[:rows])
+
+    def _take(self) -> np.ndarray:
+        k = self._next
+        self._next = k + 1
+        if not self._threads:
+            return self._fill(k, self._buffers[0])
+        noise = self._pending.popleft().result()
+        ahead = k + len(self._buffers) - 1
+        if ahead < self._jobs:
+            self._submit(ahead)
+        return noise
 
     def block(self, i: int) -> np.ndarray:
-        """Return step i's noise block; steps must be read in order 0, 1, ...
+        """Return the next row block of step i's noise.
+
+        A row block's steps are read in order 0, 1, ...; reading step 0
+        earlier moves on to the next row block, drawing and dropping the
+        rest of this one.
 
         Raises
         ------
         ValueError
-            If ``i`` is not the next step, or the context is not entered.
+            If ``i`` is neither the next step nor 0, no row block is left,
+            or the context is not entered.
         """
-        if i != self._next or i >= self._steps or self._buffers is None:
+        while i == 0 and self._buffers is not None and self._next % self._steps:
+            self._take()  # the rest of a row block the caller left
+        if self._buffers is None or self._next >= self._jobs or i != self._next % self._steps:
             raise ValueError(
-                f"step noise block {i} requested; the next is {self._next} "
-                f"of {self._steps} (read blocks in order inside the context)"
+                f"step {i}'s noise requested; the next job is {self._next} of "
+                f"{self._jobs} (read each row block's steps in order inside the context)"
             )
-        self._next = i + 1
-        if not self._threads:
-            return self._fill(i, self._buffers[0])
-        noise = self._pending.popleft().result()
-        ahead = i + len(self._buffers) - 1
-        if ahead < self._steps:
-            self._submit(ahead)
-        return noise
+        return self._take()

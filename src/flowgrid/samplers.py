@@ -31,15 +31,12 @@ own knots, drift, noise scales, post-step and knot scales: the chain and the
 whitened recursion keep their own coefficient arithmetic, and only the code
 around it is shared, since comparing them is the check.  The push-forward
 keeps its own loop for the same reason.  Trajectories never interact, so
-the loop runs the rows in blocks of at most 512 KiB, which stay in cache:
-a sampler that draws no noise (``rf``, both ``ddim-rf`` forms, ``langevin``
-with γ = 0) takes each block through every step, and one that draws noise
-(``stoc-rf``, ``ddpm``, ``langevin`` with γ > 0) takes each step through
-every block, since a step-noise block holds every row.  Either holds one
-(n, d) state array, its result, beside its noise buffers: at (2000, 200)
-with inline draws a ``stoc-rf`` run's traced peak is 2.35 times that array
-(4.02 times when it ran all rows as one block).  The bits are the same
-either way.
+the loop runs the rows in blocks of at most 512 KiB, which stay in cache,
+and takes each block through every step, noise or none.  A run holds one
+(n, d) array, its result, beside its row blocks: at (2000, 200) a
+``stoc-rf`` run's traced peak is 1.69 times that array with inline draws
+(4.02 times when it ran all rows as one block).  The bits do not depend on
+the blocks.
 
 For single-Gaussian targets every one of these updates is affine in the
 state, so mean and per-coordinate variance propagate in closed form;
@@ -49,16 +46,15 @@ of :func:`~flowgrid.targets.affine_field`, and is the reference the
 Monte-Carlo tests compare against.
 
 Noise addressing: the initial state comes from the ``(seed, INIT_NOISE)``
-substream, read row block after row block (the values of one (n, d) draw),
-and step i consumes one (n, d) block from ``(seed, STEP_NOISE, i)``, row j
-belonging to trajectory j.  The stochastic samplers read their blocks
-from a :class:`~flowgrid.rng.StepNoise`, which keeps blocks i+1 .. i+3 queued
-for worker threads while step i computes (when blocks are large enough and a
-core is free, one thread per free core); a block depends only on its
-address, so the values are the same as drawing it inline.  A block is valid
-only until the next block is read, so each step consumes its block before
-asking for the next.  Samplers never share or mutate state across
-trajectories, so results are independent of any parallel execution order.
+substream and step i's noise from ``(seed, STEP_NOISE, i)``, each an (n, d)
+draw read row block after row block, row j belonging to trajectory j.  The
+stochastic samplers read their step noise from a
+:class:`~flowgrid.rng.StepNoise`, which keeps the next three row blocks
+queued for worker threads while a step computes (when blocks are large
+enough and a core is free, one thread per free core); a row block depends
+only on its address and position, so the values are those of drawing it
+inline.  Samplers never share or mutate state across trajectories, so
+results are independent of any parallel execution order.
 """
 
 from __future__ import annotations
@@ -248,6 +244,11 @@ def _finish(
     return SampleBatch(data=data, meta=meta, trajectory=frames, trajectory_times=times)
 
 
+def _check_gamma_scale(gamma_scale: float) -> None:
+    if not (math.isfinite(gamma_scale) and gamma_scale >= 0.0):
+        raise DomainError(f"gamma_scale must be finite and >= 0, got {gamma_scale!r}")
+
+
 def _check_start(name: str, times: np.ndarray) -> None:
     if "t0>0" in SAMPLERS[name].needs and times[0] <= 0.0:
         raise DomainError(
@@ -267,28 +268,25 @@ def _step_loop(
 
     in place: x + u is the sum u + x, since adding two floats commutes, so
     the bits are those of forming the new state in u, and a step allocates
-    and copies no array.  Rows never interact, so the rows run in blocks of
-    ``_block_rows(d * 8)`` rows, at most 512 KiB, that stay in cache, and
-    every element sees the same operations in either loop order.  A sampler
-    that draws no noise (``noise=None``) runs blocks outer and steps inner,
-    its state one block buffer, and writes each block's terminal state into
-    the (n, d) result.  One that draws noise runs steps outer and blocks
-    inner, since each :class:`~flowgrid.rng.StepNoise` block holds every
-    row: it holds one (n, d) state x, its result, reads step i's noise block
-    once and steps x block after block.  ``drift`` writes its term into the
-    block buffer u, the oracle filling u through ``out``, and never writes
-    x; ``work`` is a second block buffer for a term it cannot form in u
-    (σ·z, y/t, the velocity beside the score), allocated only if
-    ``scratch`` and None otherwise.
+    and copies no array.  Rows never interact, so every sampler runs its
+    rows in blocks of ``_block_rows(d * 8)`` rows, at most 512 KiB, that stay
+    in cache: blocks outer, steps inner.  The state is one block buffer, and
+    each block's terminal state is written into the (n, d) result.  ξ_i is
+    the block's rows of step i's noise, read from a
+    :class:`~flowgrid.rng.StepNoise` (``noise=None``: no noise is drawn).
+    ``drift`` writes its term into the block buffer u, the oracle filling u
+    through ``out``, and never writes x; ``work`` is a second block buffer
+    for a term it cannot form in u (σ·z, y/t, the velocity beside the
+    score), allocated only if ``scratch`` and None otherwise.
 
     x starts as the ``(seed, INIT_NOISE)`` draw, read block after block from
     one generator (the values of one (n, d) draw), divided by ``scales[0]``
     if ``sample_start`` (the draw is in sample coordinates); ``scales[i]·x``
     is the state in sample coordinates (``None``: x already is).  After
-    each step every block must be finite, checked by one min and one max;
-    the first block that fails stops its rows there (and, with noise, the
-    whole run), and :class:`NonFiniteState`, labelled ``name``, names the
-    earliest failing knot over all rows.
+    each step a block must be finite, checked by one min and one max; a
+    block that fails stops its rows there, later blocks run only up to that
+    step, and :class:`NonFiniteState`, labelled ``name``, names the earliest
+    failing knot over all rows.
 
     Returns the terminal state and, if ``record``, the (steps + 1, n, d)
     array of the per-knot states in sample coordinates, whose last frame
@@ -306,66 +304,45 @@ def _step_loop(
     draw = substream(seed, INIT_NOISE)
     failed = steps  # the earliest step whose state is not finite, in any block
 
-    def keep(i: int, block: slice, state: np.ndarray) -> None:
+    def keep(i: int, block: slice, x: np.ndarray) -> None:
         if not record:
             return
         if scales is None:
-            frames[i, block] = state
+            frames[i, block] = x
         else:
-            np.multiply(scales[i], state, out=frames[i, block])
+            np.multiply(scales[i], x, out=frames[i, block])
 
-    def start(block: slice, x: np.ndarray) -> None:
-        draw.standard_normal(out=x)
-        if sample_start:
-            x /= scales[0]
-        keep(0, block, x)
-
-    def terminal(x: np.ndarray) -> np.ndarray:
-        return x if scales is None else np.multiply(scales[steps], x, out=x)
-
-    def step(i: int, x: np.ndarray, xi: np.ndarray | None) -> bool:
-        """Step i of the rows x, in place; whether every new value is finite."""
-        u = update[: len(x)]
-        drift(i, x, u, None if spare is None else spare[: len(x)])
-        x += u  # x + drift: the sum drift + x, since adding two floats commutes
-        if xi is not None:
-            xi *= noise[i]
-            x += xi
-        if post is not None:
-            post(i, x)
-        return _bounded(x, _FLOAT_MAX)
-
-    if noise is not None:
-        x = np.empty((n, d))
-        for block in blocks:
-            start(block, x[block])
-        with StepNoise(seed, (n, d), steps) as noise_blocks:
-            for i in range(steps):
-                xi = noise_blocks.block(i)
-                for block in blocks:
-                    if not step(i, x[block], xi[block]):
-                        failed = i
-                        break
-                if failed < steps:
-                    break
-                keep(i + 1, slice(None), x)
-        result = terminal(x) if failed == steps and not record else x
-    else:
-        state = np.empty((rows, d))
-        result = np.empty((n, d)) if len(blocks) > 1 and not record else None
+    state = np.empty((rows, d))
+    result = np.empty((n, d)) if len(blocks) > 1 and not record else None
+    with StepNoise(seed, (n, d), 0 if noise is None else steps, rows) as noise_rows:
         for block in blocks:
             x = state[: block.stop - block.start]
-            start(block, x)
+            u = update[: len(x)]
+            work = None if spare is None else spare[: len(x)]
+            draw.standard_normal(out=x)
+            if sample_start:
+                x /= scales[0]
+            keep(0, block, x)
             for i in range(failed):
-                if not step(i, x, None):
+                drift(i, x, u, work)
+                x += u  # x + drift: the sum drift + x, since adding two floats commutes
+                if noise is not None:
+                    xi = noise_rows.block(i)
+                    xi *= noise[i]
+                    x += xi
+                if post is not None:
+                    post(i, x)
+                if not _bounded(x, _FLOAT_MAX):
                     failed = i
                     break
                 keep(i + 1, block, x)
             if failed == steps and not record:
+                if scales is not None:
+                    np.multiply(scales[steps], x, out=x)
                 if result is None:  # one block: its buffer is the result
-                    result = terminal(x)
+                    result = x
                 else:
-                    result[block] = terminal(x)
+                    result[block] = x
     if failed < steps:
         raise NonFiniteState(
             f"{name} produced a non-finite state at t = {float(times[failed + 1]):.6g}; "
@@ -584,8 +561,7 @@ def langevin_rf(
         If the grid contains t = 0 (γ diverges) or ``gamma_scale`` is
         negative or non-finite.
     """
-    if not (math.isfinite(gamma_scale) and gamma_scale >= 0.0):
-        raise DomainError(f"gamma_scale must be finite and >= 0, got {gamma_scale!r}")
+    _check_gamma_scale(gamma_scale)
 
     def gamma(t):
         return gamma_scale * (1.0 - t) / t
@@ -777,14 +753,16 @@ def gaussian_pushforward(
     ------
     DomainError
         For mixture targets, unknown sampler kinds, grids that start at 0
-        for the score-driven kinds, negative initial variances, or initial
-        moments that do not broadcast to the target's shape (d,).
+        for the score-driven kinds, a negative or non-finite
+        ``gamma_scale``, negative initial variances, or initial moments
+        that do not broadcast to the target's shape (d,).
     """
     if target.n_components != 1:
         raise DomainError(
             "the affine push-forward exists only for single-Gaussian targets"
         )
     _sampler_entry(sampler)
+    _check_gamma_scale(gamma_scale)
     times, _ = _integration_times(grid, final_step)
     _check_start(sampler, times)
     whitened = sampler in ("stoc-rf", "ddpm")

@@ -369,8 +369,8 @@ _COEFFICIENT_BYTES = 1 << 22
 class ExactOracle:
     """The closed-form velocity/score of a mixture target.
 
-    The velocity's coefficients (a, b) depend on t alone, and a noise-free
-    sampler asks for each knot once per row block, so the oracle builds
+    The velocity's coefficients (a, b) depend on t alone, and a sampler
+    asks for each knot once per row block, so the oracle builds
     them once per knot and keeps them.  It keeps them for the target's
     distinct coordinates only, those whose variances and means differ in
     some bit in some component (a low-rank target has two), so a kept knot

@@ -2,15 +2,14 @@
 recorded trajectory allocate.
 
 The step loop keeps its states in reused buffers that the oracle fills in
-place, runs every sampler's rows in blocks (a noise-free sampler takes each
-block through every step, a noise-drawing one each step through every block
-of one state array), and writes recorded frames into one preallocated
-trajectory.  The TV probe reads any two
-C-contiguous float32 or float64 batches where they lie, gathering and
-casting each round's rows into one feature-major buffer through a row
-block, several rounds to a group when their rows are small; a sweep cell
-streams its sampler batch and its reference into the two halves of one
-float32 pool.
+place, takes every sampler's rows through every step one row block at a
+time (a noise-drawing one reading its step noise in row blocks too), and
+writes recorded frames into one preallocated trajectory.  The TV probe
+reads any two C-contiguous float32 or float64 batches where they lie,
+gathering and casting each round's rows into one feature-major buffer
+through a row block, several rounds to a group when their rows are small;
+a sweep cell streams its sampler batch and its reference into the two
+halves of one float32 pool.
 The forward simulators build their states in row blocks, and the moment
 sums of the equivalence check run over row blocks of those states.
 Without the buffers a sampler's speed depended on glibc's dynamic mmap
@@ -127,20 +126,36 @@ def test_a_noise_free_sampler_holds_one_output_array():
 _CHAIN = build_ddpm_schedule(50)
 
 
-@pytest.mark.parametrize(
+_NOISE_DRAWING = pytest.mark.parametrize(
     "sampler, grid",
     [(stoc_rf, ddpm_induced_rf_grid(_CHAIN)), (ddpm_sample, _CHAIN)],
     ids=["stoc-rf", "ddpm"],
 )
+
+
+@_NOISE_DRAWING
 def test_a_noise_drawing_sampler_holds_one_state_array(sampler, grid, monkeypatch):
-    # No free core: the step noise is drawn inline into one buffer.
+    # No free core: the step noise is drawn inline into one row-block buffer.
     monkeypatch.setattr(flowgrid.rng, "_free_cores", lambda: 0)
     oracle = ExactOracle(Target.low_rank(200, 8))
     peak = _traced_peak(lambda: sampler(oracle, grid, 2000, 3))
     state_bytes = 2000 * 200 * 8
-    # The state, which is the output, the noise buffer and two row blocks:
-    # 2.35x.  Running all rows as one block, with two (n, d) state buffers
-    # and an (n, d) scratch buffer, made it 4.02x.
+    # The output and four row blocks (state, update, scratch, noise): 1.69x.
+    # Stepping one (n, d) state with whole-step noise blocks made it 2.35x;
+    # running all rows as one block, with two (n, d) state buffers and an
+    # (n, d) scratch buffer, 4.02x.
+    assert peak < 1.8 * state_bytes
+
+
+@_NOISE_DRAWING
+def test_worker_drawn_step_noise_holds_row_blocks(sampler, grid, monkeypatch):
+    # Three draw threads, three row blocks in flight beside the one handed out.
+    monkeypatch.setattr(flowgrid.rng, "_free_cores", lambda: 64)
+    oracle = ExactOracle(Target.low_rank(200, 8))
+    peak = _traced_peak(lambda: sampler(oracle, grid, 2000, 3))
+    state_bytes = 2000 * 200 * 8
+    # The output, three step buffers and four noise row blocks: 2.19x.
+    # Four whole-step (n, d) noise blocks beside one (n, d) state made it 5.36x.
     assert peak < 2.5 * state_bytes
 
 

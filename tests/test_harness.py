@@ -467,7 +467,7 @@ class TestRunExperiment:
         log = tmp_path / "cores.log"
 
         def logged(*args):
-            with rng.StepNoise(0, (4096, 4), 5) as noise:
+            with rng.StepNoise(0, (4096, 4), 5, 4096) as noise:
                 threads = [t for t in threading.enumerate() if t.name.startswith("flowgrid-step-noise")]
                 for i in range(5):
                     noise.block(i)

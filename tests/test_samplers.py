@@ -528,11 +528,13 @@ class TestDdpmSample:
 # ---------------------------------------------------------------------------
 # step noise drawn ahead on worker threads
 #
-# The reference loops below draw each step's block inline, as the samplers
-# did before their blocks came from a StepNoise; the samplers must match
-# them bit for bit.  Blocks of 2**14 values or more go to draw threads when
-# a core is free, smaller ones are drawn on the caller's thread: tests cover
-# both, on this machine's cores and on a patched core count.
+# The reference loops below draw each step's (n, d) noise inline, as the
+# samplers did before their noise came from a StepNoise; the samplers must
+# match them bit for bit.  A StepNoise hands out each step's rows one row
+# block at a time, in the step loop's order (for each row block, every
+# step).  Row blocks of 2**14 values or more go to draw threads when a core
+# is free, smaller ones are drawn on the caller's thread: tests cover both,
+# on this machine's cores and on a patched core count.
 
 
 def _reference_stoc_rf(oracle, grid, n, seed):
@@ -682,7 +684,7 @@ _D5_MIXTURE = Target(
     means=np.array([[2.0, -1.0, 0.0, 1.0, 3.0], [-2.0, 1.0, 0.5, 0.0, 3.0]]),
     variances=np.array([[1.0, 0.5, 2.0, 0.0, 0.0], [0.3, 1.0, 1.0, 0.7, 0.0]]),
 )
-_WORKER_N = 4096  # with d = 4, a 2**14-value block: drawn on the worker
+_WORKER_N = 4096  # with d = 4, a 2**14-value row block: drawn on the worker
 
 
 def _set_cores(monkeypatch, cores):
@@ -694,6 +696,13 @@ def _set_cores(monkeypatch, cores):
 
 def _draw_threads():
     return [t for t in threading.enumerate() if t.name.startswith("flowgrid-step-noise")]
+
+
+def _inline_rows(seed, shape, steps, rows):
+    """The row blocks a StepNoise hands out, in its order, drawn inline."""
+    whole = [substream(seed, STEP_NOISE, i).standard_normal(shape) for i in range(steps)]
+    starts = range(0, shape[0], rows)
+    return [(i, noise[lo : lo + rows]) for lo in starts for i, noise in enumerate(whole)]
 
 
 @pytest.fixture
@@ -734,31 +743,45 @@ class TestStepNoisePrefetch:
         assert np.array_equal(batch.trajectory, frames)
 
     @pytest.mark.parametrize(
-        "shape, ahead, cores, threads",
+        "shape, rows, ahead, cores, threads",
         [
-            ((6, 3), 3, 64, 0),
-            ((_WORKER_N, 4), 1, 64, 1),
-            ((_WORKER_N, 4), 2, 64, 2),
-            ((_WORKER_N, 4), 3, 64, 3),
-            ((_WORKER_N, 4), 3, 2, 2),
+            ((10, 3), 4, 3, 64, 0),
+            ((3 * _WORKER_N - 5, 4), _WORKER_N, 1, 64, 1),
+            ((3 * _WORKER_N - 5, 4), _WORKER_N, 2, 64, 2),
+            ((3 * _WORKER_N - 5, 4), _WORKER_N, 3, 64, 3),
+            ((3 * _WORKER_N - 5, 4), _WORKER_N, 3, 2, 2),
         ],
         ids=["caller", "w1", "w2", "w3", "w3-on-two-threads"],
     )
     def test_blocks_match_inline_draws_and_are_read_in_order(
-        self, shape, ahead, cores, threads, blocks_ahead
+        self, shape, rows, ahead, cores, threads, blocks_ahead
     ):
         blocks_ahead(ahead, cores)
         before = threading.active_count()
-        with StepNoise(5, shape, 7) as noise:
+        with StepNoise(5, shape, 7, rows) as noise:
             assert threading.active_count() == before + threads
-            with pytest.raises(ValueError, match="block 1"):
+            with pytest.raises(ValueError, match="step 1's"):
                 noise.block(1)
-            for i in range(7):
-                expected = substream(5, STEP_NOISE, i).standard_normal(shape)
+            for i, expected in _inline_rows(5, shape, 7, rows):
                 assert np.array_equal(noise.block(i), expected)
-            with pytest.raises(ValueError, match="block 7"):
+            with pytest.raises(ValueError, match="step 7's"):
                 noise.block(7)
+            with pytest.raises(ValueError, match="step 0's"):
+                noise.block(0)  # no row block is left
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize(
+        "shape, rows, ahead", [((10, 3), 4, 3), ((3 * _WORKER_N, 4), _WORKER_N, 3)],
+        ids=["caller", "w3"],
+    )
+    def test_step_0_moves_on_to_the_next_row_block(self, shape, rows, ahead, blocks_ahead):
+        blocks_ahead(ahead)
+        expected = _inline_rows(5, shape, 7, rows)
+        with StepNoise(5, shape, 7, rows) as noise:
+            for i in range(3):  # the first row block stops after step 2
+                noise.block(i)
+            for i, want in expected[7:]:
+                assert np.array_equal(noise.block(i), want)
 
     @pytest.mark.parametrize(
         "ahead, cores", [(1, 64), (2, 64), (3, 64), (3, 2)],
@@ -766,13 +789,58 @@ class TestStepNoisePrefetch:
     )
     def test_held_block_survives_every_draw_in_flight(self, ahead, cores, blocks_ahead):
         blocks_ahead(ahead, cores)
-        with StepNoise(5, (_WORKER_N, 4), 9) as noise:
-            for i in range(9):
+        with StepNoise(5, (3 * _WORKER_N, 4), 9, _WORKER_N) as noise:
+            for i in list(range(9)) * 3:  # three row blocks
                 block = noise.block(i)
                 kept = block.copy()
                 for pending in list(noise._pending):
                     pending.result(timeout=60)
-                assert np.array_equal(block, kept), f"block {i} overwritten"
+                assert np.array_equal(block, kept), f"step {i}'s rows overwritten"
+
+    @pytest.mark.parametrize("name", STOCHASTIC)
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_fewer_steps_than_blocks_ahead_give_the_inline_bits(
+        self, steps, name, blocks_ahead, monkeypatch
+    ):
+        # W = min(3, steps) draw threads over five row blocks: the jobs in
+        # flight must read distinct generators.  Each read sleeps, so a second
+        # reader of one generator would overlap the first.
+        blocks_ahead(3)
+        monkeypatch.setattr(flowgrid.batch, "_BLOCK_BYTES", _WORKER_N * 4 * 8)
+        real, overlaps = flowgrid.rng.substream, []
+
+        class Watched:
+            def __init__(self, generator):
+                self._generator, self._readers = generator, 0
+
+            def standard_normal(self, out):
+                self._readers += 1
+                overlaps.append(self._readers > 1)
+                time.sleep(0.002)
+                try:
+                    return self._generator.standard_normal(out=out)
+                finally:
+                    self._readers -= 1
+
+        monkeypatch.setattr(flowgrid.rng, "substream", lambda *address: Watched(real(*address)))
+        n, seed, schedule = 4 * _WORKER_N + 100, 3, build_ddpm_schedule(steps + 1, 1.0, 1.0)
+        grid = ddpm_induced_rf_grid(schedule)
+        oracle = ExactOracle(Target.low_rank(4, 2))
+        if name == "stoc-rf":
+            batch = stoc_rf(oracle, grid, n, seed, record_trajectories=True)
+            data, frames = _reference_stoc_rf(oracle, grid, n, seed)
+        elif name.startswith("ddpm"):
+            final = name == "ddpm-final"
+            batch = ddpm_sample(
+                oracle, schedule, n, seed, final_step=final, record_trajectories=True
+            )
+            data, frames = _reference_ddpm(oracle, schedule, n, seed, final_step=final)
+        else:
+            batch = langevin_rf(oracle, grid, n, seed, record_trajectories=True)
+            data, frames = _reference_langevin(oracle, grid, n, seed)
+        assert len(overlaps) == 5 * (frames.shape[0] - 1) and not any(overlaps)
+        assert np.array_equal(batch.data, data)
+        assert np.array_equal(batch.trajectory, frames)
 
     @pytest.mark.parametrize(
         "cores, steps, threads",
@@ -782,7 +850,7 @@ class TestStepNoisePrefetch:
     def test_one_draw_thread_per_free_core_up_to_three(self, cores, steps, threads, monkeypatch):
         _set_cores(monkeypatch, cores)
         before = threading.active_count()
-        with StepNoise(5, (_WORKER_N, 4), steps) as noise:
+        with StepNoise(5, (_WORKER_N, 4), steps, _WORKER_N) as noise:
             assert len(_draw_threads()) == threads
             assert threading.active_count() == before + threads
             for i in range(steps):
@@ -794,7 +862,9 @@ class TestStepNoisePrefetch:
         assert flowgrid.rng._prefetch_pays(big)
         assert not flowgrid.rng._prefetch_pays(big - 1)
         _set_cores(monkeypatch, 64)
-        with StepNoise(5, (big // 4 - 1, 4), 5):
+        with StepNoise(5, (big // 4 - 1, 4), 5, big):
+            assert _draw_threads() == []
+        with StepNoise(5, (big, 4), 5, big // 4 - 1):  # many rows, small blocks
             assert _draw_threads() == []
 
     def test_live_threads_take_the_free_cores(self, monkeypatch):
@@ -804,7 +874,7 @@ class TestStepNoisePrefetch:
         for thread in busy:
             thread.start()
         try:
-            with StepNoise(5, (_WORKER_N, 4), 5):
+            with StepNoise(5, (_WORKER_N, 4), 5, _WORKER_N):
                 assert _draw_threads() == []
         finally:
             release.set()
@@ -814,7 +884,7 @@ class TestStepNoisePrefetch:
     def test_no_steps_starts_no_thread(self, blocks_ahead):
         blocks_ahead(3)
         before = threading.active_count()
-        with StepNoise(5, (_WORKER_N, 4), 0) as noise:
+        with StepNoise(5, (_WORKER_N, 4), 0, _WORKER_N) as noise:
             assert threading.active_count() == before
             with pytest.raises(ValueError):
                 noise.block(0)
@@ -858,7 +928,7 @@ class TestStepNoisePrefetch:
 
         monkeypatch.setattr(flowgrid.rng, "substream", failing)
         with pytest.raises(RuntimeError, match="draw failed"):
-            with StepNoise(0, (_WORKER_N, 4), 5) as noise:
+            with StepNoise(0, (_WORKER_N, 4), 5, _WORKER_N) as noise:
                 for i in range(read):
                     noise.block(i)
         assert _draw_threads() == []
@@ -871,7 +941,7 @@ class TestStepNoisePrefetch:
 
         monkeypatch.setattr(flowgrid.rng, "substream", failing)
         with pytest.raises(KeyError):
-            with StepNoise(0, (_WORKER_N, 4), 5):
+            with StepNoise(0, (_WORKER_N, 4), 5, _WORKER_N):
                 raise KeyError("caller")
         assert _draw_threads() == []
 
@@ -1097,14 +1167,13 @@ class TestBufferRing:
 # ---------------------------------------------------------------------------
 # row blocks
 #
-# A sampler that draws no noise takes its rows through every step one block
-# at a time; one that draws noise takes every step through all rows one
-# block at a time, stepping one (n, d) state in place.  Their bits must not
-# depend on the blocks: pinned below on a target wide enough for many blocks
-# (the digests are those the samplers gave when they ran all rows at once,
-# recorded before each kind ran in blocks), and compared on a patched block
-# budget.  The finite check must still name the earliest failing knot over
-# all rows.
+# Every sampler takes its rows through every step one block at a time, a
+# noise-drawing one reading each step's noise one row block at a time.
+# Their bits must not depend on the blocks: pinned below on a target wide
+# enough for many blocks (the digests are those the samplers gave when they
+# ran all rows at once, recorded before each kind ran in blocks), and
+# compared on a patched block budget.  The finite check must still name the
+# earliest failing knot over all rows.
 
 _BLOCK_RUNS = {
     "rf": lambda o, n, **kw: rf_euler(o, _PIN_GRID, n, 5, **kw),
@@ -1139,8 +1208,9 @@ _SIGNED_RUNS = {
 
 
 class _RowSigns:
-    """Stands in for the initial draw: +1 on rows before ``cut`` and -1 from
-    it on, counted row after row across calls like a generator's stream."""
+    """Stands in for the initial draw: +64 on rows before ``cut`` and -64 from
+    it on, counted row after row across calls like a generator's stream; far
+    enough from 0 that no step noise turns a row's sign."""
 
     def __init__(self, cut):
         self._cut = cut
@@ -1149,7 +1219,7 @@ class _RowSigns:
     def standard_normal(self, size=None, out=None):
         out = np.empty(size) if out is None else out
         rows = self._row + np.arange(out.shape[0])
-        out[...] = np.where(rows < self._cut, 1.0, -1.0)[:, None]
+        out[...] = np.where(rows < self._cut, 64.0, -64.0)[:, None]
         self._row += out.shape[0]
         return out
 
@@ -1192,10 +1262,8 @@ class TestRowBlocks:
     def test_later_rows_failing_earlier_name_the_earlier_knot(self, name, monkeypatch):
         # 64 coordinates: 1024 rows a block, so rows 2048 on are the third block.
         monkeypatch.setattr(flowgrid.samplers, "substream", lambda *address: _RowSigns(2048))
-        # Without noise the first blocks fail at the step from t = 0.7, the
-        # last one at the step from t = 0.4, which lands on t = 0.5.  With
-        # noise all rows take each step together, and the step from t = 0.4
-        # fails on the rows that start negative.
+        # The first blocks fail at the step from t = 0.7, the last one at the
+        # step from t = 0.4, which lands on t = 0.5, with noise or without.
         with pytest.raises(NonFiniteState, match=r"at t = 0\.5;"):
             _SIGNED_RUNS[name](_SignedExplosion())
 
@@ -1301,6 +1369,10 @@ class TestGaussianPushforward:
             gaussian_pushforward(gauss, build_uniform_grid(4), "ddim-rf")
         with pytest.raises(DomainError, match="initial moments"):
             gaussian_pushforward(gauss, build_uniform_grid(4), "rf", init_var=-1.0)
+        induced = ddpm_induced_rf_grid(build_ddpm_schedule(20))
+        for gamma_scale in (-5.0, math.nan):  # what langevin_rf refuses
+            with pytest.raises(DomainError, match="gamma_scale must be finite and >= 0"):
+                gaussian_pushforward(gauss, induced, "langevin", gamma_scale=gamma_scale)
 
     def test_scalar_init_broadcasts(self):
         gauss = Target.gaussian(np.zeros(3), np.ones(3))
