@@ -227,7 +227,6 @@ def _run_cell(
         return child_seed(seed, d, n_steps, sampler_idx, grid_idx, role)
 
     stage_start = time.perf_counter()
-    # The oracle, and the velocity coefficients it keeps, die with the sampler run.
     batch = run_sampler(sampler, ExactOracle(target), built, n, cell_seed(0)).data
     batch = _to_float32(batch, "batch_a")
     pool = np.empty((2 * n, d), dtype=np.float32)

@@ -291,20 +291,18 @@ def estimate_tv(
     return TvEstimate(value, std_error, rounds, tuple(readings), grad_norm)
 
 
-def _density_crossings(mu1: float, v1: float, mu2: float, v2: float) -> list[float]:
-    """Real solutions of p(x) = q(x) for two 1-D Gaussian densities."""
-    if v1 == v2:
-        return [] if mu1 == mu2 else [0.5 * (mu1 + mu2)]
-    # log p − log q = a·x² + b·x + c
-    a = 0.5 * (1.0 / v2 - 1.0 / v1)
-    b = mu1 / v1 - mu2 / v2
-    c = 0.5 * (mu2**2 / v2 - mu1**2 / v1) + 0.5 * math.log(v2 / v1)
-    disc = b * b - 4.0 * a * c
-    if disc <= 0.0:
-        return []
-    # b and ±√disc never cancel in q, so both roots stay accurate when a is tiny
-    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-    return sorted([c / q] if a == 0.0 else [q / a, c / q])
+def _narrow_crossings(m: float, r: float) -> list[float]:
+    """Where the densities of N(0, 1) and N(m, r²) cross, for 0 < r ≤ 1 and
+    (m, r) ≠ (0, 1), as w = (z − m)/r: in the narrow law's units from its mean."""
+    # a·w² − 2rm·w − (m² − 2·log r) = 0 with a = 1 − r² ≥ 0, whose quarter
+    # discriminant is m² + K², K² = −2a·log r; for the |m| < 78 that reach
+    # here no term leaves float range, whatever r
+    a = (1.0 - r) * (1.0 + r)
+    log_r = math.log(r)
+    # r·m and ±√(m² + K²) never cancel in q, so both roots stay accurate when a is tiny
+    q = r * m + math.copysign(math.hypot(m, math.sqrt(-2.0 * a * log_r)), m)
+    near = (2.0 * log_r - m * m) / q
+    return sorted([near] if a == 0.0 else [q / a, near])
 
 
 def tv_oracle_gaussian_1d(mu1: float, v1: float, mu2: float, v2: float) -> float:
@@ -314,6 +312,9 @@ def tv_oracle_gaussian_1d(mu1: float, v1: float, mu2: float, v2: float) -> float
     between consecutive density crossings, so TV is ½·Σ|Δ(hi) − Δ(lo)| over
     those pieces.  Each Φ goes through ``math.erfc``, which keeps its
     relative precision in the far tails, so narrow, distant laws read 1.
+    The crossings are found with both laws standardized by the wider one
+    and then read in the narrow one's units, so no variance ratio or
+    precision leaves float range, subnormal variances included.
     Symmetric in its two arguments.
     """
     for v in (v1, v2):
@@ -321,8 +322,15 @@ def tv_oracle_gaussian_1d(mu1: float, v1: float, mu2: float, v2: float) -> float
             raise DomainError(f"variances must be positive; got {v!r}")
     if not (np.isfinite(mu1) and np.isfinite(mu2)):
         raise DomainError("means must be finite")
-    if mu1 == mu2 and v1 == v2:
+    (v_narrow, mu_narrow), (v_wide, mu_wide) = sorted([(v1, mu1), (v2, mu2)])
+    sd_narrow, sd_wide = math.sqrt(v_narrow), math.sqrt(v_wide)
+    m, r = (mu_narrow - mu_wide) / sd_wide, sd_narrow / sd_wide  # r > 0: both sds are normal
+    if m == 0.0 and r == 1.0:
         return 0.0
+    # The set |z| < |m|/2 holds all but erfc(|m|/√8) of the wide law and at
+    # most that much of the narrow one (r ≤ 1), so TV ≥ 1 − 2·erfc(|m|/√8).
+    if math.erfc(abs(m) / math.sqrt(8.0)) == 0.0:
+        return 1.0
 
     def gap(x: float) -> float:  # erfc(±inf) makes Δ(±∞) = 0 exactly
         return 0.5 * (
@@ -330,7 +338,8 @@ def tv_oracle_gaussian_1d(mu1: float, v1: float, mu2: float, v2: float) -> float
             - math.erfc((mu2 - x) / (math.sqrt(v2) * math.sqrt(2.0)))
         )
 
-    edges = [-math.inf, *_density_crossings(mu1, v1, mu2, v2), math.inf]
+    crossings = (mu_narrow + sd_narrow * w for w in _narrow_crossings(m, r))
+    edges = [-math.inf, *crossings, math.inf]
     return 0.5 * sum(abs(gap(hi) - gap(lo)) for lo, hi in zip(edges[:-1], edges[1:]))
 
 

@@ -34,9 +34,8 @@ keeps its own loop for the same reason.  Trajectories never interact, so
 the loop runs the rows in blocks of at most 512 KiB, which stay in cache,
 and takes each block through every step, noise or none.  A run holds one
 (n, d) array, its result, beside its row blocks: at (2000, 200) a
-``stoc-rf`` run's traced peak is 1.69 times that array with inline draws
-(4.02 times when it ran all rows as one block).  The bits do not depend on
-the blocks.
+``stoc-rf`` run's traced peak is 1.69 times that array with inline draws.
+The bits do not depend on the blocks.
 
 For single-Gaussian targets every one of these updates is affine in the
 state, so mean and per-coordinate variance propagate in closed form;

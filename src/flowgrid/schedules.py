@@ -267,7 +267,7 @@ def build_ddpm_schedule(n_steps: int, c0: float = 2.0, c1: float = 6.0) -> DdpmS
     betas[1] = float(n) ** (-c0)
     tau = np.arange(1, n, dtype=np.float64)
     betas[2:] = b * np.minimum(betas[1] * (1.0 + b) ** tau, 1.0)
-    bad = np.flatnonzero((betas[1:] <= 0.0) | (betas[1:] >= 1.0))
+    bad = np.flatnonzero(~((betas[1:] > 0.0) & (betas[1:] < 1.0)))  # NaN fails too
     if bad.size:
         raise DomainError(
             f"beta_{bad[0] + 1} = {betas[bad[0] + 1]:.6g} is outside (0, 1); "
@@ -291,7 +291,7 @@ def time_from_mix_weight(omega):
     map to 0 and 1 but carry no mix.
     """
     omega = np.asarray(omega, dtype=np.float64)
-    if np.any(omega < 0.0) or np.any(omega > 1.0):
+    if not np.all((omega >= 0.0) & (omega <= 1.0)):  # NaN fails too
         raise DomainError("mixing weights must lie in [0, 1]")
     root = np.sqrt(omega)
     out = root / (root + np.sqrt(1.0 - omega))

@@ -255,22 +255,19 @@ def affine_field(target: Target, t: float) -> tuple[np.ndarray, ...]:
     return *_velocity_coefficients(target, t), -1.0 / d_scale, t * target.means / d_scale
 
 
-def velocity(target: Target, t: float, x, out=None, *, coefficients=None) -> np.ndarray:
+def velocity(target: Target, t: float, x, out=None) -> np.ndarray:
     """Exact interpolation velocity E[X₁ - X₀ | X_t = x].
 
     Evaluated through the per-component affine coefficients of
     :func:`affine_field`, so zero-variance coordinates stay exact all the way
     to t → 1 — the naive (posterior mean - x)/(1-t) route cancels there.
-    ``coefficients``, if given, is the (a, b) pair of :func:`affine_field`
-    at ``t``, which a caller that asks for the same t many times can build
-    once (:class:`ExactOracle` does); otherwise it is built here.
 
     ``out``, if given, receives the field and is returned: a writeable
     C-contiguous float64 array of ``x``'s shape (:class:`DomainError`
     otherwise), which may be ``x`` itself.  The bits are the same either way.
     """
     t = _check_time(t)
-    a, b = _velocity_coefficients(target, t) if coefficients is None else coefficients
+    a, b = _velocity_coefficients(target, t)
     x, rows, out = _field_out(x, target.dim, out)
     if target.n_components == 1:
         np.multiply(a[0], x, out=rows)
@@ -329,6 +326,7 @@ class PerturbationSpec:
         object.__setattr__(self, "kind", PerturbationKind(self.kind))
         if not np.isfinite(self.magnitude):
             raise DomainError("perturbation magnitude must be finite")
+        _count(self.seed, "seed", 0)
 
 
 @runtime_checkable
@@ -362,33 +360,15 @@ class FieldOracle(Protocol):
     def score(self, t: float, x: np.ndarray, out: np.ndarray) -> np.ndarray: ...
 
 
-_COEFFICIENT_BYTES = 1 << 22
-"""Bytes of velocity coefficients an :class:`ExactOracle` keeps."""
-
-
 class ExactOracle:
     """The closed-form velocity/score of a mixture target.
 
-    The velocity's coefficients (a, b) depend on t alone, and a sampler
-    asks for each knot once per row block, so the oracle builds
-    them once per knot and keeps them.  It keeps them for the target's
-    distinct coordinates only, those whose variances and means differ in
-    some bit in some component (a low-rank target has two), so a kept knot
-    costs a few bytes rather than two (m, d) arrays; each call gathers its
-    (m, d) pair from them.  Past 4 MiB of kept coefficients it drops them
-    all and starts over.  The score keeps nothing: it is built on every
-    call.  The fields' bits do not depend on any of this.
+    Both fields are built from the target on every call, so the oracle
+    keeps nothing between calls and one oracle may be shared across threads.
     """
 
     def __init__(self, target: Target):
         self._target = target
-        m = target.n_components
-        laws = np.concatenate([target.variances, target.means]).view(np.int64)
-        distinct, column = np.unique(laws, axis=1, return_inverse=True)
-        distinct = distinct.view(np.float64)
-        self._distinct = Target(target.weights, means=distinct[m:], variances=distinct[:m])
-        self._column = column.reshape(-1)  # each coordinate's distinct column
-        self._coefficients: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def target(self) -> Target:
@@ -399,14 +379,7 @@ class ExactOracle:
         return self.target.dim
 
     def velocity(self, t: float, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        t = _check_time(t)
-        pair = self._coefficients.get(t)
-        if pair is None:
-            if len(self._coefficients) * 2 * self._distinct.means.nbytes >= _COEFFICIENT_BYTES:
-                self._coefficients.clear()
-            pair = self._coefficients[t] = _velocity_coefficients(self._distinct, t)
-        coefficients = tuple(c.take(self._column, axis=1) for c in pair)
-        return velocity(self.target, t, x, out=out, coefficients=coefficients)
+        return velocity(self.target, t, x, out=out)
 
     def score(self, t: float, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return score(self.target, t, x, out=out)

@@ -107,6 +107,28 @@ class TestTvOracle:
         assert tv_oracle_gaussian_1d(0.0, 1e-4, 10.0, 1e-4) == 1.0
         assert tv_oracle_gaussian_1d(0.0, 1.0, 50.0, 1.0) <= 1.0
 
+    @pytest.mark.parametrize(
+        "mu1, v1, mu2, v2, expected",
+        [
+            (0.0, 2.0, 0.0, 5e-324, 1.0),
+            (0.0, 1e-300, 0.0, 1e10, 1.0),
+            (1.0, 1e200, 0.0, 1e-200, 1.0),
+            (0.0, 1e-310, 0.0, 2e-310, None),
+            (0.0, 1e300, 0.0, 2e300, None),
+        ],
+        ids=["subnormal-variance", "tiny-against-wide", "ratio-1e400", "subnormal-pair",
+             "huge-pair"],
+    )
+    def test_variances_past_float_range_read_their_limits(self, mu1, v1, mu2, v2, expected):
+        # TV is affine-invariant, so the scaled pairs read (0, 1, 0, 2)
+        if expected is None:
+            expected = tv_oracle_gaussian_1d(0.0, 1.0, 0.0, 2.0)
+        lower, upper = gaussian_tv_bounds(mu1, v1, mu2, v2)
+        for args in ((mu1, v1, mu2, v2), (mu2, v2, mu1, v1)):
+            tv = tv_oracle_gaussian_1d(*args)
+            assert tv == pytest.approx(expected, abs=1e-12), args
+            assert lower <= tv <= upper, args
+
     @given(
         mu1=st.floats(-100.0, 100.0),
         v1=st.floats(1e-6, 1e4),

@@ -245,6 +245,12 @@ class TestDdpmSchedule:
         with pytest.raises(DomainError):
             build_ddpm_schedule(1, 2.0, 1.0)
 
+    @pytest.mark.parametrize("c0,c1,beta", [(math.nan, 6.0, "beta_1"), (2.0, math.nan, "beta_2")])
+    def test_a_nan_constant_names_its_first_beta(self, c0, c1, beta):
+        # NaN compares false against both ends of (0, 1)
+        with pytest.raises(DomainError, match=f"{beta} = nan is outside"):
+            build_ddpm_schedule(20, c0, c1)
+
 
 class TestInducedGrid:
     def test_mix_weight_map_examples(self):
@@ -256,6 +262,11 @@ class TestInducedGrid:
             time_from_mix_weight(-0.1)
         with pytest.raises(DomainError):
             time_from_mix_weight(1.1)
+
+    @pytest.mark.parametrize("omega", [math.nan, [0.5, math.nan]])
+    def test_a_nan_mix_weight_is_rejected(self, omega):
+        with pytest.raises(DomainError, match="mixing weights must lie in"):
+            time_from_mix_weight(omega)
 
     @given(log_s=st.floats(-18.0, 18.0))
     @settings(max_examples=50, deadline=None)

@@ -397,57 +397,45 @@ class TestOutBuffer:
             field(0.5, x, out=make_out(x))
 
 
-class TestExactOracleCoefficients:
-    """The oracle builds its velocity coefficients once per knot and keeps
-    a bounded number of them; the bits are the module function's."""
+class TestExactOracle:
+    """The oracle keeps nothing between calls; the bits are the module
+    functions'."""
 
-    @pytest.mark.parametrize("target", [Target.low_rank(5, 2, var_value=0.4), _D3_MIXTURE])
-    def test_kept_coefficients_give_the_module_functions_bits(self, target):
+    @pytest.mark.parametrize(
+        "target",
+        [
+            Target.low_rank(5, 2, var_value=0.4),
+            _D3_MIXTURE,
+            Target.gaussian([-0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 2.0, 2.0]),
+        ],
+        ids=["low-rank", "mixture", "sign-bit"],
+    )
+    def test_the_oracle_gives_the_module_functions_bits(self, target):
         oracle = ExactOracle(target)
         x = np.random.default_rng(12).normal(0.0, 2.0, (40, target.dim))
         for t in (0.0, 0.3, 0.95, 0.3, 0.0, 0.95):
             assert _bits(oracle.velocity(t, x)) == _bits(velocity(target, t, x)), t
+            assert _bits(oracle.score(t, x)) == _bits(score(target, t, x)), t
 
-    def test_a_row_blocked_run_builds_each_knots_coefficients_once(self, monkeypatch):
-        import flowgrid.targets
-        from flowgrid.samplers import rf_euler
+    def test_an_oracle_keeps_nothing_between_calls(self):
+        import tracemalloc
 
-        built = []
-        build = flowgrid.targets._velocity_coefficients
-
-        def counted(target, t):
-            built.append(t)
-            return build(target, t)
-
-        monkeypatch.setattr(flowgrid.targets, "_velocity_coefficients", counted)
-        monkeypatch.setattr(flowgrid.batch, "_BLOCK_BYTES", 8 * 8 * 10)  # 10 rows a block
-        grid = np.linspace(0.0, 0.9, 13)
-        rf_euler(ExactOracle(Target.low_rank(8, 2)), grid, 45, seed=2)
-        assert built == [float(t) for t in grid[:-1]]
-
-    def test_the_kept_coefficients_stay_within_their_bytes(self, monkeypatch):
-        import flowgrid.targets
-
-        # Two distinct coordinates in each of two components: 64 bytes a knot.
-        target = Target(
-            weights=np.array([0.5, 0.5]),
-            means=np.array([[1.0, 1.0, -0.0, 0.0], [2.0, 2.0, 0.0, 0.0]]),
-            variances=np.array([[0.5, 0.5, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]]),
-        )
-        monkeypatch.setattr(flowgrid.targets, "_COEFFICIENT_BYTES", 5 * 64)
-        oracle = ExactOracle(target)
-        x = np.random.default_rng(13).normal(0.0, 2.0, (3, 4))
-        for t in np.linspace(0.0, 0.9, 23):
-            assert _bits(oracle.velocity(t, x)) == _bits(velocity(target, t, x))
-            assert 1 <= len(oracle._coefficients) <= 5
-
-    def test_coordinates_that_differ_only_in_a_sign_bit_are_kept_apart(self):
-        target = Target.gaussian([-0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 2.0, 2.0])
-        oracle = ExactOracle(target)
-        x = np.zeros((2, 4))
-        assert oracle._distinct.dim == 3
-        for t in (0.0, 0.5):
-            assert _bits(oracle.velocity(t, x)) == _bits(velocity(target, t, x))
+        oracle = ExactOracle(_D3_MIXTURE)
+        x = np.random.default_rng(13).normal(0.0, 2.0, (4, 3))
+        out = np.empty_like(x)
+        knots = [float(t) for t in np.linspace(0.0, 0.99, 1000)]
+        tracemalloc.start()
+        try:
+            oracle.velocity(0.5, x, out=out)
+            oracle.score(0.5, x, out=out)
+            before = tracemalloc.get_traced_memory()[0]
+            for t in knots:
+                oracle.velocity(t, x, out=out)
+                oracle.score(t, x, out=out)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 4096, retained
 
 
 # The noise-free samplers run their rows in blocks, so a field's rows must
@@ -520,6 +508,12 @@ class TestPerturbations:
     def test_none_is_identity(self):
         oracle = ExactOracle(Target.low_rank(3, 2))
         assert perturb_field(oracle, PerturbationSpec()) is oracle
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_a_seed_that_is_not_a_count_is_a_domain_error(self, seed):
+        # the seed must fail here as a FlowgridError, not later inside numpy
+        with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+            PerturbationSpec("additive-field", 0.1, seed=seed)
 
     def test_scale_bias_formula(self):
         tgt = Target.low_rank(3, 2)
