@@ -5,10 +5,11 @@ The package is organized around six pieces:
 * :mod:`flowgrid.schedules` — uniform / U-shaped / schedule-induced time
   grids and the geometric-warmup noising schedule.
 * :mod:`flowgrid.targets` — Gaussian-mixture targets with closed-form
-  posterior moments, velocity and score oracles, and controlled oracle
-  perturbations.
+  posterior moments, velocity and score oracles, and two corrupted oracles
+  (scale-bias and additive-field).
 * :mod:`flowgrid.samplers` — deterministic and stochastic samplers driven by
-  those oracles, plus an exact affine pushforward used to validate them.
+  those oracles, plus an exact affine pushforward on the same oracles,
+  used to validate them.
 * :mod:`flowgrid.localization` — time changes tying the flow, diffusion and
   observation-process clocks together, with simulators and equivalence
   checks.
@@ -82,12 +83,11 @@ from .schedules import (
     time_from_mix_weight,
 )
 from .targets import (
+    AdditiveFieldOracle,
     ExactOracle,
-    PerturbationKind,
-    PerturbationSpec,
+    ScaleBiasOracle,
     Target,
     blur_samples,
-    perturb_field,
     posterior_moments,
     sample_blurred_target,
     sample_target,
@@ -115,12 +115,11 @@ __all__ = [
     "time_from_mix_weight",
     "BatchMeta",
     "SampleBatch",
+    "AdditiveFieldOracle",
     "ExactOracle",
-    "PerturbationKind",
-    "PerturbationSpec",
+    "ScaleBiasOracle",
     "Target",
     "blur_samples",
-    "perturb_field",
     "posterior_moments",
     "sample_blurred_target",
     "sample_target",

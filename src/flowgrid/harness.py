@@ -174,8 +174,10 @@ class ResultRow:
     def __post_init__(self) -> None:
         if not 0.0 <= self.tv <= 1.0:
             raise DomainError(f"tv must lie in [0, 1]; got {self.tv!r}")
-        if self.wall_ms <= 0.0:
-            raise DomainError("wall_ms must be positive")
+        if not self.tv_stderr >= 0.0:  # NaN fails too
+            raise DomainError(f"tv_stderr must be >= 0; got {self.tv_stderr!r}")
+        if not self.wall_ms > 0.0:
+            raise DomainError(f"wall_ms must be positive; got {self.wall_ms!r}")
 
     def csv_line(self) -> str:
         return (

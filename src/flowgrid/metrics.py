@@ -77,8 +77,8 @@ class TvEstimate:
     def __post_init__(self) -> None:
         if not 0.0 <= self.value <= 1.0:
             raise DomainError(f"TV value must lie in [0, 1]; got {self.value!r}")
-        if self.std_error < 0.0:
-            raise DomainError("standard error cannot be negative")
+        if not self.std_error >= 0.0:  # NaN fails too
+            raise DomainError(f"standard error must be >= 0; got {self.std_error!r}")
         if self.rounds != len(self.per_round):
             raise DomainError("rounds must match the number of per-round readings")
 

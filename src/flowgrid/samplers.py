@@ -23,8 +23,8 @@ final step explicitly:
   weight γ_t = (1-t)/t and matching noise; ``gamma_scale=0`` switches the
   channel off and reproduces :func:`rf_euler` bit for bit.
 
-:data:`SAMPLERS` is the one table of them (function and grid needs) and
-:func:`run_sampler` dispatches through it.  All five run on one step loop,
+:data:`SAMPLERS` is the one table of them (function, exact affine step and
+grid needs) and :func:`run_sampler` dispatches through it.  All five run on one step loop,
 x ← drift + x [+ c·ξ] [then a post-step], in buffers that are reused every
 step and that the oracle fills through ``out``.  Each sampler supplies its
 own knots, drift, noise scales, post-step and knot scales: the chain and the
@@ -37,11 +37,11 @@ and takes each block through every step, noise or none.  A run holds one
 ``stoc-rf`` run's traced peak is 1.69 times that array with inline draws.
 The bits do not depend on the blocks.
 
-For single-Gaussian targets every one of these updates is affine in the
-state, so mean and per-coordinate variance propagate in closed form;
-:func:`gaussian_pushforward` does that propagation in one loop, in sample
-coordinates, with one affine step per sampler built from the coefficients
-of :func:`~flowgrid.targets.affine_field`, and is the reference the
+On fields affine in the state (a single Gaussian's exact fields, or a
+:class:`~flowgrid.targets.ScaleBiasOracle` over them) every update is
+affine, so mean and per-coordinate variance propagate in closed form:
+:func:`gaussian_pushforward` folds each row's affine step over the knots,
+with the coefficients of the oracle's ``affine``, and is the reference the
 Monte-Carlo tests compare against.
 
 Noise addressing: the initial state comes from the ``(seed, INIT_NOISE)``
@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -79,7 +80,7 @@ from .schedules import (
     ddpm_induced_rf_grid,
     time_from_mix_weight,
 )
-from .targets import ExactOracle, FieldOracle, Target, affine_field, score, velocity
+from .targets import ExactOracle, FieldOracle, Target, score, velocity
 
 __all__ = [
     "StocRfCoefficients",
@@ -670,22 +671,55 @@ class PushforwardPath:
         return self.mean[-1], self.var_diag[-1]
 
 
+def _rf_affine(times, a, b, p, q, gamma_scale):
+    step = np.diff(times)[:, None]
+    return 1.0, 1.0 + step * a, step * b, 0.0
+
+
+def _ddim_affine(times, a, b, p, q, gamma_scale):
+    t, step = times[:-1, None], np.diff(times)[:, None]
+    weight = (1.0 - t) / t
+    return 1.0, 1.0 + step / t + step * weight * p, step * weight * q, 0.0
+
+
+def _whitened_affine(times, a, b, p, q, gamma_scale):
+    """y ← (t_{i+1}/t_i)·(y + η_iσ_i²·s(t_i, y) + σ_i√ψ_i·ξ), from N(0, σ_{t_0}²·I)."""
+    coeffs = stoc_rf_coefficients(times)
+    grow, sigma2 = (times[1:] / times[:-1])[:, None], coeffs.sigma2[:-1, None]
+    drift = coeffs.eta[:, None] * sigma2
+    noise = grow * grow * sigma2 * coeffs.psi[:, None]
+    return coeffs.sigma2[0], grow * (1.0 + drift * p), grow * drift * q, noise
+
+
+def _langevin_affine(times, a, b, p, q, gamma_scale):
+    t, step = times[:-1, None], np.diff(times)[:, None]
+    gamma = gamma_scale * (1.0 - t) / t
+    return 1.0, 1.0 + step * (a + gamma * p), step * (b + gamma * q), 2.0 * step * gamma
+
+
 @dataclass(frozen=True)
 class SamplerEntry:
     """One row of :data:`SAMPLERS`: the sampler function's name in this
-    module and what its grid must provide, in the terms of
-    :class:`~flowgrid.schedules.GridEntry`."""
+    module, its exact step on affine fields, and what its grid must provide,
+    in the terms of :class:`~flowgrid.schedules.GridEntry`.
+
+    ``affine(times, a, b, p, q, gamma_scale)`` takes the field's (K, d)
+    coefficients at the first K of K + 1 knots and returns the default start
+    variance and (lin, off, noise), broadcasting to (K, d), of the steps
+    y ← lin_i·y + off_i + √noise_i·ξ, all in sample coordinates.
+    """
 
     function: str
+    affine: Callable
     needs: frozenset[str] = frozenset()
 
 
 SAMPLERS: dict[str, SamplerEntry] = {
-    "rf": SamplerEntry("rf_euler"),
-    "ddim-rf": SamplerEntry("ddim_rf", frozenset({"t0>0"})),
-    "stoc-rf": SamplerEntry("stoc_rf", frozenset({"t0>0"})),
-    "ddpm": SamplerEntry("ddpm_sample", frozenset({"schedule"})),
-    "langevin": SamplerEntry("langevin_rf", frozenset({"t0>0"})),
+    "rf": SamplerEntry("rf_euler", _rf_affine),
+    "ddim-rf": SamplerEntry("ddim_rf", _ddim_affine, frozenset({"t0>0"})),
+    "stoc-rf": SamplerEntry("stoc_rf", _whitened_affine, frozenset({"t0>0"})),
+    "ddpm": SamplerEntry("ddpm_sample", _whitened_affine, frozenset({"schedule"})),
+    "langevin": SamplerEntry("langevin_rf", _langevin_affine, frozenset({"t0>0"})),
 }
 
 
@@ -713,7 +747,7 @@ def run_sampler(name: str, oracle: FieldOracle, built: BuiltGrid, n: int, seed: 
 
 
 def gaussian_pushforward(
-    target: Target,
+    oracle: FieldOracle,
     grid,
     sampler: str = "rf",
     *,
@@ -722,87 +756,48 @@ def gaussian_pushforward(
     final_step: bool = False,
     gamma_scale: float = 1.0,
 ) -> PushforwardPath:
-    """Propagate sampler moments exactly for a single-Gaussian target.
+    """Propagate sampler moments exactly on fields affine in the state.
 
-    On such targets the velocity and score are affine in the state, so every
-    sampler update is an affine map plus (for the stochastic ones) Gaussian
-    noise.  One loop moves mean and per-coordinate variance by
-
-        m ← lin·m + off,      v ← lin²·v + noise,
-
-    each sampler's (lin, off, noise) built from the field's coefficients
-    (a, b, p, q) of :func:`~flowgrid.targets.affine_field` and the sampler's
-    coefficient arrays.  ``stoc-rf`` and ``ddpm`` take their whitened update
-    in sample coordinates, y ← (t_{i+1}/t_i)·(y + η_iσ_i²·s(t_i, y) +
-    σ_i√ψ_i·ξ).  The returned path holds the moments at every visited knot.
+    The oracle's ``affine`` gives the coefficients (a, b, p, q) at the
+    knots, the sampler's :data:`SAMPLERS` row turns them into affine steps
+    plus Gaussian noise, and one loop moves mean and per-coordinate variance
+    by m ← lin·m + off, v ← lin²·v + noise.  The returned path holds the
+    moments at every visited knot.
 
     ``init_mean``/``init_var`` override the initial law, in sample
-    coordinates for every sampler.  The default is each sampler's own start:
-    N(0, I) for ``rf``/``ddim-rf``/``langevin`` and N(0, σ_{t_0}²·I) for
-    ``stoc-rf``/``ddpm``, whose whitened state starts at N(0, I).  Passing
-    the empirical moments of a concrete initial draw makes the deterministic
-    kinds track that finite ensemble exactly, which is how the
-    sampler/oracle agreement tests use this.
-
-    ``sampler="ddpm"`` expects the schedule's induced grid (the chain and
-    the whitened flow recursion are the same affine map there, coefficient
-    for coefficient).
+    coordinates.  The default is the sampler's own start: N(0, I), or
+    N(0, σ_{t_0}²·I) for ``stoc-rf``/``ddpm``, whose whitened state starts
+    at N(0, I).  The empirical moments of a concrete initial draw make the
+    deterministic kinds track that finite ensemble exactly.
+    ``sampler="ddpm"`` expects the schedule's induced grid, where the chain
+    and the whitened recursion are the same affine map.
 
     Raises
     ------
     DomainError
-        For mixture targets, unknown sampler kinds, grids that start at 0
-        for the score-driven kinds, a negative or non-finite
-        ``gamma_scale``, negative initial variances, or initial moments
-        that do not broadcast to the target's shape (d,).
+        For an oracle without an affine form (a mixture target, an
+        :class:`~flowgrid.targets.AdditiveFieldOracle`), unknown sampler
+        kinds, grids that start at 0 for the score-driven kinds, a negative
+        or non-finite ``gamma_scale``, negative initial variances, or
+        initial moments that do not broadcast to (d,).
     """
-    if target.n_components != 1:
-        raise DomainError(
-            "the affine push-forward exists only for single-Gaussian targets"
-        )
-    _sampler_entry(sampler)
+    entry = _sampler_entry(sampler)
     _check_gamma_scale(gamma_scale)
     times, _ = _integration_times(grid, final_step)
     _check_start(sampler, times)
-    whitened = sampler in ("stoc-rf", "ddpm")
-    if whitened:
-        coeffs = stoc_rf_coefficients(times)  # validates t_0 > 0
-    start_var = coeffs.sigma2[0] if whitened else 1.0
+    start_var, *steps = entry.affine(times, *oracle.affine(times[:-1]), gamma_scale)
+    lin, off, noise = np.broadcast_arrays(*steps)
     try:
-        m = np.full(target.dim, 0.0 if init_mean is None else init_mean, dtype=np.float64)
-        var = np.full(target.dim, start_var if init_var is None else init_var, dtype=np.float64)
+        m = np.full(oracle.dim, 0.0 if init_mean is None else init_mean, dtype=np.float64)
+        var = np.full(oracle.dim, start_var if init_var is None else init_var, dtype=np.float64)
     except ValueError:
-        raise DomainError(f"init_mean and init_var must broadcast to ({target.dim},)") from None
+        raise DomainError(f"init_mean and init_var must broadcast to ({oracle.dim},)") from None
     if np.any(var < 0.0) or not np.all(np.isfinite(var)) or not np.all(np.isfinite(m)):
         raise DomainError("initial moments must be finite with var >= 0")
-
-    means = [m]
-    vars_ = [var]
+    means, vars_ = [m], [var]
     for i in range(times.size - 1):
-        t_i = float(times[i])
-        step = float(times[i + 1]) - t_i
-        a, b, p, q = (c[0] for c in affine_field(target, t_i))
-        noise = 0.0
-        if sampler == "rf":
-            lin, off = 1.0 + step * a, step * b
-        elif sampler == "ddim-rf":
-            weight = (1.0 - t_i) / t_i
-            lin = 1.0 + step / t_i + step * weight * p
-            off = step * weight * q
-        elif sampler == "langevin":
-            gamma = gamma_scale * (1.0 - t_i) / t_i
-            lin = 1.0 + step * (a + gamma * p)
-            off = step * (b + gamma * q)
-            noise = 2.0 * step * gamma
-        else:  # stoc-rf and ddpm
-            grow = float(times[i + 1]) / t_i
-            drift = coeffs.eta[i] * coeffs.sigma2[i]
-            lin, off = grow * (1.0 + drift * p), grow * drift * q
-            noise = grow * grow * coeffs.sigma2[i] * coeffs.psi[i]
-        m = lin * m + off
-        var = lin * lin * var + noise
-        means.append(m)
-        vars_.append(var)
+        means.append(lin[i] * means[i] + off[i])
+        vars_.append(lin[i] * lin[i] * vars_[i] + noise[i])
     return PushforwardPath(times=times, mean=np.stack(means), var_diag=np.stack(vars_))
 
 

@@ -32,7 +32,7 @@ which hold exactly for the closed forms and are enforced by tests.
 
 from __future__ import annotations
 
-import enum
+import math
 from dataclasses import dataclass, replace
 from typing import Protocol, runtime_checkable
 
@@ -46,15 +46,14 @@ from .schedules import _count, _freeze
 __all__ = [
     "Target",
     "PosteriorMoments",
-    "PerturbationKind",
-    "PerturbationSpec",
     "FieldOracle",
     "ExactOracle",
+    "ScaleBiasOracle",
+    "AdditiveFieldOracle",
     "posterior_moments",
     "affine_field",
     "velocity",
     "score",
-    "perturb_field",
     "sample_target",
     "blur_samples",
     "sample_blurred_target",
@@ -192,8 +191,13 @@ def _field_out(x, dim: int, out) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x, (out[None, :] if squeezed else out), out
 
 
-def _marginal_scale(target: Target, t: float) -> np.ndarray:
-    """Per-coordinate marginal variance of X_t given each component, (m, d)."""
+def _marginal_scale(target: Target, t) -> np.ndarray:
+    """Per-coordinate marginal variance of X_t given each component, (m, d),
+    or (K, m, d) for a (K, 1, 1) array of times.  (1-t)² is Python's float
+    power either way: numpy's array square rounds some values differently."""
+    if np.ndim(t):
+        gap2 = [(1.0 - s) ** 2 for s in t.ravel().tolist()]
+        return t * t * target.variances + np.reshape(gap2, t.shape)
     return t * t * target.variances + (1.0 - t) ** 2
 
 
@@ -241,18 +245,19 @@ def posterior_moments(target: Target, t: float, x) -> PosteriorMoments:
     return PosteriorMoments(mean=mean, var_diag=var)
 
 
-def _velocity_coefficients(target: Target, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """(a, b), each (m, d), of the velocity a·x + b at a checked time ``t``."""
+def _velocity_coefficients(target: Target, t) -> tuple[np.ndarray, ...]:
+    """(a, b), each (m, d), of the velocity a·x + b at a checked time ``t``, and the scale."""
     d_scale = _marginal_scale(target, t)  # (m, d)
-    return (t * target.variances - (1.0 - t)) / d_scale, (1.0 - t) * target.means / d_scale
+    return (t * target.variances - (1.0 - t)) / d_scale, (1.0 - t) * target.means / d_scale, d_scale
 
 
-def affine_field(target: Target, t: float) -> tuple[np.ndarray, ...]:
+def affine_field(target: Target, t) -> tuple[np.ndarray, ...]:
     """Per-component (a, b, p, q), each (m, d), of the velocity a·x + b (module
-    docstring) and the score p·x + q, p = -1/(t²v + (1-t)²), q = -p·t·μ."""
-    t = _check_time(t)
-    d_scale = _marginal_scale(target, t)
-    return *_velocity_coefficients(target, t), -1.0 / d_scale, t * target.means / d_scale
+    docstring) and the score p·x + q, p = -1/(t²v + (1-t)²), q = -p·t·μ.  For
+    a 1-D array of K times each is (K, m, d), with the bits of K calls."""
+    t = np.array([_check_time(s) for s in t])[:, None, None] if np.ndim(t) else _check_time(t)
+    a, b, d_scale = _velocity_coefficients(target, t)
+    return a, b, -1.0 / d_scale, t * target.means / d_scale
 
 
 def velocity(target: Target, t: float, x, out=None) -> np.ndarray:
@@ -267,7 +272,7 @@ def velocity(target: Target, t: float, x, out=None) -> np.ndarray:
     otherwise), which may be ``x`` itself.  The bits are the same either way.
     """
     t = _check_time(t)
-    a, b = _velocity_coefficients(target, t)
+    a, b, _ = _velocity_coefficients(target, t)
     x, rows, out = _field_out(x, target.dim, out)
     if target.n_components == 1:
         np.multiply(a[0], x, out=rows)
@@ -303,32 +308,6 @@ def score(target: Target, t: float, x, out=None) -> np.ndarray:
     return out
 
 
-class PerturbationKind(str, enum.Enum):
-    """Ways of corrupting a velocity oracle on purpose."""
-
-    NONE = "none"
-    SCALE_BIAS = "scale-bias"
-    ADDITIVE_FIELD = "additive-field"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
-
-@dataclass(frozen=True)
-class PerturbationSpec:
-    """What to do to the field: kind, size, and the seed of the random field."""
-
-    kind: PerturbationKind = PerturbationKind.NONE
-    magnitude: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", PerturbationKind(self.kind))
-        if not np.isfinite(self.magnitude):
-            raise DomainError("perturbation magnitude must be finite")
-        _count(self.seed, "seed", 0)
-
-
 @runtime_checkable
 class FieldOracle(Protocol):
     """What samplers need: a velocity field and a matching score field.
@@ -342,7 +321,7 @@ class FieldOracle(Protocol):
     A field's row j depends on row j of ``x`` alone, bit for bit:
     ``f(t, x)[a:b]`` equals ``f(t, x[a:b])``, so the samplers may run their
     rows in blocks, calling each field once per row block.  The oracles
-    here keep that, with one exception: the ``additive-field`` perturbation
+    here keep that, with one exception: :class:`AdditiveFieldOracle`
     at d > 1 forms ``x @ freqs.T``, a BLAS matrix product whose kernel and
     sums depend on the row count, so its bits may differ with the number of
     rows (at d = 200 with OpenBLAS on a 2-vCPU x86 VM, the first 4, 5 or 6
@@ -350,6 +329,10 @@ class FieldOracle(Protocol):
     carries that caveat with it, the noise-drawing ones since they too run
     in row blocks; no sweep, pin or check runs that perturbation at d > 1.
     At d = 1 that product is one multiplication a value.
+
+    :func:`~flowgrid.samplers.gaussian_pushforward` also reads ``affine(t)``:
+    the (a, b, p, q) of a velocity a·x + b and score p·x + q, each (d,), or
+    (K, d) for K times; a field not affine in the state raises DomainError.
     """
 
     @property
@@ -384,55 +367,35 @@ class ExactOracle:
     def score(self, t: float, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return score(self.target, t, x, out=out)
 
+    def affine(self, t) -> tuple[np.ndarray, ...]:
+        """:func:`affine_field` of a single-Gaussian target, one row per time."""
+        if self.target.n_components != 1:
+            raise DomainError("the fields are affine only for single-Gaussian targets")
+        return tuple(c[..., 0, :] for c in affine_field(self.target, t))
+
     def __repr__(self) -> str:
         return f"ExactOracle({self.target.describe()})"
 
 
-class _PerturbedOracle:
-    """A corrupted velocity field with the score derived from it.
+class _DerivedScoreOracle:
+    """A corrupted velocity v̂ of ``base``, of size ``m``, with its score derived.
 
     The score is always (t·v̂(x) - x)/(1-t): the perturbed pair then
     satisfies the same exchange identity as the exact pair, so score-driven
     samplers see a perturbation consistent with velocity-driven ones.  Both
     methods take ``out`` as :func:`velocity` does; the base oracle writes
-    its velocity straight into it.
+    its velocity straight into it.  A subclass defines ``velocity``, and
+    ``affine`` if its field is affine in the state.
     """
 
-    def __init__(self, base: FieldOracle, spec: PerturbationSpec):
-        self.base = base
-        self.spec = spec
-        if spec.kind is PerturbationKind.ADDITIVE_FIELD:
-            rng = substream(spec.seed, INIT_NOISE)
-            d = base.dim
-            self._anchor = rng.standard_normal(d)
-            self._anchor *= np.sqrt(d) / np.linalg.norm(self._anchor)
-            self._freqs = rng.standard_normal((d, d)) * (2.0 / np.sqrt(d))
-            self._rates = rng.standard_normal(d) * 2.0
-            self._phases = rng.uniform(0.0, 2.0 * np.pi, size=d)
+    def __init__(self, base: FieldOracle, m: float):
+        if not math.isfinite(m):
+            raise DomainError(f"perturbation magnitude must be finite, got {m!r}")
+        self.base, self.m = base, float(m)
 
     @property
     def dim(self) -> int:
         return self.base.dim
-
-    def velocity(self, t: float, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        x, rows, out = _field_out(x, self.dim, out)
-        kind, m = self.spec.kind, self.spec.magnitude
-        if kind is PerturbationKind.ADDITIVE_FIELD:
-            # a fixed smooth unit-norm direction field scaled to magnitude m —
-            # the field error ||v̂ - v|| equals m at every point, hence exactly
-            # m in root-mean-square under any state distribution.  Taken before
-            # v is written, since ``out`` may be ``x``.
-            w = np.sqrt(self.dim) * self._anchor + 0.5 * np.cos(
-                x @ self._freqs.T + self._rates * t + self._phases
-            )
-            g = m * w / np.linalg.norm(w, axis=1, keepdims=True)
-        self.base.velocity(t, x, out=rows)
-        if kind is PerturbationKind.SCALE_BIAS:  # (1+m)·v + m
-            rows *= 1.0 + m
-            rows += m
-        else:
-            rows += g
-        return out
 
     def score(self, t: float, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         t = _check_time(t)
@@ -445,18 +408,57 @@ class _PerturbedOracle:
         s /= 1.0 - t
         return s
 
+    def affine(self, t):
+        raise DomainError(f"{type(self).__name__}'s field is not affine in the state")
+
     def __repr__(self) -> str:
-        return (
-            f"perturbed({self.base!r}, kind={self.spec.kind.value}, "
-            f"magnitude={self.spec.magnitude})"
+        return f"{type(self).__name__}({self.base!r}, {self.m!r})"
+
+
+class ScaleBiasOracle(_DerivedScoreOracle):
+    """The velocity (1+m)·v + m of ``base``: a scale error and a bias m·𝟙 of
+    norm m√d.  Over an affine base, ``affine(t)`` gives â = (1+m)a,
+    b̂ = (1+m)b + m and the derived score's p̂ = (t·â - 1)/(1-t), q̂ = t·b̂/(1-t)."""
+
+    def velocity(self, t: float, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        x, rows, out = _field_out(x, self.dim, out)
+        self.base.velocity(t, x, out=rows)
+        rows *= 1.0 + self.m
+        rows += self.m
+        return out
+
+    def affine(self, t) -> tuple[np.ndarray, ...]:
+        a, b, _, _ = self.base.affine(t)
+        t = np.asarray(t, dtype=np.float64)[..., None]
+        a, b = (1.0 + self.m) * a, (1.0 + self.m) * b + self.m
+        return a, b, (t * a - 1.0) / (1.0 - t), t * b / (1.0 - t)
+
+
+class AdditiveFieldOracle(_DerivedScoreOracle):
+    """The velocity of ``base`` plus a smooth field drawn from ``seed``, of
+    norm exactly m at every point (so m in root-mean-square under any state
+    law).  It is not affine in the state: ``affine`` raises DomainError."""
+
+    def __init__(self, base: FieldOracle, m: float, seed: int):
+        super().__init__(base, m)
+        rng = substream(_count(seed, "seed", 0), INIT_NOISE)
+        d = base.dim
+        self._anchor = rng.standard_normal(d)
+        self._anchor *= np.sqrt(d) / np.linalg.norm(self._anchor)
+        self._freqs = rng.standard_normal((d, d)) * (2.0 / np.sqrt(d))
+        self._rates = rng.standard_normal(d) * 2.0
+        self._phases = rng.uniform(0.0, 2.0 * np.pi, size=d)
+
+    def velocity(self, t: float, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        x, rows, out = _field_out(x, self.dim, out)
+        # taken before v is written, since ``out`` may be ``x``
+        w = np.sqrt(self.dim) * self._anchor + 0.5 * np.cos(
+            x @ self._freqs.T + self._rates * t + self._phases
         )
-
-
-def perturb_field(oracle: FieldOracle, spec: PerturbationSpec) -> FieldOracle:
-    """Wrap an oracle with a controlled corruption (identity for kind none)."""
-    if spec.kind is PerturbationKind.NONE:
-        return oracle
-    return _PerturbedOracle(oracle, spec)
+        g = self.m * w / np.linalg.norm(w, axis=1, keepdims=True)
+        self.base.velocity(t, x, out=rows)
+        rows += g
+        return out
 
 
 def sample_target(target: Target, n: int, seed: int) -> SampleBatch:

@@ -177,7 +177,7 @@ def test_criterion_05_flow_matches_affine_pushforward():
     batch = rf_euler(oracle, grid, 400, seed=21, record_trajectories=True)
     starts = batch.trajectory[0]
     push = gaussian_pushforward(
-        target,
+        oracle,
         grid,
         "rf",
         init_mean=starts.mean(axis=0),
@@ -192,7 +192,7 @@ def test_criterion_05_flow_matches_affine_pushforward():
     # sampled leg: fresh standard-normal starts against the analytic law
     n = 5000
     sampled = rf_euler(oracle, grid, n, seed=22)
-    law_mean, law_var = gaussian_pushforward(target, grid, "rf").terminal()
+    law_mean, law_var = gaussian_pushforward(oracle, grid, "rf").terminal()
     mean_se = np.sqrt(law_var / n)
     var_se = law_var * np.sqrt(2.0 / (n - 1))
     mean_dev = float(np.max(np.abs(sampled.data.mean(axis=0) - law_mean) / mean_se))

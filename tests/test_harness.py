@@ -1,6 +1,7 @@
 """Sweep harness tests: tiny end-to-end cells, reproducibility, config parsing."""
 
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -144,8 +145,12 @@ class TestSpecValidation:
         assert row.csv_line().startswith("10,8,100,rf,ushaped,0,")
         with pytest.raises(DomainError, match="tv"):
             ResultRow(10, 8, 100, "rf", "ushaped", 0, 1.5, 0.01, 12.0)
-        with pytest.raises(DomainError, match="wall_ms"):
-            ResultRow(10, 8, 100, "rf", "ushaped", 0, 0.5, 0.01, 0.0)
+        for wall_ms in (0.0, math.nan):  # NaN must fail the check too
+            with pytest.raises(DomainError, match="wall_ms"):
+                ResultRow(10, 8, 100, "rf", "ushaped", 0, 0.5, 0.01, wall_ms)
+        for stderr in (-0.01, math.nan):  # the CSV's tv_stderr column
+            with pytest.raises(DomainError, match="tv_stderr"):
+                ResultRow(10, 8, 100, "rf", "ushaped", 0, 0.5, stderr, 12.0)
 
     def test_sampler_grid_compatibility(self, tmp_path, capsys):
         assert sampler_fits_grid("rf", "uniform")

@@ -34,7 +34,7 @@ from flowgrid.metrics import (
     tv_oracle_gaussian_1d,
 )
 from flowgrid.rng import substream
-from flowgrid.targets import Target, sample_target
+from flowgrid.targets import ExactOracle, Target, sample_target
 
 
 def phi(x):
@@ -391,8 +391,9 @@ class TestEstimateTv:
     def test_estimate_record_validation(self):
         with pytest.raises(DomainError):
             TvEstimate(value=1.2, std_error=0.0, rounds=1, per_round=(1.2,))
-        with pytest.raises(DomainError):
-            TvEstimate(value=0.5, std_error=-0.1, rounds=1, per_round=(0.5,))
+        for std_error in (-0.1, math.nan):  # NaN must fail the check too
+            with pytest.raises(DomainError, match="standard error"):
+                TvEstimate(value=0.5, std_error=std_error, rounds=1, per_round=(0.5,))
         with pytest.raises(DomainError):
             TvEstimate(value=0.5, std_error=0.0, rounds=2, per_round=(0.5,))
 
@@ -543,11 +544,12 @@ class TestGaussianTvBounds:
 
         d, delta = 800, 1.0 / 800
         target = Target.low_rank(d, 8)
+        oracle = ExactOracle(target)
         blurred_mean = (1.0 - delta) * target.means[0]
         blurred_var = (1.0 - delta) ** 2 * target.variances[0] + delta**2
         readings = {}
         for kind in (GridKind.USHAPED, GridKind.UNIFORM):
-            path = gaussian_pushforward(target, GRIDS[kind].build(100, delta).grid, "rf")
+            path = gaussian_pushforward(oracle, GRIDS[kind].build(100, delta).grid, "rf")
             readings[kind] = gaussian_tv_bounds(
                 path.mean[-1], path.var_diag[-1], blurred_mean, blurred_var
             )

@@ -53,7 +53,7 @@ from flowgrid.schedules import (
     ddpm_induced_rf_grid,
     time_from_mix_weight,
 )
-from flowgrid.targets import ExactOracle, PerturbationSpec, Target, perturb_field
+from flowgrid.targets import AdditiveFieldOracle, ExactOracle, ScaleBiasOracle, Target
 
 
 def point_mass(c):
@@ -215,7 +215,7 @@ class TestRfEuler:
         grid = build_ushaped_grid(100, 0.01)
         n = 2000
         batch = rf_euler(oracle, grid, n, seed=11)
-        push = gaussian_pushforward(target, grid, "rf")
+        push = gaussian_pushforward(oracle, grid, "rf")
         mean, var = push.terminal()
         band = 4.0 * np.sqrt(var / n)
         assert np.all(np.abs(batch.data.mean(axis=0) - 0.99 * 8.0) <= band + 1e-12)
@@ -310,7 +310,7 @@ class TestStocRf:
         grid = induced_grid(100)
         n = 4000
         batch = stoc_rf(ExactOracle(target), grid, n, seed=21)
-        push = gaussian_pushforward(target, grid, "stoc-rf")
+        push = gaussian_pushforward(ExactOracle(target), grid, "stoc-rf")
         mean, var = push.terminal()
         emp_mean = batch.data.mean(axis=0)
         emp_var = batch.data.var(axis=0, ddof=1)
@@ -325,7 +325,7 @@ class TestStocRf:
     def test_exact_on_degenerate_coordinates(self):
         target = Target.low_rank(6, 3)
         grid = induced_grid(100)
-        push = gaussian_pushforward(target, grid, "stoc-rf")
+        push = gaussian_pushforward(ExactOracle(target), grid, "stoc-rf")
         mean, var = push.terminal()
         delta = grid.delta
         # point-mass coordinates follow the blur map exactly; full-variance
@@ -378,7 +378,7 @@ class TestLangevinRf:
         grid = induced_grid(100)
         n = 4000
         batch = langevin_rf(ExactOracle(target), grid, n, seed=23)
-        mean, var = gaussian_pushforward(target, grid, "langevin").terminal()
+        mean, var = gaussian_pushforward(ExactOracle(target), grid, "langevin").terminal()
         emp_mean = batch.data.mean(axis=0)
         emp_var = batch.data.var(axis=0, ddof=1)
         assert np.all(np.abs(emp_mean - mean) <= 4.0 * np.sqrt(var / n))
@@ -440,7 +440,7 @@ class TestDdpmSample:
         n = 4000
         batch = ddpm_sample(ExactOracle(target), schedule, n, seed=29)
         mean, var = gaussian_pushforward(
-            target, ddpm_induced_rf_grid(schedule), "ddpm"
+            ExactOracle(target), ddpm_induced_rf_grid(schedule), "ddpm"
         ).terminal()
         emp_mean = batch.data.mean(axis=0)
         emp_var = batch.data.var(axis=0, ddof=1)
@@ -1088,6 +1088,10 @@ _PIN_TARGETS = {
     "scale-bias": Target.gaussian([2.0, -1.0, 0.5, 3.0], [1.0, 0.5, 2.0, 0.0]),
     "additive-field": Target.gaussian([1.5], [0.3]),
 }
+_PERTURB = {
+    "scale-bias": lambda o: ScaleBiasOracle(o, 0.2),
+    "additive-field": lambda o: AdditiveFieldOracle(o, 0.2, 7),
+}
 _PINNED_SHA256 = {
     ("scale-bias", "rf"): "b4f859ac799313701df7e233c3efb8570e11615e7bb5e68cfe9056561c5d7734",
     ("scale-bias", "ddim-rf[euler]"):
@@ -1141,8 +1145,7 @@ class TestBufferRing:
     @pytest.mark.parametrize("name", list(_PIN_RUNS))
     @pytest.mark.parametrize("kind", list(_PIN_TARGETS))
     def test_perturbed_oracle_gives_the_pinned_bits(self, kind, name):
-        spec = PerturbationSpec(kind, 0.2, 7)
-        oracle = perturb_field(ExactOracle(_PIN_TARGETS[kind]), spec)
+        oracle = _PERTURB[kind](ExactOracle(_PIN_TARGETS[kind]))
         digest = hashlib.sha256(_PIN_RUNS[name](oracle).data.tobytes()).hexdigest()
         assert digest == _PINNED_SHA256[kind, name]
 
@@ -1299,19 +1302,88 @@ class TestSamplerTable:
 # ---------------------------------------------------------------------------
 # closed-form push-forward
 
+# sha256 of (times, mean, var_diag) for every SAMPLERS row on each grid kind
+# it runs on (N = 20, δ = 0.05), recorded before the push-forward read its
+# steps from the SAMPLERS rows and its coefficients from the oracle
+_PUSH_TARGET = Target.gaussian([2.0, -1.0, 0.5, 3.0], [1.0, 0.5, 2.0, 0.0])
+_PUSH_PINS = {
+    ("rf", "uniform", False): "7f11c6453c9e9f64c9007b693418e81ca3e2765ee98e127af30027da30d00876",
+    ("rf", "uniform", True): "eb0fbf55d5ac1f2376e808c56a8f9317785fe0861b6c30e88abd07469831898b",
+    ("rf", "ushaped", False): "d28f67a91b1e338ca89a19d769712b9d41f2ab71a6df210835cdd3c5284f3f80",
+    ("rf", "ushaped", True): "742f314af9a6f00df4ac54e0430462897b9baec4028adfcfdc9bd7eab131505e",
+    ("rf", "ddpm-induced", False): "c78f28ca6f6b37036a0adeccd7a95b71d00a08262a131722d89df6bbd16a9468",
+    ("rf", "ddpm-induced", True): "f697e6bcc04abb85d21bd89ba49c247db776f7d246eb6d8d56514de44a6800a4",
+    ("ddim-rf", "ddpm-induced", False):
+        "f31aef193b123eb83ee7f5897d95c89893824396779e6c9d98112f486e43b91e",
+    ("ddim-rf", "ddpm-induced", True):
+        "02614cb7c56d133a58fadc50fed590229c7f15b07df34fd75cceb978b9423b95",
+    ("stoc-rf", "ddpm-induced", False):
+        "fa3692403a69386903d80993b408fdf157e6b40bf17d086f3b614cfd547eeae4",
+    ("stoc-rf", "ddpm-induced", True):
+        "1fb792c6e03a6dbe2b4993f41c1e64bfe85884608c68a2a729172c7cad4412f8",
+    ("ddpm", "ddpm-induced", False):
+        "fa3692403a69386903d80993b408fdf157e6b40bf17d086f3b614cfd547eeae4",
+    ("ddpm", "ddpm-induced", True):
+        "1fb792c6e03a6dbe2b4993f41c1e64bfe85884608c68a2a729172c7cad4412f8",
+    ("langevin", "ddpm-induced", False):
+        "135e266a3d32140c1c37843c7888bbbc31d049f8cc40890b8e3630c33d9c2945",
+    ("langevin", "ddpm-induced", True):
+        "732c8d5987c9900d01a6ad9f6ebffad8751b8f7629312ec22a28d0518cd95e57",
+}
+
 
 class TestGaussianPushforward:
+    def test_the_pins_cover_every_row_on_every_grid_it_runs_on(self):
+        runs = {
+            (name, kind.value)
+            for name, entry in SAMPLERS.items()
+            for kind in GRIDS
+            if entry.needs <= GRIDS[kind].provides
+        }
+        assert {(name, kind) for name, kind, _ in _PUSH_PINS} == runs
+
+    @pytest.mark.parametrize("case", list(_PUSH_PINS), ids=lambda c: "-".join(map(str, c)))
+    def test_the_path_gives_the_pinned_bits(self, case):
+        sampler, kind, final_step = case
+        grid = GRIDS[GridKind(kind)].build(20, 0.05).grid
+        path = gaussian_pushforward(
+            ExactOracle(_PUSH_TARGET), grid, sampler, final_step=final_step
+        )
+        digest = hashlib.sha256()
+        for array in (path.times, path.mean, path.var_diag):
+            digest.update(array.tobytes())
+        assert digest.hexdigest() == _PUSH_PINS[case]
+
+    @pytest.mark.parametrize("sampler", list(SAMPLERS))
+    def test_the_scale_bias_path_is_the_law_its_sampler_draws(self, sampler):
+        # m = 0.05 moves the law far from the exact one (|z| > 50), and the
+        # push-forward of the perturbed oracle is what its sampler draws
+        built = GRIDS[GridKind.DDPM_INDUCED].build(100, 0.0)
+        exact = ExactOracle(Target.low_rank(20, 8))
+        oracle = ScaleBiasOracle(exact, 0.05)
+        n = 20_000
+        data = run_sampler(sampler, oracle, built, n, 17).data
+
+        def worst_z(law_of):
+            mean, var = gaussian_pushforward(law_of, built.grid, sampler).terminal()
+            z_mean = (data.mean(axis=0) - mean) / np.sqrt(var / n)
+            z_var = (data.var(axis=0, ddof=1) - var) / (var * np.sqrt(2.0 / (n - 1)))
+            return float(np.max(np.abs(np.concatenate([z_mean, z_var]))))
+
+        assert worst_z(oracle) <= 4.0
+        assert worst_z(exact) > 50.0
+
     def test_point_mass_path(self):
         c = np.array([2.0, -3.0])
         grid = build_ushaped_grid(10, 0.1)
-        path = gaussian_pushforward(point_mass(c), grid, "rf")
+        path = gaussian_pushforward(ExactOracle(point_mass(c)), grid, "rf")
         for t_j, m_j, v_j in zip(path.times, path.mean, path.var_diag):
             np.testing.assert_allclose(m_j, t_j * c, atol=1e-12)
             np.testing.assert_allclose(v_j, (1.0 - t_j) ** 2, atol=1e-12)
 
     def test_single_full_step_collapses_to_the_mean(self):
         mu = np.array([1.0, 2.0, 3.0])
-        path = gaussian_pushforward(Target.gaussian(mu, np.ones(3)), [0.0, 1.0], "rf")
+        path = gaussian_pushforward(ExactOracle(Target.gaussian(mu, np.ones(3))), [0.0, 1.0], "rf")
         np.testing.assert_allclose(path.mean[-1], mu, atol=1e-14)
         np.testing.assert_allclose(path.var_diag[-1], 0.0, atol=1e-14)
 
@@ -1320,7 +1392,7 @@ class TestGaussianPushforward:
         target = Target.low_rank(10, 8)
         errors = []
         for n_steps in (25, 50, 100, 200):
-            path = gaussian_pushforward(target, build_uniform_grid(n_steps), "rf")
+            path = gaussian_pushforward(ExactOracle(target), build_uniform_grid(n_steps), "rf")
             t_last = path.times[-1]
             exact_var = t_last**2 * target.variances[0] + (1.0 - t_last) ** 2
             exact_mean = t_last * target.means[0]
@@ -1337,7 +1409,7 @@ class TestGaussianPushforward:
         batch = rf_euler(oracle, grid, 500, seed=7, record_trajectories=True)
         y0 = batch.trajectory[0]
         path = gaussian_pushforward(
-            target,
+            oracle,
             grid,
             "rf",
             init_mean=y0.mean(axis=0),
@@ -1350,8 +1422,8 @@ class TestGaussianPushforward:
     def test_ddpm_kind_is_the_whitened_recursion(self):
         target = Target.gaussian(np.zeros(2), np.ones(2))
         grid = induced_grid(40)
-        a = gaussian_pushforward(target, grid, "ddpm")
-        b = gaussian_pushforward(target, grid, "stoc-rf")
+        a = gaussian_pushforward(ExactOracle(target), grid, "ddpm")
+        b = gaussian_pushforward(ExactOracle(target), grid, "stoc-rf")
         np.testing.assert_array_equal(a.var_diag, b.var_diag)
 
     def test_rejections(self):
@@ -1361,8 +1433,10 @@ class TestGaussianPushforward:
             variances=np.array([[1.0], [1.0]]),
         )
         with pytest.raises(DomainError, match="single-Gaussian"):
-            gaussian_pushforward(mix, build_uniform_grid(4), "rf")
-        gauss = Target.gaussian(np.zeros(2), np.ones(2))
+            gaussian_pushforward(ExactOracle(mix), build_uniform_grid(4), "rf")
+        gauss = ExactOracle(Target.gaussian(np.zeros(2), np.ones(2)))
+        with pytest.raises(DomainError, match="not affine"):
+            gaussian_pushforward(AdditiveFieldOracle(gauss, 0.1, 1), build_uniform_grid(4), "rf")
         with pytest.raises(DomainError, match="sampler kind"):
             gaussian_pushforward(gauss, build_uniform_grid(4), "rk4")
         with pytest.raises(DomainError, match="t_0 > 0"):
@@ -1375,7 +1449,7 @@ class TestGaussianPushforward:
                 gaussian_pushforward(gauss, induced, "langevin", gamma_scale=gamma_scale)
 
     def test_scalar_init_broadcasts(self):
-        gauss = Target.gaussian(np.zeros(3), np.ones(3))
+        gauss = ExactOracle(Target.gaussian(np.zeros(3), np.ones(3)))
         path = gaussian_pushforward(gauss, build_uniform_grid(4), "rf", init_mean=2.0, init_var=0.5)
         np.testing.assert_allclose(path.mean[0], 2.0)
         np.testing.assert_allclose(path.var_diag[0], 0.5)
@@ -1386,9 +1460,9 @@ class TestGaussianPushforward:
         # default is N(0, σ_{t_0}²·I); naming that start changes nothing
         target = Target.gaussian(np.array([1.0, -2.0, 0.5]), np.array([1.0, 0.3, 0.0]))
         grid = induced_grid(60)
-        default = gaussian_pushforward(target, grid, sampler)
+        default = gaussian_pushforward(ExactOracle(target), grid, sampler)
         sigma2_start = interpolation_scale2(grid.times[0])
-        named = gaussian_pushforward(target, grid, sampler, init_mean=0.0, init_var=sigma2_start)
+        named = gaussian_pushforward(ExactOracle(target), grid, sampler, init_mean=0.0, init_var=sigma2_start)
         np.testing.assert_array_equal(named.mean, default.mean)
         np.testing.assert_array_equal(named.var_diag, default.var_diag)
         np.testing.assert_array_equal(default.var_diag[0], sigma2_start)
@@ -1398,7 +1472,7 @@ class TestGaussianPushforward:
     def test_init_moments_must_broadcast_to_the_target(self, init, shape):
         target = Target.low_rank(5, 2)
         with pytest.raises(DomainError, match=r"broadcast to \(5,\)"):
-            gaussian_pushforward(target, build_uniform_grid(4), "rf", **{init: np.ones(shape)})
+            gaussian_pushforward(ExactOracle(target), build_uniform_grid(4), "rf", **{init: np.ones(shape)})
 
     @pytest.mark.parametrize("n_steps", [50, 100, 400])
     @pytest.mark.parametrize("kind", list(GridKind), ids=lambda k: k.value)
@@ -1410,7 +1484,7 @@ class TestGaussianPushforward:
         built = GRIDS[kind].build(n_steps, 1.0 / 800)
         t0 = float(built.grid.times[0])
         path = gaussian_pushforward(
-            target, built.grid, "rf", final_step=True, init_mean=8.0 * t0, init_var=(1.0 - t0) ** 2
+            ExactOracle(target), built.grid, "rf", final_step=True, init_mean=8.0 * t0, init_var=(1.0 - t0) ** 2
         )
         t = path.times[:, None]
         flat = (t.size, 792)
@@ -1461,7 +1535,7 @@ class TestCallerArraysStayWriteable:
         if kind == "stoc-rf-coefficients":
             return stoc_rf_coefficients(times), (times,)
         target = Target.gaussian(np.zeros(2), np.ones(2))
-        return gaussian_pushforward(target, times, "stoc-rf"), (times,)
+        return gaussian_pushforward(ExactOracle(target), times, "stoc-rf"), (times,)
 
     @pytest.mark.parametrize(
         "kind",

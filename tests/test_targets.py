@@ -18,13 +18,12 @@ import flowgrid.batch
 from flowgrid import DomainError
 from flowgrid.rng import INIT_NOISE, substream
 from flowgrid.targets import (
+    AdditiveFieldOracle,
     ExactOracle,
-    PerturbationKind,
-    PerturbationSpec,
+    ScaleBiasOracle,
     Target,
     affine_field,
     blur_samples,
-    perturb_field,
     posterior_moments,
     sample_blurred_target,
     sample_target,
@@ -243,9 +242,19 @@ class TestAffineField:
             single = Target.gaussian(target.means[c], target.variances[c])
             np.testing.assert_allclose(score(single, t, x), p[c] * x + q[c], rtol=1e-13, atol=1e-13)
 
+    def test_a_run_of_times_gives_the_bits_of_one_call_each(self):
+        # at t = 0.18271225766227794 numpy's array square of 1 - t rounds
+        # differently from the float power the scalar call takes
+        times = [0.0, 0.18271225766227794, 0.5, 0.97]
+        run = affine_field(_D3_MIXTURE, np.array(times))
+        for k, t in enumerate(times):
+            for whole, one in zip(run, affine_field(_D3_MIXTURE, t)):
+                assert _bits(whole[k]) == _bits(one), t
+
     def test_time_domain(self):
-        with pytest.raises(DomainError):
-            affine_field(Target.low_rank(2, 1), 1.0)
+        for t in (1.0, [0.5, 1.0], [math.nan]):
+            with pytest.raises(DomainError):
+                affine_field(Target.low_rank(2, 1), t)
 
 
 class TestScore:
@@ -335,17 +344,13 @@ _FIELDS = {
     "velocity-mixture": lambda: functools.partial(velocity, _D3_MIXTURE),
     "score-mixture": lambda: functools.partial(score, _D3_MIXTURE),
     "oracle-score-mixture": lambda: ExactOracle(_D3_MIXTURE).score,
-    "scale-bias-velocity-mixture": lambda: perturb_field(
-        ExactOracle(_D3_MIXTURE), PerturbationSpec("scale-bias", 0.2, 1)
+    "scale-bias-velocity-mixture": lambda: ScaleBiasOracle(ExactOracle(_D3_MIXTURE), 0.2).velocity,
+    "scale-bias-score-gaussian": lambda: ScaleBiasOracle(ExactOracle(_ONE_GAUSSIAN), 0.2).score,
+    "additive-field-velocity-mixture": lambda: AdditiveFieldOracle(
+        ExactOracle(_D3_MIXTURE), 0.3, 2
     ).velocity,
-    "scale-bias-score-gaussian": lambda: perturb_field(
-        ExactOracle(_ONE_GAUSSIAN), PerturbationSpec("scale-bias", 0.2, 1)
-    ).score,
-    "additive-field-velocity-mixture": lambda: perturb_field(
-        ExactOracle(_D3_MIXTURE), PerturbationSpec("additive-field", 0.3, 2)
-    ).velocity,
-    "additive-field-score-gaussian": lambda: perturb_field(
-        ExactOracle(_ONE_GAUSSIAN), PerturbationSpec("additive-field", 0.3, 2)
+    "additive-field-score-gaussian": lambda: AdditiveFieldOracle(
+        ExactOracle(_ONE_GAUSSIAN), 0.3, 2
     ).score,
 }
 
@@ -456,9 +461,7 @@ class TestRowBlockInvariance:
 
     @pytest.mark.parametrize("method", ["velocity", "score"])
     def test_the_additive_field_at_d1_too(self, method):
-        oracle = perturb_field(
-            ExactOracle(Target.gaussian([1.5], [0.3])), PerturbationSpec("additive-field", 0.3, 2)
-        )
+        oracle = AdditiveFieldOracle(ExactOracle(Target.gaussian([1.5], [0.3])), 0.3, 2)
         field = getattr(oracle, method)
         x = np.random.default_rng(11).normal(0.0, 2.0, (333, 1))
         whole = field(0.4, x)
@@ -505,23 +508,27 @@ class TestExchangeIdentities:
 
 
 class TestPerturbations:
-    def test_none_is_identity(self):
-        oracle = ExactOracle(Target.low_rank(3, 2))
-        assert perturb_field(oracle, PerturbationSpec()) is oracle
-
     @pytest.mark.parametrize("seed", [-1, 1.5, True])
     def test_a_seed_that_is_not_a_count_is_a_domain_error(self, seed):
         # the seed must fail here as a FlowgridError, not later inside numpy
         with pytest.raises(DomainError, match="seed must be an integer >= 0"):
-            PerturbationSpec("additive-field", 0.1, seed=seed)
+            AdditiveFieldOracle(ExactOracle(Target.low_rank(3, 2)), 0.1, seed)
+
+    @pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "make",
+        [ScaleBiasOracle, lambda base, m: AdditiveFieldOracle(base, m, 1)],
+        ids=["scale-bias", "additive-field"],
+    )
+    def test_a_non_finite_magnitude_is_a_domain_error(self, make, m):
+        with pytest.raises(DomainError, match="magnitude must be finite"):
+            make(ExactOracle(Target.low_rank(3, 2)), m)
 
     def test_scale_bias_formula(self):
         tgt = Target.low_rank(3, 2)
         oracle = ExactOracle(tgt)
         m = 0.05
-        pert = perturb_field(
-            oracle, PerturbationSpec(kind="scale-bias", magnitude=m, seed=1)
-        )
+        pert = ScaleBiasOracle(oracle, m)
         t = 0.4
         x = np.random.default_rng(3).normal(size=(6, 3))
         np.testing.assert_allclose(
@@ -536,9 +543,7 @@ class TestPerturbations:
 
     def test_zero_magnitude_scale_bias_matches_exact(self):
         oracle = ExactOracle(Target.low_rank(3, 2))
-        pert = perturb_field(
-            oracle, PerturbationSpec(kind="scale-bias", magnitude=0.0)
-        )
+        pert = ScaleBiasOracle(oracle, 0.0)
         x = np.random.default_rng(4).normal(size=(5, 3))
         np.testing.assert_array_equal(pert.velocity(0.3, x), oracle.velocity(0.3, x))
 
@@ -546,9 +551,7 @@ class TestPerturbations:
         tgt = Target.low_rank(6, 4)
         oracle = ExactOracle(tgt)
         m = 0.37
-        pert = perturb_field(
-            oracle, PerturbationSpec(kind="additive-field", magnitude=m, seed=9)
-        )
+        pert = AdditiveFieldOracle(oracle, m, 9)
         rng = np.random.default_rng(10)
         for t in (0.1, 0.5, 0.9):
             x = t * sample_target(tgt, 200, 21).data + (1.0 - t) * rng.normal(
@@ -564,9 +567,7 @@ class TestPerturbations:
         tgt = Target.low_rank(6, 4)
         oracle = ExactOracle(tgt)
         m = 0.25
-        pert = perturb_field(
-            oracle, PerturbationSpec(kind="additive-field", magnitude=m, seed=2)
-        )
+        pert = AdditiveFieldOracle(oracle, m, 2)
         t = 0.5
         rng = np.random.default_rng(1)
         x = t * sample_target(tgt, 20_000, 3).data + (1.0 - t) * rng.normal(
@@ -577,22 +578,39 @@ class TestPerturbations:
 
     def test_additive_field_is_seed_deterministic_and_smooth(self):
         oracle = ExactOracle(Target.low_rank(4, 2))
-        spec = PerturbationSpec(kind="additive-field", magnitude=0.1, seed=5)
-        a, b = perturb_field(oracle, spec), perturb_field(oracle, spec)
+        a, b = AdditiveFieldOracle(oracle, 0.1, 5), AdditiveFieldOracle(oracle, 0.1, 5)
         x = np.random.default_rng(6).normal(size=(3, 4))
         np.testing.assert_array_equal(a.velocity(0.3, x), b.velocity(0.3, x))
         # different seed, different field
-        other = perturb_field(
-            oracle, PerturbationSpec(kind="additive-field", magnitude=0.1, seed=6)
-        )
+        other = AdditiveFieldOracle(oracle, 0.1, 6)
         assert not np.allclose(a.velocity(0.3, x), other.velocity(0.3, x))
         # continuity: small input change, small output change
         dv = a.velocity(0.3, x + 1e-9) - a.velocity(0.3, x)
         assert np.max(np.abs(dv)) < 1e-6
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            PerturbationSpec(kind="wobble")
+    def test_scale_bias_affine_form_gives_its_fields(self):
+        # the push-forward's coefficients are the fields the samplers call
+        pert = ScaleBiasOracle(ExactOracle(_ONE_GAUSSIAN), 0.05)
+        times = np.array([0.0, 0.2, 0.7, 0.95])
+        coeffs = pert.affine(times)
+        assert all(c.shape == (4, 4) for c in coeffs)
+        x = np.random.default_rng(14).normal(0.0, 2.0, (5, 4))
+        for t, (a, b, p, q) in zip(times, zip(*coeffs)):
+            np.testing.assert_allclose(a * x + b, pert.velocity(t, x), rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose(p * x + q, pert.score(t, x), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "oracle",
+        [
+            ExactOracle(_D3_MIXTURE),
+            ScaleBiasOracle(ExactOracle(_D3_MIXTURE), 0.05),
+            AdditiveFieldOracle(ExactOracle(_ONE_GAUSSIAN), 0.05, 1),
+        ],
+        ids=["mixture", "scale-bias-mixture", "additive-field"],
+    )
+    def test_a_field_that_is_not_affine_has_no_affine_form(self, oracle):
+        with pytest.raises(DomainError, match="affine"):
+            oracle.affine(0.5)
 
 
 class TestSampling:
